@@ -28,8 +28,6 @@ const API: &[&str] = &[
     "add",
     "observe",
     "observe_duration",
-    "observe_hdr",
-    "observe_hdr_duration",
     "hdr",
     "set_gauge",
     "counter",

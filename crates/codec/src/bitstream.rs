@@ -290,14 +290,15 @@ pub fn write_varint(out: &mut Vec<u8>, mut v: u64) {
     }
 }
 
-/// Reads a LEB128 varint, advancing `pos`. `None` on truncation/overflow.
+/// Reads a LEB128 varint, advancing `pos`. `None` on truncation or
+/// overflow: a tenth byte may only carry bit 63 (`0` or `1`).
 pub fn read_varint(buf: &[u8], pos: &mut usize) -> Option<u64> {
     let mut v = 0u64;
     let mut shift = 0u32;
     loop {
         let byte = *buf.get(*pos)?;
         *pos += 1;
-        if shift >= 64 {
+        if shift >= 63 && byte > 1 {
             return None;
         }
         v |= ((byte & 0x7F) as u64) << shift;
@@ -483,6 +484,14 @@ mod tests {
         buf.pop();
         let mut pos = 0;
         assert_eq!(read_varint(&buf, &mut pos), None);
+        // Unterminated.
+        assert_eq!(read_varint(&[0x80, 0x80], &mut 0), None);
+        // Tenth bytes carrying bits past the 64th.
+        let mut high = vec![0xFF; 9];
+        high.push(0x02);
+        assert_eq!(read_varint(&high, &mut 0), None);
+        high[9] = 0x7F;
+        assert_eq!(read_varint(&high, &mut 0), None);
     }
 
     #[test]

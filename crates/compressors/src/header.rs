@@ -6,8 +6,12 @@
 //! fast instead of decoding garbage.
 
 use crate::CompressError;
-use fxrz_codec::bitstream::{read_varint, write_varint};
 use fxrz_datagen::Dims;
+
+/// The LEB128 varint every container in the stack uses (these headers,
+/// the slab directory, stream frames); re-exported so crates above this
+/// one frame their records without a direct codec dependency.
+pub use fxrz_codec::bitstream::{read_varint, varint_len, write_varint};
 
 /// Magic tag per compressor.
 pub mod magic {

@@ -28,6 +28,7 @@
 //! requested element range.
 
 use crate::{header, CompressError};
+use fxrz_codec::bitstream::{read_varint, write_varint};
 use fxrz_datagen::{Dims, Field};
 
 /// Container tag byte that follows the common header in a v2 stream.
@@ -91,35 +92,6 @@ pub fn plan(dims: Dims, budget: usize) -> Option<Vec<usize>> {
         *last += axis0 - full * per_slab;
     }
     Some(planes)
-}
-
-fn write_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let b = (v & 0x7F) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(b);
-            break;
-        }
-        out.push(b | 0x80);
-    }
-}
-
-fn read_varint(buf: &[u8], pos: &mut usize) -> Option<u64> {
-    let mut v = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let b = *buf.get(*pos)?;
-        *pos += 1;
-        if shift >= 63 && b > 1 {
-            return None;
-        }
-        v |= ((b & 0x7F) as u64) << shift;
-        if b & 0x80 == 0 {
-            return Some(v);
-        }
-        shift += 7;
-    }
 }
 
 /// Extracts the sub-field of `field` covering `n_planes` leading-axis
@@ -468,18 +440,5 @@ mod tests {
         assert_ne!(checksum(b"ab"), checksum(b"ba"));
         assert_ne!(checksum(b"a"), checksum(b"a\0"));
         assert_eq!(checksum(b""), checksum(b""));
-    }
-
-    #[test]
-    fn varint_roundtrip() {
-        for v in [0u64, 1, 127, 128, 300, u32::MAX as u64, u64::MAX] {
-            let mut buf = Vec::new();
-            write_varint(&mut buf, v);
-            let mut pos = 0;
-            assert_eq!(read_varint(&buf, &mut pos), Some(v));
-            assert_eq!(pos, buf.len());
-        }
-        // Unterminated varint.
-        assert_eq!(read_varint(&[0x80, 0x80], &mut 0), None);
     }
 }

@@ -28,8 +28,6 @@ pub const DRAIN_NS: &str = "serve.drain.ns";
 
 /// Requests that ended in an error reply, any op.
 pub const OP_ERRORS: &str = "serve.op.errors";
-/// Per-op handler latency template (`{op}` is the op name).
-pub const OP_NS: &str = "serve.op.{op}.ns";
 /// Per-op request-count template (`{op}` is the op name).
 pub const OP_COUNT: &str = "serve.op.{op}.count";
 

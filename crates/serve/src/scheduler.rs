@@ -181,7 +181,7 @@ impl Scheduler {
             let _trace = fxrz_telemetry::trace::attach(trace);
             let queued = enqueued.elapsed();
             let queue_ns = u64::try_from(queued.as_nanos()).unwrap_or(u64::MAX);
-            fxrz_telemetry::global().observe_hdr(crate::names::SCHED_QUEUE_NS, queue_ns);
+            fxrz_telemetry::global().observe(crate::names::SCHED_QUEUE_NS, queue_ns);
             // Deadline is checked when the job reaches the front: work
             // that sat in the queue past its budget is dropped *with an
             // explicit error reply*, never silently.

@@ -521,10 +521,7 @@ fn dispatch(shared: &Arc<Shared>, frame: RequestFrame, streams: &mut ConnStreams
     let t0 = Instant::now();
     let response = dispatch_inner(shared, frame, trace, streams);
     let elapsed = t0.elapsed();
-    telemetry
-        .histogram(&format!("serve.op.{op}.ns", op = op.name()))
-        .record_duration(elapsed);
-    telemetry.observe_hdr_duration(&format!("serve.op.{op}.hdr_ns", op = op.name()), elapsed);
+    telemetry.observe_duration(&format!("serve.op.{op}.hdr_ns", op = op.name()), elapsed);
     telemetry.incr(&format!("serve.op.{op}.count", op = op.name()));
     if response.status == Status::Error {
         telemetry.incr(names::OP_ERRORS);
@@ -929,7 +926,7 @@ fn dispatch_inner(
                             u64::try_from(held.elapsed().as_nanos()).unwrap_or(u64::MAX),
                         )
                     };
-                    fxrz_telemetry::global().observe_hdr(names::STREAM_LOCK_NS, lock_ns);
+                    fxrz_telemetry::global().observe(names::STREAM_LOCK_NS, lock_ns);
                     match outcome {
                         Ok(outcome) => {
                             let exec_ns =

@@ -30,7 +30,8 @@
 //! interpreted. All parsing here is panic-free (`fxrz lint` panic_path
 //! scope): malformed input yields typed [`StreamError`]s, never a panic.
 
-use fxrz_compressors::{detect, header::magic, slab, CompressError};
+use fxrz_compressors::header::{magic, read_varint, write_varint};
+use fxrz_compressors::{detect, slab, CompressError};
 
 /// Stream magic ("FXRZS1").
 pub const MAGIC: [u8; 6] = *b"FXRZS1";
@@ -145,35 +146,6 @@ pub struct StreamScan {
     pub frames: Vec<FrameView>,
     /// The verified trailer.
     pub trailer: Trailer,
-}
-
-fn write_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let b = (v & 0x7F) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(b);
-            break;
-        }
-        out.push(b | 0x80);
-    }
-}
-
-fn read_varint(buf: &[u8], pos: &mut usize) -> Option<u64> {
-    let mut v = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let b = *buf.get(*pos)?;
-        *pos += 1;
-        if shift >= 63 && b > 1 {
-            return None;
-        }
-        v |= ((b & 0x7F) as u64) << shift;
-        if b & 0x80 == 0 {
-            return Some(v);
-        }
-        shift += 7;
-    }
 }
 
 /// The payload stream-magic byte a frame with `tag` must start with, or

@@ -33,6 +33,7 @@ pub mod names;
 pub use controller::{Calibration, RatioController};
 pub use frame::{FrameView, StreamError, StreamHeader, StreamScan, Trailer};
 
+use fxrz_compressors::header::varint_len;
 use fxrz_compressors::{by_name, Compressor, ErrorConfig};
 use fxrz_core::features::{self, FeatureVector};
 use fxrz_core::sampling::StridedSampler;
@@ -498,7 +499,7 @@ impl StreamEncoder {
         telemetry.incr(&format!("stream.codec.{codec}.frames", codec = label));
         let cumulative = self.controller.cumulative_ratio();
         let err_bp = ((cumulative - self.target_ratio) / self.target_ratio).abs() * 1e4;
-        telemetry.observe_hdr(names::CONTROLLER_ERR_BP, err_bp as u64);
+        telemetry.observe(names::CONTROLLER_ERR_BP, err_bp as u64);
 
         self.scratch.field_buf = field.into_data();
         Ok(FrameOutcome {
@@ -533,14 +534,8 @@ impl StreamEncoder {
     /// (tag + varints + eb + checksum + payload) so the cumulative ratio
     /// the controller steers matches what actually lands on the wire.
     fn frame_ratio(raw_bytes: u64, samples: u64, payload: &[u8]) -> f64 {
-        fn varint_len(v: u64) -> usize {
-            usize::try_from(64 - v.leading_zeros())
-                .unwrap_or(1)
-                .max(1)
-                .div_ceil(7)
-        }
-        let record_len =
-            1 + varint_len(samples) + 8 + varint_len(payload.len() as u64) + 4 + payload.len();
+        let payload_len = payload.len() as u64;
+        let record_len = 1 + varint_len(samples) + 8 + varint_len(payload_len) + 4 + payload_len;
         raw_bytes as f64 / record_len as f64
     }
 }

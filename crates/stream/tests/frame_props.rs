@@ -4,6 +4,7 @@
 //! panics), thread-count-independent decode, and controller
 //! convergence on a drifting signal.
 
+use fxrz_codec::bitstream::varint_len;
 use fxrz_stream::{frame, StreamConfig, StreamDecoder, StreamEncoder, StreamError};
 
 /// Deterministic LCG so every fuzz case is reproducible from the seed.
@@ -174,9 +175,9 @@ fn forged_headers_yield_typed_errors() {
     let scan = StreamDecoder::inspect(&good).expect("scan");
     let tag_offset = scan.frames[0].payload_offset
         - 4 // checksum
-        - varint_len(scan.frames[0].payload_len as u64)
+        - varint_len(scan.frames[0].payload_len as u64) as usize
         - 8 // eb
-        - varint_len(scan.frames[0].samples as u64)
+        - varint_len(scan.frames[0].samples as u64) as usize
         - 1; // tag
     let mut forged = good.clone();
     forged[tag_offset] = 0x77;
@@ -203,11 +204,6 @@ fn forged_headers_yield_typed_errors() {
     let last = forged.len() - 1;
     forged[last] ^= 0xFF;
     assert!(StreamDecoder::inspect(&forged).is_err());
-}
-
-fn varint_len(v: u64) -> usize {
-    let bits = (64 - v.leading_zeros()).max(1) as usize;
-    bits.div_ceil(7)
 }
 
 #[test]

@@ -1,9 +1,8 @@
-//! Fixed-precision "HDR-style" histogram.
+//! Fixed-precision "HDR-style" histogram: the one histogram type behind
+//! every `observe`, span duration and cached histogram handle.
 //!
-//! The coarse power-of-two [`Histogram`](crate::Histogram) is fine for
-//! orders of magnitude but useless for latency SLOs: its p99 can be off
-//! by 2×. This histogram subdivides every power of two into `2^SUB_BITS`
-//! linear sub-buckets, bounding the relative quantile error at
+//! Every power of two is subdivided into `2^SUB_BITS` linear
+//! sub-buckets, bounding the relative quantile error at
 //! `2^-(SUB_BITS+1)` (< 0.8% with `SUB_BITS = 6`) over the full `u64`
 //! range — the standard HdrHistogram bucketing, sized for nanosecond
 //! latencies. Recording is wait-free (a handful of relaxed atomics);

@@ -4,8 +4,10 @@
 //! Four pieces, all reachable from one global [`MetricsRegistry`]:
 //!
 //! * **Metrics** ([`metrics`]) — named [`Counter`]s, [`Gauge`]s and
-//!   log-bucketed [`Histogram`]s backed by atomics; cheap enough for
-//!   per-call instrumentation of codec and compressor hot paths.
+//!   fixed-precision [`HdrHistogram`]s (`< 0.8%` relative quantile
+//!   error, see [`hdr`]) backed by atomics; cheap enough for per-call
+//!   instrumentation of codec and compressor hot paths. Span durations
+//!   record into the same histogram type.
 //! * **Spans** ([`span`]) — RAII guards recording nested wall-clock
 //!   timings. Nesting is tracked per thread, so
 //!   `span!("compress")` containing `span!("features")` records under the
@@ -17,7 +19,7 @@
 //!   everything recorded, with a human-readable `Display` report and a
 //!   JSON form used by `fxrz --metrics json`.
 //!
-//! Layered on top of those, three request-scoped facilities added for the
+//! Layered on top of those, two request-scoped facilities added for the
 //! serving plane:
 //!
 //! * **Traces** ([`trace`]) — a thread-local [`TraceContext`] (trace id +
@@ -27,8 +29,6 @@
 //! * **Flight recorder** ([`recorder`]) — a fixed-capacity lock-free ring
 //!   of recent span/event records, dumped on drain or panic. Memory is
 //!   bounded by capacity, never by request count.
-//! * **HDR histograms** ([`hdr`]) — fixed-precision latency histograms
-//!   (`< 0.8%` relative quantile error) for per-op p50/p99 reporting.
 //!
 //! ```
 //! use fxrz_telemetry as telemetry;
@@ -57,8 +57,7 @@ pub use event::{
 };
 pub use hdr::{HdrHistogram, HdrSnapshot};
 pub use metrics::{
-    Counter, CounterSnapshot, Gauge, GaugeSnapshot, Histogram, HistogramSnapshot, MetricsRegistry,
-    MetricsSnapshot, SpanSnapshot,
+    Counter, CounterSnapshot, Gauge, GaugeSnapshot, MetricsRegistry, MetricsSnapshot, SpanSnapshot,
 };
 pub use recorder::{
     configure_recorder, flight_recorder, now_ns, render_records, FlightRecord, FlightRecorder,

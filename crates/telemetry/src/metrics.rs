@@ -1,6 +1,6 @@
-//! Atomic counters, gauges and log-bucketed histograms, collected in a
-//! thread-safe [`MetricsRegistry`] and exported as a serializable
-//! [`MetricsSnapshot`].
+//! Atomic counters, gauges and fixed-precision [`HdrHistogram`]s,
+//! collected in a thread-safe [`MetricsRegistry`] and exported as a
+//! serializable [`MetricsSnapshot`].
 
 use crate::hdr::{HdrHistogram, HdrSnapshot};
 use parking_lot::RwLock;
@@ -56,131 +56,6 @@ impl Gauge {
     }
 }
 
-/// Number of histogram buckets: one per power of two of the `u64` domain,
-/// plus one for zero.
-const BUCKETS: usize = 65;
-
-/// Lock-free histogram over `u64` observations (nanoseconds, byte counts)
-/// with power-of-two buckets.
-///
-/// Bucket `0` holds the value `0`; bucket `i >= 1` holds values in
-/// `[2^(i-1), 2^i)`. Percentiles are estimated from bucket midpoints and
-/// clamped to the exact observed min/max, so small-count histograms stay
-/// sane.
-pub struct Histogram {
-    buckets: [AtomicU64; BUCKETS],
-    count: AtomicU64,
-    sum: AtomicU64,
-    min: AtomicU64,
-    max: AtomicU64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Self {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            min: AtomicU64::new(u64::MAX),
-            max: AtomicU64::new(0),
-        }
-    }
-}
-
-/// Bucket index for a value (`0` → 0, otherwise `floor(log2(v)) + 1`).
-fn bucket_index(value: u64) -> usize {
-    if value == 0 {
-        0
-    } else {
-        64 - value.leading_zeros() as usize
-    }
-}
-
-/// Midpoint of the bucket's value range, used as its representative.
-fn bucket_mid(index: usize) -> f64 {
-    if index == 0 {
-        0.0
-    } else {
-        let lo = (1u128 << (index - 1)) as f64;
-        let hi = (1u128 << index) as f64;
-        (lo + hi) / 2.0
-    }
-}
-
-impl Histogram {
-    /// Records one observation.
-    pub fn record(&self, value: u64) {
-        self.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(value, Ordering::Relaxed);
-        self.min.fetch_min(value, Ordering::Relaxed);
-        self.max.fetch_max(value, Ordering::Relaxed);
-    }
-
-    /// Records a duration in nanoseconds (saturating above ~584 years).
-    pub fn record_duration(&self, d: Duration) {
-        self.record(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// Sum of observations.
-    pub fn sum(&self) -> u64 {
-        self.sum.load(Ordering::Relaxed)
-    }
-
-    /// Estimates the `q`-quantile (`q` in `[0, 1]`) from bucket midpoints,
-    /// clamped to the observed min/max. Returns 0.0 when empty.
-    pub fn quantile(&self, q: f64) -> f64 {
-        let count = self.count();
-        if count == 0 {
-            return 0.0;
-        }
-        let min = self.min.load(Ordering::Relaxed) as f64;
-        let max = self.max.load(Ordering::Relaxed) as f64;
-        let rank = ((q.clamp(0.0, 1.0) * count as f64).ceil() as u64).max(1);
-        let mut cumulative = 0u64;
-        for (i, bucket) in self.buckets.iter().enumerate() {
-            cumulative += bucket.load(Ordering::Relaxed);
-            if cumulative >= rank {
-                return bucket_mid(i).clamp(min, max);
-            }
-        }
-        max
-    }
-
-    fn snapshot(&self, name: &str) -> HistogramSnapshot {
-        let count = self.count();
-        let (min, max) = if count == 0 {
-            (0, 0)
-        } else {
-            (
-                self.min.load(Ordering::Relaxed),
-                self.max.load(Ordering::Relaxed),
-            )
-        };
-        HistogramSnapshot {
-            name: name.to_string(),
-            count,
-            sum: self.sum(),
-            min,
-            max,
-            p50: self.quantile(0.50),
-            p90: self.quantile(0.90),
-            p99: self.quantile(0.99),
-        }
-    }
-}
-
-/// Accumulated timing for one span path.
-#[derive(Default)]
-pub(crate) struct SpanStat {
-    pub(crate) durations: Histogram,
-}
-
 /// Thread-safe home for all named metrics.
 ///
 /// Lookup is get-or-create: a read-lock fast path, falling back to a write
@@ -190,9 +65,8 @@ pub(crate) struct SpanStat {
 pub struct MetricsRegistry {
     counters: RwLock<BTreeMap<String, Arc<Counter>>>,
     gauges: RwLock<BTreeMap<String, Arc<Gauge>>>,
-    histograms: RwLock<BTreeMap<String, Arc<Histogram>>>,
-    hdrs: RwLock<BTreeMap<String, Arc<HdrHistogram>>>,
-    spans: RwLock<BTreeMap<String, Arc<SpanStat>>>,
+    histograms: RwLock<BTreeMap<String, Arc<HdrHistogram>>>,
+    spans: RwLock<BTreeMap<String, Arc<HdrHistogram>>>,
     generation: AtomicU64,
 }
 
@@ -224,16 +98,8 @@ impl MetricsRegistry {
     }
 
     /// Handle to the named histogram, creating it on first use.
-    pub fn histogram(&self, name: &str) -> Arc<Histogram> {
+    pub fn histogram(&self, name: &str) -> Arc<HdrHistogram> {
         get_or_create(&self.histograms, name)
-    }
-
-    /// Handle to the named fixed-precision (HDR-style) histogram,
-    /// creating it on first use. Use beside [`Self::histogram`] when the
-    /// series needs tight quantiles (latency SLOs) rather than orders of
-    /// magnitude.
-    pub fn hdr(&self, name: &str) -> Arc<HdrHistogram> {
-        get_or_create(&self.hdrs, name)
     }
 
     /// Adds `delta` to the named counter.
@@ -261,21 +127,9 @@ impl MetricsRegistry {
         self.histogram(name).record_duration(d);
     }
 
-    /// Records one observation into the named HDR histogram.
-    pub fn observe_hdr(&self, name: &str, value: u64) {
-        self.hdr(name).record(value);
-    }
-
-    /// Records a duration (as nanoseconds) into the named HDR histogram.
-    pub fn observe_hdr_duration(&self, name: &str, d: Duration) {
-        self.hdr(name).record_duration(d);
-    }
-
     /// Records a completed span occurrence (used by [`crate::span`]).
     pub fn record_span(&self, path: &str, d: Duration) {
-        get_or_create(&self.spans, path)
-            .durations
-            .record_duration(d);
+        get_or_create(&self.spans, path).record_duration(d);
     }
 
     /// Point-in-time copy of every metric.
@@ -304,18 +158,11 @@ impl MetricsRegistry {
             .iter()
             .map(|(name, h)| h.snapshot(name))
             .collect();
-        let hdrs = self
-            .hdrs
-            .read()
-            .iter()
-            .map(|(name, h)| h.snapshot(name))
-            .collect();
         let spans = self
             .spans
             .read()
             .iter()
-            .map(|(path, s)| {
-                let h = &s.durations;
+            .map(|(path, h)| {
                 let count = h.count();
                 SpanSnapshot {
                     path: path.clone(),
@@ -326,8 +173,8 @@ impl MetricsRegistry {
                     } else {
                         h.sum() as f64 / count as f64
                     },
-                    p50_ns: h.quantile(0.50),
-                    p99_ns: h.quantile(0.99),
+                    p50_ns: h.quantile(0.50) as f64,
+                    p99_ns: h.quantile(0.99) as f64,
                 }
             })
             .collect();
@@ -335,7 +182,6 @@ impl MetricsRegistry {
             counters,
             gauges,
             histograms,
-            hdrs,
             spans,
         }
     }
@@ -346,7 +192,6 @@ impl MetricsRegistry {
         self.counters.write().clear();
         self.gauges.write().clear();
         self.histograms.write().clear();
-        self.hdrs.write().clear();
         self.spans.write().clear();
         self.generation.fetch_add(1, Ordering::Release);
     }
@@ -379,27 +224,6 @@ pub struct GaugeSnapshot {
     pub value: i64,
 }
 
-/// Exported state of one histogram.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct HistogramSnapshot {
-    /// Metric name.
-    pub name: String,
-    /// Number of observations.
-    pub count: u64,
-    /// Sum of observations.
-    pub sum: u64,
-    /// Smallest observation (0 when empty).
-    pub min: u64,
-    /// Largest observation (0 when empty).
-    pub max: u64,
-    /// Estimated median.
-    pub p50: f64,
-    /// Estimated 90th percentile.
-    pub p90: f64,
-    /// Estimated 99th percentile.
-    pub p99: f64,
-}
-
 /// Exported timing of one span path (e.g. `compress/features`).
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct SpanSnapshot {
@@ -426,12 +250,7 @@ pub struct MetricsSnapshot {
     /// All gauges, sorted by name.
     pub gauges: Vec<GaugeSnapshot>,
     /// All histograms, sorted by name.
-    pub histograms: Vec<HistogramSnapshot>,
-    /// All fixed-precision (HDR) histograms, sorted by name. Defaults to
-    /// empty so snapshots serialized before this field existed still
-    /// deserialize.
-    #[serde(default)]
-    pub hdrs: Vec<HdrSnapshot>,
+    pub histograms: Vec<HdrSnapshot>,
     /// All span paths, sorted by path.
     pub spans: Vec<SpanSnapshot>,
 }
@@ -456,13 +275,8 @@ impl MetricsSnapshot {
     }
 
     /// Looks up a histogram by name.
-    pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
-        self.histograms.iter().find(|h| h.name == name)
-    }
-
-    /// Looks up an HDR histogram by name.
     pub fn hdr(&self, name: &str) -> Option<&HdrSnapshot> {
-        self.hdrs.iter().find(|h| h.name == name)
+        self.histograms.iter().find(|h| h.name == name)
     }
 
     /// Looks up a span by path.
@@ -474,39 +288,6 @@ impl MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bucket_index_boundaries() {
-        assert_eq!(bucket_index(0), 0);
-        assert_eq!(bucket_index(1), 1);
-        assert_eq!(bucket_index(2), 2);
-        assert_eq!(bucket_index(3), 2);
-        assert_eq!(bucket_index(4), 3);
-        assert_eq!(bucket_index(u64::MAX), 64);
-    }
-
-    #[test]
-    fn histogram_quantiles_bracket_observations() {
-        let h = Histogram::default();
-        for v in [10u64, 20, 30, 40, 1000] {
-            h.record(v);
-        }
-        assert_eq!(h.count(), 5);
-        assert_eq!(h.sum(), 1100);
-        let p50 = h.quantile(0.5);
-        assert!((10.0..=1000.0).contains(&p50), "p50 {p50}");
-        let p99 = h.quantile(0.99);
-        assert!(p99 <= 1000.0, "p99 {p99} must clamp to max");
-        assert!(p99 >= p50);
-    }
-
-    #[test]
-    fn empty_histogram_is_quiet() {
-        let h = Histogram::default();
-        assert_eq!(h.quantile(0.5), 0.0);
-        let snap = h.snapshot("empty");
-        assert_eq!((snap.min, snap.max, snap.count), (0, 0, 0));
-    }
 
     #[test]
     fn registry_handles_are_shared() {

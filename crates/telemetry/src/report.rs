@@ -63,26 +63,26 @@ impl fmt::Display for MetricsSnapshot {
         if !self.histograms.is_empty() {
             writeln!(f, "histograms:")?;
             for h in &self.histograms {
+                // Only nanosecond series read as time; the rest (bytes/s,
+                // basis points, point counts) are plain quantities.
+                let v = |x: u64| {
+                    if h.name.ends_with("ns") {
+                        format_ns(x as f64)
+                    } else {
+                        format_count(x)
+                    }
+                };
                 writeln!(
                     f,
-                    "  {:<40} n={:<7} min {:<10} p50 {:<12.1} p90 {:<12.1} p99 {:<12.1} max {}",
-                    h.name, h.count, h.min, h.p50, h.p90, h.p99, h.max
-                )?;
-            }
-        }
-        if !self.hdrs.is_empty() {
-            writeln!(f, "latency (hdr):")?;
-            for h in &self.hdrs {
-                writeln!(
-                    f,
-                    "  {:<40} n={:<7} p50 {:>9} p90 {:>9} p99 {:>9} p999 {:>9} max {}",
+                    "  {:<40} n={:<7} min {:>9} p50 {:>9} p90 {:>9} p99 {:>9} p999 {:>9} max {}",
                     h.name,
                     h.count,
-                    format_ns(h.p50 as f64),
-                    format_ns(h.p90 as f64),
-                    format_ns(h.p99 as f64),
-                    format_ns(h.p999 as f64),
-                    format_ns(h.max as f64),
+                    v(h.min),
+                    v(h.p50),
+                    v(h.p90),
+                    v(h.p99),
+                    v(h.p999),
+                    v(h.max),
                 )?;
             }
         }
@@ -90,7 +90,6 @@ impl fmt::Display for MetricsSnapshot {
             && self.counters.is_empty()
             && self.gauges.is_empty()
             && self.histograms.is_empty()
-            && self.hdrs.is_empty()
         {
             writeln!(f, "no metrics recorded")?;
         }
@@ -127,6 +126,26 @@ mod tests {
             .map(|l| l.len() - l.trim_start().len())
             .unwrap();
         assert!(child_indent > parent_indent, "{text}");
+    }
+
+    #[test]
+    fn histograms_read_as_time_only_for_ns_series() {
+        let reg = MetricsRegistry::new();
+        reg.observe("x.latency_ns", 1500);
+        reg.observe("x.err_bp", 532);
+        let text = reg.snapshot().to_string();
+        // The value printed after `key` on the series' line.
+        let value = |name: &str, key: &str| -> String {
+            let line = text.lines().find(|l| l.contains(name)).unwrap_or("");
+            let mut tokens = line.split_whitespace();
+            tokens.find(|t| *t == key);
+            tokens.next().unwrap_or("").to_owned()
+        };
+        assert_eq!(value("x.latency_ns", "p50"), "1.5µs", "{text}");
+        assert_eq!(value("x.latency_ns", "p999"), "1.5µs", "{text}");
+        assert_eq!(value("x.err_bp", "p50"), "532", "{text}");
+        assert_eq!(value("x.err_bp", "max"), "532", "{text}");
+        assert_eq!(text.matches("histograms:").count(), 1, "{text}");
     }
 
     #[test]

@@ -96,7 +96,7 @@ fn snapshot_json_matches_schema() {
     for h in section("histograms") {
         assert_eq!(
             field_names(h),
-            ["name", "count", "sum", "min", "max", "p50", "p90", "p99"]
+            ["name", "count", "sum", "min", "max", "mean", "p50", "p90", "p99", "p999"]
         );
     }
     let spans = section("spans");
