@@ -15,7 +15,7 @@
 //!   `deny(unsafe_op_in_unsafe_fn)` inventory stays intact;
 //! * **concurrency & wire contracts** — no blocking work or second
 //!   locks under a held guard, no lock-order cycles, and the wire
-//!   protocol's op/error/tag constants stay single-sourced and handled
+//!   protocol's op/error constants stay single-sourced and handled
 //!   on both ends of the socket.
 //!
 //! Architecture: [`lexer`] tokenizes (comment- and string-aware),

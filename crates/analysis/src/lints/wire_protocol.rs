@@ -17,12 +17,11 @@
 //!   lint failure, not a runtime `Malformed`;
 //! * **error codes**: the `mod code` constants are pairwise distinct
 //!   and never re-defined under the same name elsewhere in the serving
-//!   layer;
-//! * **tag namespace**: compressor header magics
-//!   (`compressors/src/header.rs` `mod magic`), stream frame tags
-//!   (`stream/src/frame.rs` `*TAG*`), and the slab directory tag
-//!   (`compressors/src/slab.rs` `*TAG*`) never collide — a frame tag
-//!   equal to a codec magic would make container sniffing ambiguous.
+//!   layer.
+//!
+//! Codec magics and container tags need no pass here: the codec table
+//! (`fxrz_compressors::CODECS`) asserts at compile time that they never
+//! collide.
 
 use crate::graph::{ConstDef, SymbolGraph};
 use crate::lexer::{TokKind, Token};
@@ -33,11 +32,6 @@ use std::ops::Range;
 const PROTOCOL: &str = "crates/serve/src/protocol.rs";
 const SERVER: &str = "crates/serve/src/server.rs";
 const CLIENT: &str = "crates/serve/src/client.rs";
-const HEADER: &str = "crates/compressors/src/header.rs";
-const TAG_FILES: &[&str] = &[
-    "crates/stream/src/frame.rs",
-    "crates/compressors/src/slab.rs",
-];
 
 /// See module docs.
 pub struct WireProtocol;
@@ -48,7 +42,7 @@ impl Lint for WireProtocol {
     }
 
     fn description(&self) -> &'static str {
-        "op/error/tag constants are single-sourced, collision-free and handled end-to-end"
+        "op/error constants are single-sourced, collision-free and handled end-to-end"
     }
 
     fn check(&self, ws: &Workspace, graph: &SymbolGraph, out: &mut Vec<Finding>) {
@@ -58,7 +52,6 @@ impl Lint for WireProtocol {
         check_enums(self.name(), ws, graph, proto, out);
         check_coverage(self.name(), ws, graph, proto, out);
         check_error_codes(self.name(), ws, graph, proto, out);
-        check_tags(self.name(), ws, graph, out);
     }
 }
 
@@ -240,42 +233,6 @@ fn check_error_codes(
                     other.name, orig.line
                 ),
             });
-        }
-    }
-}
-
-/// Compressor magics vs frame/slab tags: pairwise distinct values.
-fn check_tags(lint: &'static str, ws: &Workspace, graph: &SymbolGraph, out: &mut Vec<Finding>) {
-    let mut tags: Vec<&ConstDef> = Vec::new();
-    for c in &graph.consts {
-        if c.value.is_none() {
-            continue;
-        }
-        let rel = &ws.files[c.file].rel;
-        let is_magic = rel == HEADER && c.module.as_deref() == Some("magic");
-        let is_tag = TAG_FILES.contains(&rel.as_str()) && c.name.contains("TAG");
-        if is_magic || is_tag {
-            tags.push(c);
-        }
-    }
-    for (i, a) in tags.iter().enumerate() {
-        for b in &tags[i + 1..] {
-            if a.value == b.value && (a.file != b.file || a.name != b.name) {
-                out.push(Finding {
-                    lint,
-                    file: ws.files[b.file].rel.clone(),
-                    line: b.line,
-                    message: format!(
-                        "tag {} collides with {} ({}:{}) — both are {:#04x}; container \
-                         sniffing cannot tell them apart",
-                        b.name,
-                        a.name,
-                        ws.files[a.file].rel,
-                        a.line,
-                        a.value.expect("filtered"),
-                    ),
-                });
-            }
         }
     }
 }
@@ -520,33 +477,6 @@ mod tests {
                 .contains("Op::Stats is not handled in Reply::decode")),
             "{active:?}"
         );
-    }
-
-    #[test]
-    fn tag_collisions_across_namespaces_fire() {
-        let files = vec![
-            (
-                "crates/serve/src/protocol.rs",
-                "pub mod code { pub const OK: u16 = 0; }\n".to_owned(),
-            ),
-            (
-                "crates/compressors/src/header.rs",
-                "pub mod magic {\n    pub const SZ: u8 = 0xA1;\n    pub const ZFP: u8 = 0xA2;\n}\n"
-                    .to_owned(),
-            ),
-            (
-                "crates/stream/src/frame.rs",
-                "pub const TAG_SZ_FSE: u8 = 0xA1;\npub const TRAILER_TAG: u8 = 0x00;\n".to_owned(),
-            ),
-            (
-                "crates/compressors/src/slab.rs",
-                "pub const SLAB_TAG: u8 = 0x02;\n".to_owned(),
-            ),
-        ];
-        let active = run(&files);
-        assert_eq!(active.len(), 1, "{active:?}");
-        assert!(active[0].message.contains("TAG_SZ_FSE collides with SZ"));
-        assert!(active[0].message.contains("both are 0xa1"));
     }
 
     #[test]

@@ -44,8 +44,7 @@
 pub mod names;
 
 use fxrz_codec::bitstream::{read_varint, write_varint};
-use fxrz_compressors::header::magic;
-use fxrz_compressors::{detect, slab, Compressor, ErrorConfig};
+use fxrz_compressors::{codec_for_magic, detect, slab, Compressor, ErrorConfig};
 use fxrz_core::infer::FixedRatioCompressor;
 use fxrz_core::FxrzError;
 use fxrz_datagen::Field;
@@ -205,16 +204,18 @@ impl ArchiveWriter {
     }
 }
 
-/// Mirrors the slab directory of an SZ-family blob into archive index
-/// rows (empty for monolithic streams and non-slab codecs).
+/// Mirrors the slab directory of an SZ-family blob (a row with a frame
+/// tag in the codec table) into archive index rows (empty for monolithic
+/// streams and non-slab codecs).
 fn slab_rows(blob: &[u8]) -> Vec<SlabRow> {
-    let parsed = match blob.first() {
-        Some(&magic::SZ) => slab::table(blob, magic::SZ, "sz"),
-        Some(&magic::SZ2) => slab::table(blob, magic::SZ2, "sz2"),
-        Some(&magic::SZI) => slab::table(blob, magic::SZI, "szi"),
-        _ => return Vec::new(),
+    let Some(row) = blob
+        .first()
+        .and_then(|&m| codec_for_magic(m))
+        .filter(|row| row.frame_tag.is_some())
+    else {
+        return Vec::new();
     };
-    match parsed {
+    match slab::table(blob, row.magic, row.name) {
         Ok(Some((_, _, entries))) => entries
             .iter()
             .map(|e| SlabRow {

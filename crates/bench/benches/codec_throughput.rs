@@ -542,7 +542,7 @@ fn bench_codec(c: &mut Criterion) {
             slab::SLAB_SYMBOLS,
         )
     };
-    let arch_eb = ErrorConfig::Abs((arch_field.stats().range as f64 * 1e-4).max(1e-12));
+    let arch_eb = ErrorConfig::Abs((arch_field.stats().range * 1e-4).max(1e-12));
     let raw_bytes = arch_field.nbytes();
     let v1 = sz::compress_with_budget(&arch_field, &arch_eb, usize::MAX).expect("v1 compress");
     let v2 = sz::compress_with_budget(&arch_field, &arch_eb, slab_budget).expect("v2 compress");

@@ -1,12 +1,16 @@
 //! # fxrz-compressors — error-bounded lossy compressors
 //!
 //! Pure-Rust reimplementations of the four compressor families the FXRZ
-//! paper evaluates. Each follows the published algorithmic skeleton of its
-//! namesake (they are *not* bit-compatible with the C libraries):
+//! paper evaluates, plus three beyond-the-paper SZ-family rows. Each
+//! follows the published algorithmic skeleton of its namesake (they are
+//! *not* bit-compatible with the C libraries):
 //!
 //! * [`sz`] — prediction-based: Lorenzo predictor, linear-scaling
 //!   quantization, per-block Huffman/FSE entropy coding (see
-//!   [`entropy`]), LZ77 dictionary stage.
+//!   [`entropy`]), LZ77 dictionary stage. It is the one SZ-family
+//!   pipeline: `sz-fse` ([`sz::SzFse`]) pins its entropy stage to FSE,
+//!   while [`sz2`] (SZ 2.x Lorenzo/regression hybrid) and [`szinterp`]
+//!   (SZ3-style cubic interpolation) supply only their prediction walks.
 //! * [`zfp`] — transform-based: 4^d block lifting transform, negabinary
 //!   bit-plane coding; fixed-accuracy **and** fixed-rate modes.
 //! * [`fpzip`] — predictive coding of the monotone integer mapping of
@@ -15,9 +19,12 @@
 //! * [`mgard`] — multilevel (multigrid) decomposition with per-level
 //!   quantization and an RLE + Huffman + LZ77 back end.
 //!
-//! All four implement [`Compressor`], take an [`ErrorConfig`], emit
-//! self-describing buffers, and guarantee their respective error controls
-//! (property-tested in each module).
+//! All seven registry rows implement [`Compressor`], take an
+//! [`ErrorConfig`], emit self-describing buffers, and guarantee their
+//! respective error controls (property-tested in each module).
+//! [`CODECS`] names each row once — name, stream magic, stream frame tag
+//! and constructor — and [`by_name`], [`detect`], the stream frame
+//! directory and the archive's slab index all look rows up there.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,6 +42,7 @@ pub mod szinterp;
 pub mod zfp;
 
 use fxrz_datagen::Field;
+use header::magic;
 use serde::{Deserialize, Serialize};
 
 /// Error-control knob accepted by a compressor.
@@ -170,7 +178,8 @@ impl From<fxrz_codec::CodecError> for CompressError {
 
 /// An error-controlled lossy compressor.
 pub trait Compressor: Send + Sync {
-    /// Short identifier (`"sz"`, `"zfp"`, `"fpzip"`, `"mgard"`).
+    /// Short identifier, the row's [`Codec::name`] (`"sz"`, `"sz-fse"`,
+    /// `"sz2"`, `"szi"`, `"zfp"`, `"fpzip"`, `"mgard"`).
     fn name(&self) -> &'static str;
 
     /// Compresses `field` under `cfg`. The output is self-describing.
@@ -209,48 +218,128 @@ pub trait Compressor: Send + Sync {
     }
 }
 
-/// All four compressors, boxed, for table-driven evaluation loops.
+/// One registry row.
+#[derive(Clone, Copy, Debug)]
+pub struct Codec {
+    /// Registry name, as [`Compressor::name`] reports it.
+    pub name: &'static str,
+    /// Header magic of the row's streams (see [`header::magic`]).
+    pub magic: u8,
+    /// Codec tag of the row's `FXRZS1` stream frames: `Some` exactly for
+    /// the SZ-family rows, which run the [`sz`] pipeline and write its
+    /// [`slab`] container.
+    pub frame_tag: Option<u8>,
+    /// Builds the compressor.
+    pub make: fn() -> Box<dyn Compressor>,
+}
+
+impl Codec {
+    const fn new(
+        name: &'static str,
+        magic: u8,
+        frame_tag: Option<u8>,
+        make: fn() -> Box<dyn Compressor>,
+    ) -> Self {
+        Self {
+            name,
+            magic,
+            frame_tag,
+            make,
+        }
+    }
+}
+
+/// Every registry codec, once. The paper's four come first (see
+/// [`all_compressors`]); [`detect`] takes the first row with a stream's
+/// magic, so `sz` precedes `sz-fse`, which shares its magic.
+pub const CODECS: &[Codec] = &[
+    Codec::new("sz", magic::SZ, Some(magic::SZ), || Box::new(sz::Sz)),
+    Codec::new("zfp", magic::ZFP, None, || Box::new(zfp::Zfp::default())),
+    Codec::new("fpzip", magic::FPZIP, None, || Box::new(fpzip::Fpzip)),
+    Codec::new("mgard", magic::MGARD, None, || Box::new(mgard::Mgard)),
+    // The fifth, beyond-the-paper compressor (SZ3-style interpolation),
+    // kept out of `all_compressors` so the paper's four-compressor
+    // tables stay faithful; the `fifth_compressor` experiment uses it.
+    Codec::new("szi", magic::SZI, Some(magic::SZI), || {
+        Box::new(szinterp::SzInterp)
+    }),
+    // SZ 2.x hybrid predictor (Lorenzo + per-block regression)
+    Codec::new("sz2", magic::SZ2, Some(magic::SZ2), || Box::new(sz2::Sz2)),
+    // SZ pipeline with the entropy stage pinned to tANS/FSE — the extra
+    // codec row for the feature→error-bound regression. Its streams are
+    // SZ streams, so its frames need a tag of their own to record which
+    // row produced them.
+    Codec::new("sz-fse", magic::SZ, Some(0xAE), || Box::new(sz::SzFse)),
+];
+
+/// Whether `rows` keep every magic and frame tag unambiguous: no two
+/// frame tags are equal, a frame tag equals a magic only within one
+/// stream family, and rows share a magic only when both carry distinct
+/// frame tags (as `sz` and `sz-fse` do).
+const fn tags_distinct(rows: &[Codec]) -> bool {
+    let mut i = 0;
+    while i < rows.len() {
+        let a = &rows[i];
+        let mut j = i + 1;
+        while j < rows.len() {
+            let b = &rows[j];
+            let family = a.magic == b.magic;
+            let clash = match (a.frame_tag, b.frame_tag) {
+                (Some(x), Some(y)) => x == y || (!family && (x == b.magic || y == a.magic)),
+                (Some(x), None) => x == b.magic || family,
+                (None, Some(y)) => y == a.magic || family,
+                (None, None) => family,
+            };
+            if clash {
+                return false;
+            }
+            j += 1;
+        }
+        i += 1;
+    }
+    true
+}
+
+/// Whether `tag` is neither a magic nor a frame tag of any row — a
+/// container tag byte ([`slab::SLAB_TAG`], the stream trailer tag) must
+/// be, or container sniffing could not tell them apart.
+pub const fn tag_is_free(tag: u8) -> bool {
+    let mut i = 0;
+    while i < CODECS.len() {
+        let row = &CODECS[i];
+        if row.magic == tag || matches!(row.frame_tag, Some(t) if t == tag) {
+            return false;
+        }
+        i += 1;
+    }
+    true
+}
+
+// A colliding magic or tag fails every build.
+const _: () = assert!(tags_distinct(CODECS), "codec magics and frame tags collide");
+const _: () = assert!(
+    tag_is_free(slab::SLAB_TAG),
+    "SLAB_TAG collides with a codec tag"
+);
+
+/// The paper's four compressors, boxed, for table-driven evaluation loops.
 pub fn all_compressors() -> Vec<Box<dyn Compressor>> {
-    vec![
-        Box::new(sz::Sz),
-        Box::new(zfp::Zfp::default()),
-        Box::new(fpzip::Fpzip),
-        Box::new(mgard::Mgard),
-    ]
+    CODECS[..4].iter().map(|c| (c.make)()).collect()
 }
 
 /// Looks a compressor up by its [`Compressor::name`].
 pub fn by_name(name: &str) -> Option<Box<dyn Compressor>> {
-    match name {
-        "sz" => Some(Box::new(sz::Sz)),
-        "zfp" => Some(Box::new(zfp::Zfp::default())),
-        "fpzip" => Some(Box::new(fpzip::Fpzip)),
-        "mgard" => Some(Box::new(mgard::Mgard)),
-        // The fifth, beyond-the-paper compressor (SZ3-style interpolation),
-        // kept out of `all_compressors` so the paper's four-compressor
-        // tables stay faithful; the `fifth_compressor` experiment uses it.
-        "szi" => Some(Box::new(szinterp::SzInterp)),
-        // SZ 2.x hybrid predictor (Lorenzo + per-block regression)
-        "sz2" => Some(Box::new(sz2::Sz2)),
-        // SZ pipeline with the entropy stage pinned to tANS/FSE — the
-        // extra codec row for the feature→error-bound regression. Shares
-        // the SZ stream family, so `detect` resolves its archives to "sz".
-        "sz-fse" => Some(Box::new(sz::SzFse)),
-        _ => None,
-    }
+    CODECS.iter().find(|c| c.name == name).map(|c| (c.make)())
+}
+
+/// The row that owns stream magic `magic`: the first one carrying it.
+pub fn codec_for_magic(magic: u8) -> Option<&'static Codec> {
+    CODECS.iter().find(|c| c.magic == magic)
 }
 
 /// Identifies the compressor that produced `bytes` from its stream magic.
 pub fn detect(bytes: &[u8]) -> Option<Box<dyn Compressor>> {
-    match *bytes.first()? {
-        header::magic::SZ => by_name("sz"),
-        header::magic::ZFP => by_name("zfp"),
-        header::magic::FPZIP => by_name("fpzip"),
-        header::magic::MGARD => by_name("mgard"),
-        header::magic::SZI => by_name("szi"),
-        header::magic::SZ2 => by_name("sz2"),
-        _ => None,
-    }
+    codec_for_magic(*bytes.first()?).map(|c| (c.make)())
 }
 
 #[cfg(test)]
@@ -302,11 +391,29 @@ mod tests {
 
     #[test]
     fn registry_by_name() {
-        for c in all_compressors() {
-            let again = by_name(c.name()).expect("registered");
-            assert_eq!(again.name(), c.name());
+        for row in CODECS {
+            let c = by_name(row.name).expect("registered");
+            assert_eq!(c.name(), row.name);
+            assert_eq!((row.make)().name(), row.name);
+            assert_eq!(CODECS.iter().filter(|r| r.name == row.name).count(), 1);
         }
         assert!(by_name("nope").is_none());
+    }
+
+    #[test]
+    fn colliding_tags_are_rejected() {
+        let (sz, zfp, fse) = (CODECS[0], CODECS[1], CODECS[6]);
+        let fse_tagged = |tag| Codec {
+            frame_tag: Some(tag),
+            ..fse
+        };
+        assert!(tags_distinct(&[sz, zfp, fse]));
+        // sz-fse framed under SZ's own tag, or under another family's
+        // magic, would make frame directories ambiguous.
+        assert!(!tags_distinct(&[sz, fse_tagged(magic::SZ)]));
+        assert!(!tags_distinct(&[zfp, fse_tagged(magic::ZFP)]));
+        // Two unframed rows cannot share a magic.
+        assert!(!tags_distinct(&[zfp, Codec { name: "x", ..zfp }]));
     }
 
     #[test]

@@ -13,13 +13,12 @@
 //! data) quantized residuals, then the LZ77 dictionary stage.
 
 use crate::header::{self, magic};
+use crate::sz::{abs_eb, open_payload, HALF};
 use crate::{CompressError, Compressor, ConfigSpace, ErrorConfig};
 use fxrz_codec::bitstream::{read_varint, unzigzag, write_varint, zigzag};
 use fxrz_codec::{lz77, rle};
 use fxrz_datagen::{Dims, Field};
 
-/// Residual capacity, as in the SZ-style quantizer.
-const HALF: i64 = 1 << 15;
 /// Symbol for a zero residual (RLE-friendly).
 const SYM_ZERO: u32 = 0;
 /// Symbol flagging an unpredictable (verbatim) value.
@@ -32,8 +31,9 @@ const SYM_BASE: u32 = 2;
 pub struct Mgard;
 
 /// Number of levels for the given shape: the coarsest grid still has at
-/// least two nodes along the longest axis.
-fn num_levels(dims: Dims) -> u32 {
+/// least two nodes along the longest axis (shared with the SZ3-style
+/// interpolation hierarchy of [`crate::szinterp`]).
+pub(crate) fn num_levels(dims: Dims) -> u32 {
     let max_axis = dims.shape().iter().copied().max().unwrap_or(1);
     let mut l = 0u32;
     while (2usize << l) < max_axis {
@@ -142,19 +142,7 @@ impl Compressor for Mgard {
 
     fn compress(&self, field: &Field, cfg: &ErrorConfig) -> Result<Vec<u8>, CompressError> {
         crate::instrument::compress(self.name(), field.nbytes(), || {
-            let eb = match cfg {
-                ErrorConfig::Abs(eb) if *eb > 0.0 && eb.is_finite() => *eb,
-                ErrorConfig::Abs(eb) => {
-                    return Err(CompressError::BadConfig(format!(
-                        "mgard needs a positive finite error bound, got {eb}"
-                    )))
-                }
-                other => {
-                    return Err(CompressError::BadConfig(format!(
-                        "mgard accepts ErrorConfig::Abs, got {other}"
-                    )))
-                }
-            };
+            let eb = abs_eb(self.name(), cfg)?;
 
             let dims = field.dims();
             let data = field.data();
@@ -236,15 +224,7 @@ impl Compressor for Mgard {
 
     fn decompress(&self, bytes: &[u8]) -> Result<Field, CompressError> {
         crate::instrument::decompress(self.name(), bytes.len(), || {
-            let (name, dims, off) = header::read(bytes, magic::MGARD, "mgard")?;
-            let payload = lz77::decompress(&bytes[off..])?;
-            if payload.len() < 8 {
-                return Err(CompressError::Header("payload too short for error bound"));
-            }
-            let eb = f64::from_le_bytes(payload[..8].try_into().expect("checked length"));
-            if !(eb > 0.0 && eb.is_finite()) {
-                return Err(CompressError::Header("invalid stored error bound"));
-            }
+            let (name, dims, payload, eb) = open_payload(bytes, magic::MGARD, self.name())?;
             let bin = 2.0 * eb;
             let mut pos = 8usize;
             let rle_len = read_varint(&payload, &mut pos)

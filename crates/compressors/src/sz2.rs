@@ -12,20 +12,20 @@
 //! cheaper one wins. Regression blocks ship their coefficients (as `f32`),
 //! Lorenzo blocks predict from the shared reconstruction buffer, so block
 //! order (raster over blocks, raster within a block) keeps every Lorenzo
-//! neighbour causal. Quantization and the entropy back end (per-block
-//! Huffman/FSE selection + LZ77) match [`crate::sz`].
+//! neighbour causal. The walk is all this row adds: quantization, the
+//! entropy back end (per-block Huffman/FSE selection + LZ77) and the slab
+//! container are the shared [`crate::sz`] pipeline. Its side info —
+//! `varint(block count) | mode bytes | varint(coefficient bytes) |
+//! coefficient varints` — sits between the stored error bound and the
+//! entropy section.
 
-use crate::entropy::{self, EntropyMode};
-use crate::header::{self, magic};
-use crate::{CompressError, Compressor, ConfigSpace, ErrorConfig};
-use fxrz_codec::bitstream::{read_varint, write_varint};
-use fxrz_codec::lz77;
-use fxrz_datagen::{Dims, Field};
+use crate::entropy::EntropyMode;
+use crate::header::magic;
+use crate::sz::{lorenzo_predict, sz_row, Dequantizer, Quantizer, Walk};
+use crate::CompressError;
+use fxrz_codec::bitstream::{read_varint, unzigzag, write_varint, zigzag};
+use fxrz_datagen::Dims;
 
-/// Quantization capacity: codes span `(-HALF, HALF)` around zero.
-const HALF: i64 = 1 << 15;
-/// Code reserved for unpredictable values.
-const UNPREDICTABLE: u32 = 0;
 /// Block edge length (SZ 2 uses 6).
 const BLOCK: usize = 6;
 
@@ -33,36 +33,7 @@ const BLOCK: usize = 6;
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Sz2;
 
-/// Global Lorenzo prediction from the reconstruction buffer (identical to
-/// the plain SZ predictor).
-#[inline]
-fn lorenzo_predict(recon: &[f32], dims: Dims, idx: usize, coords: &[usize]) -> f64 {
-    let ndim = dims.ndim();
-    let strides = dims.strides();
-    let mut pred = 0.0f64;
-    for mask in 1u32..(1 << ndim) {
-        let mut off = 0usize;
-        let mut ok = true;
-        for a in 0..ndim {
-            if mask & (1 << a) != 0 {
-                if coords[a] == 0 {
-                    ok = false;
-                    break;
-                }
-                off += strides[a];
-            }
-        }
-        if !ok {
-            continue;
-        }
-        if mask.count_ones() % 2 == 1 {
-            pred += recon[idx - off] as f64;
-        } else {
-            pred -= recon[idx - off] as f64;
-        }
-    }
-    pred
-}
+sz_row!(Sz2, "sz2", Sz2, EntropyMode::Auto);
 
 /// One block's geometry: origin and per-axis extent.
 struct BlockIter {
@@ -274,7 +245,7 @@ fn predictor_costs(
     let coef_bits: u32 = coef_ints
         .iter()
         .map(|&q| {
-            let z = fxrz_codec::bitstream::zigzag(q);
+            let z = zigzag(q);
             let significant = 64 - z.leading_zeros();
             significant.div_ceil(7).max(1) * 8
         })
@@ -282,36 +253,39 @@ fn predictor_costs(
     (reg + coef_bits as f64, lor)
 }
 
-/// Monolithic (v1) compress body; also compresses each slab of a v2
-/// container.
-fn compress_mono(field: &Field, cfg: &ErrorConfig) -> Result<Vec<u8>, CompressError> {
-    crate::instrument::compress("sz2", field.nbytes(), || {
-        let eb = match cfg {
-            ErrorConfig::Abs(eb) if *eb > 0.0 && eb.is_finite() => *eb,
-            ErrorConfig::Abs(eb) => {
-                return Err(CompressError::BadConfig(format!(
-                    "sz2 needs a positive finite error bound, got {eb}"
-                )))
-            }
-            other => {
-                return Err(CompressError::BadConfig(format!(
-                    "sz2 accepts ErrorConfig::Abs, got {other}"
-                )))
-            }
-        };
-        let dims = field.dims();
-        let data = field.data();
+/// Blocks in raster order, raster order within each block; `block`
+/// yields a block's dequantized regression coefficients, or `None` for a
+/// Lorenzo block, before its points are visited.
+fn walk(
+    dims: Dims,
+    mut block: impl FnMut(&[usize]) -> Result<Option<Vec<f32>>, CompressError>,
+    mut point: impl FnMut(usize, f64) -> f32,
+) -> Result<Vec<f32>, CompressError> {
+    let mut recon = vec![0.0f32; dims.len()];
+    for origin in &BlockIter::new(dims).origins {
+        let coefs = block(origin)?;
+        for_block_points(dims, origin, |idx, coords, local| {
+            let pred = match &coefs {
+                Some(c) => regression_predict(c, local),
+                None => lorenzo_predict(&recon, dims, idx, coords),
+            };
+            recon[idx] = point(idx, pred);
+        });
+    }
+    Ok(recon)
+}
+
+impl Walk for Sz2 {
+    const MAGIC: u8 = magic::SZ2;
+    /// Per-block mode bytes and the concatenated coefficient varints.
+    type Side = (Vec<u8>, Vec<u8>);
+
+    fn encode(data: &[f32], dims: Dims, q: &mut Quantizer) -> Result<Vec<u8>, CompressError> {
+        let eb = q.eb();
         let ndim = dims.ndim();
-        let bin = 2.0 * eb;
-
-        let blocks = BlockIter::new(dims);
-        let mut recon = vec![0.0f32; dims.len()];
-        let mut codes: Vec<u32> = Vec::with_capacity(dims.len());
-        let mut unpred: Vec<u8> = Vec::new();
-        let mut modes: Vec<u8> = Vec::with_capacity(blocks.origins.len());
+        let mut modes: Vec<u8> = Vec::new();
         let mut coef_bytes: Vec<u8> = Vec::new();
-
-        for origin in &blocks.origins {
+        let choose = |origin: &[usize]| {
             let fitted = fit_regression(data, dims, origin);
             let (ints, coefs) = quantize_coefs(&fitted, eb, ndim);
             let (reg_cost, lor_cost) = predictor_costs(data, dims, origin, &coefs, &ints, eb);
@@ -321,199 +295,77 @@ fn compress_mono(field: &Field, cfg: &ErrorConfig) -> Result<Vec<u8>, CompressEr
             modes.push(u8::from(use_reg));
             if use_reg {
                 for q in ints {
-                    write_varint(&mut coef_bytes, fxrz_codec::bitstream::zigzag(q));
+                    write_varint(&mut coef_bytes, zigzag(q));
                 }
             }
+            Ok(use_reg.then_some(coefs))
+        };
+        walk(dims, choose, |idx, pred| q.quantize(data[idx], pred))?;
 
-            for_block_points(dims, origin, |idx, coords, local| {
-                let val = data[idx];
-                let pred = if use_reg {
-                    regression_predict(&coefs, local)
-                } else {
-                    lorenzo_predict(&recon, dims, idx, coords)
-                };
-                let q = (val as f64 - pred) / bin;
-                let q = q.round();
-                let mut stored = false;
-                if q.abs() < (HALF - 1) as f64 && val.is_finite() && pred.is_finite() {
-                    let qi = q as i64;
-                    let rec = (pred + qi as f64 * bin) as f32;
-                    if ((rec as f64) - (val as f64)).abs() <= eb && rec.is_finite() {
-                        codes.push((qi + HALF) as u32);
-                        recon[idx] = rec;
-                        stored = true;
-                    }
-                }
-                if !stored {
-                    codes.push(UNPREDICTABLE);
-                    unpred.extend_from_slice(&val.to_le_bytes());
-                    recon[idx] = val;
-                }
-            });
-        }
+        let mut side = Vec::with_capacity(modes.len() + coef_bytes.len() + 16);
+        write_varint(&mut side, modes.len() as u64);
+        side.extend_from_slice(&modes);
+        write_varint(&mut side, coef_bytes.len() as u64);
+        side.extend_from_slice(&coef_bytes);
+        Ok(side)
+    }
 
-        // One scratch borrow covers both codec stages, so rate-curve
-        // probe loops reuse the same tables call after call.
-        fxrz_codec::with_scratch(|scratch| {
-            let mut payload = Vec::with_capacity(
-                codes.len() / 2 + unpred.len() + coef_bytes.len() + modes.len() + 32,
-            );
-            payload.extend_from_slice(&eb.to_le_bytes());
-            write_varint(&mut payload, modes.len() as u64);
-            payload.extend_from_slice(&modes);
-            write_varint(&mut payload, coef_bytes.len() as u64);
-            payload.extend_from_slice(&coef_bytes);
-            entropy::encode_codes(scratch, &codes, EntropyMode::Auto, &mut payload);
-            payload.extend_from_slice(&unpred);
+    fn read_side(payload: &[u8], pos: &mut usize) -> Result<Self::Side, CompressError> {
+        let n_modes =
+            read_varint(payload, pos).ok_or(CompressError::Header("missing mode count"))?;
+        let modes = take(payload, pos, n_modes)
+            .ok_or(CompressError::Header("mode stream overruns payload"))?;
+        let coef_len =
+            read_varint(payload, pos).ok_or(CompressError::Header("missing coefficient length"))?;
+        let coef_bytes = take(payload, pos, coef_len)
+            .ok_or(CompressError::Header("coefficients overrun payload"))?;
+        Ok((modes, coef_bytes))
+    }
 
-            let mut out = Vec::new();
-            header::write(&mut out, magic::SZ2, field.name(), dims);
-            out.extend_from_slice(&lz77::compress_with(scratch, &payload));
-            let _ = ndim;
-            Ok(out)
-        })
-    })
-}
-
-/// Monolithic (v1) decompress body; also decodes each slab of a v2
-/// container.
-fn decompress_mono(bytes: &[u8]) -> Result<Field, CompressError> {
-    crate::instrument::decompress("sz2", bytes.len(), || {
-        let (name, dims, off) = header::read(bytes, magic::SZ2, "sz2")?;
-        let payload = lz77::decompress(&bytes[off..])?;
-        if payload.len() < 8 {
-            return Err(CompressError::Header("payload too short for error bound"));
-        }
-        let eb = f64::from_le_bytes(payload[..8].try_into().expect("checked length"));
-        if !(eb > 0.0 && eb.is_finite()) {
-            return Err(CompressError::Header("invalid stored error bound"));
-        }
-        let bin = 2.0 * eb;
-        let ndim = dims.ndim();
-        let mut pos = 8usize;
-
-        let n_modes = read_varint(&payload, &mut pos)
-            .ok_or(CompressError::Header("missing mode count"))? as usize;
-        if pos + n_modes > payload.len() {
-            return Err(CompressError::Header("mode stream overruns payload"));
-        }
-        let modes = payload[pos..pos + n_modes].to_vec();
-        pos += n_modes;
-
-        let coef_len = read_varint(&payload, &mut pos)
-            .ok_or(CompressError::Header("missing coefficient length"))?
-            as usize;
-        if pos + coef_len > payload.len() {
-            return Err(CompressError::Header("coefficients overrun payload"));
-        }
-        let coef_bytes = &payload[pos..pos + coef_len];
-        pos += coef_len;
-
-        let codes = entropy::decode_codes(&payload, &mut pos, dims.len())?;
-        let mut unpred = &payload[pos..];
-
-        let blocks = BlockIter::new(dims);
-        if blocks.origins.len() != n_modes {
+    fn decode(
+        dims: Dims,
+        (modes, coef_bytes): Self::Side,
+        d: &mut Dequantizer,
+    ) -> Result<Vec<f32>, CompressError> {
+        let blocks: usize = dims.shape().iter().map(|n| n.div_ceil(BLOCK)).product();
+        if blocks != modes.len() {
             return Err(CompressError::Header("mode count mismatch"));
         }
-        let mut recon = vec![0.0f32; dims.len()];
-        let mut cursor = 0usize;
+        let eb = d.eb();
+        let ndim = dims.ndim();
+        let mut modes = modes.iter();
         let mut coef_pos = 0usize;
-
-        for (b, origin) in blocks.origins.iter().enumerate() {
-            let use_reg = modes[b] != 0;
-            let coefs: Vec<f32> = if use_reg {
-                let mut ints = Vec::with_capacity(ndim + 1);
-                for _ in 0..=ndim {
-                    let v = read_varint(coef_bytes, &mut coef_pos)
-                        .ok_or(CompressError::Header("missing block coefficients"))?;
-                    ints.push(fxrz_codec::bitstream::unzigzag(v));
-                }
-                dequantize_coefs(&ints, eb, ndim)
-            } else {
-                Vec::new()
-            };
-
-            let mut err: Option<CompressError> = None;
-            {
-                let recon_cell = &mut recon;
-                for_block_points(dims, origin, |idx, coords, local| {
-                    if err.is_some() {
-                        return;
-                    }
-                    let code = codes[cursor];
-                    cursor += 1;
-                    if code == UNPREDICTABLE {
-                        if unpred.len() < 4 {
-                            err = Some(CompressError::Header("missing unpredictable value"));
-                            return;
-                        }
-                        let (head, tail) = unpred.split_at(4);
-                        unpred = tail;
-                        recon_cell[idx] = f32::from_le_bytes(head.try_into().expect("chunk of 4"));
-                    } else {
-                        let q = code as i64 - HALF;
-                        let pred = if use_reg {
-                            regression_predict(&coefs, local)
-                        } else {
-                            lorenzo_predict(recon_cell, dims, idx, coords)
-                        };
-                        recon_cell[idx] = (pred + q as f64 * bin) as f32;
-                    }
-                });
+        let read = |_: &[usize]| {
+            if modes.next() == Some(&0) {
+                return Ok(None);
             }
-            if let Some(e) = err {
-                return Err(e);
+            let mut ints = Vec::with_capacity(ndim + 1);
+            for _ in 0..=ndim {
+                let v = read_varint(&coef_bytes, &mut coef_pos)
+                    .ok_or(CompressError::Header("missing block coefficients"))?;
+                ints.push(unzigzag(v));
             }
-        }
-        Ok(Field::new(name, dims, recon))
-    })
+            Ok(Some(dequantize_coefs(&ints, eb, ndim)))
+        };
+        walk(dims, read, |_, pred| d.next_value(pred))
+    }
 }
 
-impl Compressor for Sz2 {
-    fn name(&self) -> &'static str {
-        "sz2"
-    }
-
-    fn compress(&self, field: &Field, cfg: &ErrorConfig) -> Result<Vec<u8>, CompressError> {
-        let slabbed =
-            crate::slab::compress_slabbed(magic::SZ2, field, crate::slab::SLAB_SYMBOLS, |sub| {
-                compress_mono(sub, cfg)
-            })?;
-        match slabbed {
-            Some(out) => Ok(out),
-            None => compress_mono(field, cfg),
-        }
-    }
-
-    fn decompress(&self, bytes: &[u8]) -> Result<Field, CompressError> {
-        let slabbed = crate::slab::decompress_slabbed(bytes, magic::SZ2, "sz2", decompress_mono)?;
-        match slabbed {
-            Some(field) => Ok(field),
-            None => decompress_mono(bytes),
-        }
-    }
-
-    fn decompress_range(
-        &self,
-        bytes: &[u8],
-        range: core::ops::Range<usize>,
-    ) -> Result<Vec<f32>, CompressError> {
-        crate::slab::decompress_range_impl(bytes, magic::SZ2, "sz2", range, decompress_mono)
-    }
-
-    fn config_space(&self) -> ConfigSpace {
-        ConfigSpace::AbsRelRange {
-            min_rel: 1e-7,
-            max_rel: 2e-1,
-        }
-    }
+/// The `len` bytes at `payload[*pos..]`, advancing `pos`; `None` when
+/// they overrun the payload.
+fn take(payload: &[u8], pos: &mut usize, len: u64) -> Option<Vec<u8>> {
+    let end = usize::try_from(len).ok()?.checked_add(*pos)?;
+    let bytes = payload.get(*pos..end)?.to_vec();
+    *pos = end;
+    Some(bytes)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Compressor, ErrorConfig};
     use fxrz_datagen::grf::{gaussian_random_field, GrfConfig};
+    use fxrz_datagen::Field;
 
     fn check_roundtrip(field: &Field, eb: f64) -> f64 {
         let c = Sz2;

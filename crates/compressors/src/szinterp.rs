@@ -13,34 +13,23 @@
 //! still on the `2s` grid) from the four reconstructed neighbours at
 //! `±s, ±3s` using the paper's Eq. 3 weights `(-1/16, 9/16, 9/16, -1/16)`,
 //! falling back to linear/constant interpolation at the grid boundary.
-//! Residuals are quantized with bin `2·eb` (verbatim fallback, as in SZ)
-//! and entropy-coded with the shared back end (per-block Huffman/FSE
-//! selection + LZ77, see [`crate::entropy`]).
+//! The walk is all this row adds: quantization (bin `2·eb`, verbatim
+//! fallback), the entropy back end (per-block Huffman/FSE selection +
+//! LZ77, see [`crate::entropy`]) and the slab container are the shared
+//! [`crate::sz`] pipeline.
 
-use crate::entropy::{self, EntropyMode};
-use crate::header::{self, magic};
-use crate::{CompressError, Compressor, ConfigSpace, ErrorConfig};
-use fxrz_codec::lz77;
-use fxrz_datagen::{Dims, Field};
-
-/// Residual capacity (matches the SZ-style quantizer).
-const HALF: i64 = 1 << 15;
-/// Code reserved for unpredictable values.
-const UNPREDICTABLE: u32 = 0;
+use crate::entropy::EntropyMode;
+use crate::header::magic;
+use crate::mgard::num_levels;
+use crate::sz::{sz_row, Dequantizer, Quantizer, Walk};
+use crate::CompressError;
+use fxrz_datagen::Dims;
 
 /// The SZ3-style interpolation compressor.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SzInterp;
 
-/// Number of dyadic levels (shared with the MGARD-style hierarchy).
-fn num_levels(dims: Dims) -> u32 {
-    let max_axis = dims.shape().iter().copied().max().unwrap_or(1);
-    let mut l = 0u32;
-    while (2usize << l) < max_axis {
-        l += 1;
-    }
-    l
-}
+sz_row!(SzInterp, "szi", SzInterp, EntropyMode::Auto);
 
 /// Visits the coarsest grid (all coords multiples of `2^levels`) in raster
 /// order.
@@ -159,215 +148,53 @@ fn interp_axis(recon: &[f32], dims: Dims, coords: &[usize], axis: usize, s: usiz
     }
 }
 
-/// Monolithic (v1) compress body; also compresses each slab of a v2
-/// container.
-fn compress_mono(field: &Field, cfg: &ErrorConfig) -> Result<Vec<u8>, CompressError> {
-    crate::instrument::compress("szi", field.nbytes(), || {
-        let eb = match cfg {
-            ErrorConfig::Abs(eb) if *eb > 0.0 && eb.is_finite() => *eb,
-            ErrorConfig::Abs(eb) => {
-                return Err(CompressError::BadConfig(format!(
-                    "szi needs a positive finite error bound, got {eb}"
-                )))
-            }
-            other => {
-                return Err(CompressError::BadConfig(format!(
-                    "szi accepts ErrorConfig::Abs, got {other}"
-                )))
-            }
-        };
-        let dims = field.dims();
-        let data = field.data();
-        let levels = num_levels(dims);
-        let bin = 2.0 * eb;
-
-        let mut recon = vec![0.0f32; dims.len()];
-        let mut codes: Vec<u32> = Vec::with_capacity(dims.len());
-        let mut unpred: Vec<u8> = Vec::new();
-
-        let quantize = |val: f32, pred: f64, codes: &mut Vec<u32>, unpred: &mut Vec<u8>| -> f32 {
-            let q = ((val as f64 - pred) / bin).round();
-            if q.abs() < (HALF - 1) as f64 && val.is_finite() {
-                let qi = q as i64;
-                let rec = (pred + qi as f64 * bin) as f32;
-                if ((rec as f64) - (val as f64)).abs() <= eb && rec.is_finite() {
-                    codes.push((qi + HALF) as u32);
-                    return rec;
-                }
-            }
-            codes.push(UNPREDICTABLE);
-            unpred.extend_from_slice(&val.to_le_bytes());
-            val
-        };
-
-        // coarsest grid: delta coding in raster order
-        let mut prev = 0.0f64;
-        {
-            let recon_ref = &mut recon;
-            for_coarsest(dims, levels, |idx| {
-                let rec = quantize(data[idx], prev, &mut codes, &mut unpred);
-                recon_ref[idx] = rec;
-                prev = rec as f64;
+/// The coarsest grid delta-coded in raster order, then the refinement
+/// sweeps from the coarsest level down. A sweep's nodes predict only
+/// from earlier sweeps' nodes; its writes are applied after the sweep.
+fn walk(dims: Dims, mut point: impl FnMut(usize, f64) -> f32) -> Vec<f32> {
+    let levels = num_levels(dims);
+    let mut recon = vec![0.0f32; dims.len()];
+    let mut prev = 0.0f64;
+    for_coarsest(dims, levels, |idx| {
+        let rec = point(idx, prev);
+        recon[idx] = rec;
+        prev = rec as f64;
+    });
+    let mut updates: Vec<(usize, f32)> = Vec::new();
+    for k in (0..levels).rev() {
+        for axis in 0..dims.ndim() {
+            for_sweep_nodes(dims, k, axis, |idx, coords| {
+                let pred = interp_axis(&recon, dims, coords, axis, 1usize << k);
+                updates.push((idx, point(idx, pred)));
             });
-        }
-        // refinement sweeps
-        for k in (0..levels).rev() {
-            for axis in 0..dims.ndim() {
-                let mut updates: Vec<(usize, f32)> = Vec::new();
-                for_sweep_nodes(dims, k, axis, |idx, coords| {
-                    let pred = interp_axis(&recon, dims, coords, axis, 1usize << k);
-                    let rec = quantize(data[idx], pred, &mut codes, &mut unpred);
-                    updates.push((idx, rec));
-                });
-                for (idx, v) in updates {
-                    recon[idx] = v;
-                }
+            for (idx, v) in updates.drain(..) {
+                recon[idx] = v;
             }
         }
-
-        // One scratch borrow covers both codec stages, so rate-curve
-        // probe loops reuse the same tables call after call.
-        fxrz_codec::with_scratch(|scratch| {
-            let mut payload = Vec::with_capacity(codes.len() / 2 + unpred.len() + 16);
-            payload.extend_from_slice(&eb.to_le_bytes());
-            entropy::encode_codes(scratch, &codes, EntropyMode::Auto, &mut payload);
-            payload.extend_from_slice(&unpred);
-
-            let mut out = Vec::new();
-            header::write(&mut out, magic::SZI, field.name(), dims);
-            out.extend_from_slice(&lz77::compress_with(scratch, &payload));
-            Ok(out)
-        })
-    })
+    }
+    recon
 }
 
-/// Monolithic (v1) decompress body; also decodes each slab of a v2
-/// container.
-fn decompress_mono(bytes: &[u8]) -> Result<Field, CompressError> {
-    crate::instrument::decompress("szi", bytes.len(), || {
-        let (name, dims, off) = header::read(bytes, magic::SZI, "szi")?;
-        let payload = lz77::decompress(&bytes[off..])?;
-        if payload.len() < 8 {
-            return Err(CompressError::Header("payload too short for error bound"));
-        }
-        let eb = f64::from_le_bytes(payload[..8].try_into().expect("checked length"));
-        if !(eb > 0.0 && eb.is_finite()) {
-            return Err(CompressError::Header("invalid stored error bound"));
-        }
-        let bin = 2.0 * eb;
-        let mut pos = 8usize;
-        let codes = entropy::decode_codes(&payload, &mut pos, dims.len())?;
-        let mut unpred = &payload[pos..];
+impl Walk for SzInterp {
+    const MAGIC: u8 = magic::SZI;
+    type Side = ();
 
-        let levels = num_levels(dims);
-        let mut recon = vec![0.0f32; dims.len()];
-        let mut cursor = 0usize;
-        let mut err: Option<CompressError> = None;
-        let mut next_value = |pred: f64, unpred: &mut &[u8]| -> Result<f32, CompressError> {
-            let code = codes[cursor];
-            cursor += 1;
-            if code == UNPREDICTABLE {
-                if unpred.len() < 4 {
-                    return Err(CompressError::Header("missing unpredictable value"));
-                }
-                let (head, tail) = unpred.split_at(4);
-                *unpred = tail;
-                Ok(f32::from_le_bytes(head.try_into().expect("checked length")))
-            } else {
-                let q = code as i64 - HALF;
-                Ok((pred + q as f64 * bin) as f32)
-            }
-        };
-
-        let mut prev = 0.0f64;
-        {
-            let recon_ref = &mut recon;
-            for_coarsest(dims, levels, |idx| {
-                if err.is_some() {
-                    return;
-                }
-                match next_value(prev, &mut unpred) {
-                    Ok(v) => {
-                        recon_ref[idx] = v;
-                        prev = v as f64;
-                    }
-                    Err(e) => err = Some(e),
-                }
-            });
-        }
-        if let Some(e) = err {
-            return Err(e);
-        }
-        for k in (0..levels).rev() {
-            for axis in 0..dims.ndim() {
-                let mut updates: Vec<(usize, f32)> = Vec::new();
-                let mut sweep_err: Option<CompressError> = None;
-                for_sweep_nodes(dims, k, axis, |idx, coords| {
-                    if sweep_err.is_some() {
-                        return;
-                    }
-                    let pred = interp_axis(&recon, dims, coords, axis, 1usize << k);
-                    match next_value(pred, &mut unpred) {
-                        Ok(v) => updates.push((idx, v)),
-                        Err(e) => sweep_err = Some(e),
-                    }
-                });
-                if let Some(e) = sweep_err {
-                    return Err(e);
-                }
-                for (idx, v) in updates {
-                    recon[idx] = v;
-                }
-            }
-        }
-        Ok(Field::new(name, dims, recon))
-    })
-}
-
-impl Compressor for SzInterp {
-    fn name(&self) -> &'static str {
-        "szi"
+    fn encode(data: &[f32], dims: Dims, q: &mut Quantizer) -> Result<Vec<u8>, CompressError> {
+        walk(dims, |idx, pred| q.quantize(data[idx], pred));
+        Ok(Vec::new())
     }
 
-    fn compress(&self, field: &Field, cfg: &ErrorConfig) -> Result<Vec<u8>, CompressError> {
-        let slabbed =
-            crate::slab::compress_slabbed(magic::SZI, field, crate::slab::SLAB_SYMBOLS, |sub| {
-                compress_mono(sub, cfg)
-            })?;
-        match slabbed {
-            Some(out) => Ok(out),
-            None => compress_mono(field, cfg),
-        }
-    }
-
-    fn decompress(&self, bytes: &[u8]) -> Result<Field, CompressError> {
-        let slabbed = crate::slab::decompress_slabbed(bytes, magic::SZI, "szi", decompress_mono)?;
-        match slabbed {
-            Some(field) => Ok(field),
-            None => decompress_mono(bytes),
-        }
-    }
-
-    fn decompress_range(
-        &self,
-        bytes: &[u8],
-        range: core::ops::Range<usize>,
-    ) -> Result<Vec<f32>, CompressError> {
-        crate::slab::decompress_range_impl(bytes, magic::SZI, "szi", range, decompress_mono)
-    }
-
-    fn config_space(&self) -> ConfigSpace {
-        ConfigSpace::AbsRelRange {
-            min_rel: 1e-7,
-            max_rel: 2e-1,
-        }
+    fn decode(dims: Dims, _: (), d: &mut Dequantizer) -> Result<Vec<f32>, CompressError> {
+        Ok(walk(dims, |_, pred| d.next_value(pred)))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Compressor, ErrorConfig};
     use fxrz_datagen::grf::{gaussian_random_field, GrfConfig};
+    use fxrz_datagen::Field;
 
     fn smooth_field() -> Field {
         gaussian_random_field(Dims::d3(16, 16, 16), GrfConfig::default().with_seed(77))

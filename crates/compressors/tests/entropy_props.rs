@@ -208,6 +208,8 @@ fn mutated_archives_never_panic() {
     for comp in [
         Box::new(fxrz_compressors::sz::Sz) as Box<dyn Compressor>,
         Box::new(fxrz_compressors::sz::SzFse),
+        Box::new(fxrz_compressors::sz2::Sz2),
+        Box::new(fxrz_compressors::szinterp::SzInterp),
     ] {
         let archive = comp
             .compress(&field, &ErrorConfig::Abs(1e-3))

@@ -8,10 +8,10 @@
 //! magic "FXRZS1"                                <- 6 bytes
 //! f64 LE target_ratio                           <- global fixed-ratio target
 //! varint window                                 <- controller window, frames
-//! frames x { u8 codec tag                       <- like the slab directory's
-//!                                                  codec byte (sz / szi / sz2,
-//!                                                  plus 0xAE for sz-fse which
-//!                                                  shares the SZ stream family)
+//! frames x { u8 codec tag                       <- the row's `frame_tag` in
+//!                                                  fxrz_compressors::CODECS
+//!                                                  (its stream magic, except
+//!                                                  sz-fse's own byte)
 //!            varint sample_count
 //!            f64 LE eb                          <- error bound applied
 //!            varint payload_len
@@ -30,17 +30,14 @@
 //! interpreted. All parsing here is panic-free (`fxrz lint` panic_path
 //! scope): malformed input yields typed [`StreamError`]s, never a panic.
 
-use fxrz_compressors::header::{magic, read_varint, write_varint};
-use fxrz_compressors::{detect, slab, CompressError};
+use fxrz_compressors::header::{read_varint, write_varint};
+use fxrz_compressors::{detect, slab, Codec, CompressError, CODECS};
 
 /// Stream magic ("FXRZS1").
 pub const MAGIC: [u8; 6] = *b"FXRZS1";
-/// Trailer tag byte; never a valid frame codec tag.
+/// Trailer tag byte; never a valid frame codec tag (asserted against the
+/// codec table at compile time, in the crate root).
 pub const TRAILER_TAG: u8 = 0x00;
-/// Codec tag for `sz-fse` frames. The FSE-pinned pipeline emits streams
-/// in the SZ family (same payload magic), so it needs its own tag byte
-/// for the frame directory to record *which row* produced the frame.
-pub const TAG_SZ_FSE: u8 = 0xAE;
 /// Cap on samples per frame (16 Mi samples = 64 MiB raw).
 pub const MAX_FRAME_SAMPLES: usize = 1 << 24;
 /// Cap on the controller window carried in the header.
@@ -148,37 +145,25 @@ pub struct StreamScan {
     pub trailer: Trailer,
 }
 
+/// The codec-table row whose frames carry `tag`.
+fn framed(tag: u8) -> Option<&'static Codec> {
+    CODECS.iter().find(|c| c.frame_tag == Some(tag))
+}
+
 /// The payload stream-magic byte a frame with `tag` must start with, or
 /// `None` for unknown tags.
 pub fn family(tag: u8) -> Option<u8> {
-    match tag {
-        magic::SZ | TAG_SZ_FSE => Some(magic::SZ),
-        magic::SZI => Some(magic::SZI),
-        magic::SZ2 => Some(magic::SZ2),
-        _ => None,
-    }
+    framed(tag).map(|c| c.magic)
 }
 
 /// Registry name of a codec tag (for inspection and telemetry).
 pub fn codec_name(tag: u8) -> Option<&'static str> {
-    match tag {
-        magic::SZ => Some("sz"),
-        magic::SZI => Some("szi"),
-        magic::SZ2 => Some("sz2"),
-        TAG_SZ_FSE => Some("sz-fse"),
-        _ => None,
-    }
+    framed(tag).map(|c| c.name)
 }
 
 /// Codec tag of a registry name (encoder side).
 pub fn tag_for(name: &str) -> Option<u8> {
-    match name {
-        "sz" => Some(magic::SZ),
-        "szi" => Some(magic::SZI),
-        "sz2" => Some(magic::SZ2),
-        "sz-fse" => Some(TAG_SZ_FSE),
-        _ => None,
-    }
+    CODECS.iter().find(|c| c.name == name)?.frame_tag
 }
 
 /// Serializes the stream header.
@@ -408,6 +393,7 @@ pub fn decode_frame(bytes: &[u8], view: &FrameView) -> Result<Vec<f32>, StreamEr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fxrz_compressors::header::magic;
 
     fn sample_stream() -> Vec<u8> {
         use fxrz_compressors::Compressor as _;

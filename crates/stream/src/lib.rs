@@ -40,6 +40,12 @@ use fxrz_core::sampling::StridedSampler;
 use fxrz_core::train::TrainedModel;
 use fxrz_datagen::{Dims, Field};
 
+// A trailer tag equal to a codec magic or frame tag fails every build.
+const _: () = assert!(
+    fxrz_compressors::tag_is_free(frame::TRAILER_TAG),
+    "TRAILER_TAG collides with a codec tag"
+);
+
 /// Default controller window, in frames.
 pub const DEFAULT_WINDOW: usize = 32;
 /// Default per-frame tolerance before the single-retry fallback fires.

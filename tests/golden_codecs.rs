@@ -318,3 +318,103 @@ fn sz_mixed_backend_archive_golden() {
     let back = Sz.decompress(&fixture).expect("decompress");
     assert!(field.max_abs_diff(&back) <= 0.5);
 }
+
+/// Little-endian bytes of a reconstruction, the layout of the
+/// `*_decoded.f32` fixtures.
+fn le_bytes(data: &[f32]) -> Vec<u8> {
+    data.iter().flat_map(|v| v.to_le_bytes()).collect()
+}
+
+/// Stream-bytes and decoded-bytes pins of registry row `name` on the
+/// `sz_nyx12` field (16³ Nyx baryon density, seed 4242) and bound.
+fn pin_nyx12(name: &str) {
+    use fxrz::prelude::*;
+    let comp = fxrz::compressors::by_name(name).expect("registered");
+    let field = nyx::baryon_density(Dims::d3(16, 16, 16), NyxConfig::default().with_seed(4242));
+    let eb = field.stats().range * 1e-3;
+    let stream = comp
+        .compress(&field, &ErrorConfig::Abs(eb))
+        .expect("compress");
+    let fixture = load_or_bless(&format!("{name}_nyx12.fxrz"), &stream);
+    assert_eq!(stream, fixture, "{name} stream bytes drifted");
+    let back = comp.decompress(&fixture).expect("decompress");
+    assert!(field.max_abs_diff(&back) <= eb);
+    let got = le_bytes(back.data());
+    let expected = load_or_bless(&format!("{name}_nyx12_decoded.f32"), &got);
+    assert_eq!(got, expected, "{name} reconstruction drifted");
+}
+
+#[test]
+fn sz2_nyx12_golden() {
+    pin_nyx12("sz2");
+}
+
+#[test]
+fn szi_nyx12_golden() {
+    pin_nyx12("szi");
+}
+
+#[test]
+fn mgard_nyx12_golden() {
+    pin_nyx12("mgard");
+}
+
+/// Slab-container pins of registry row `name`: an 8×256×256 Nyx field
+/// splits into two slabs of `slab::SLAB_SYMBOLS` elements each. The
+/// fixture holds FNV-1a checksums (`slab::checksum`) of the stream, of
+/// the decoded bytes and of a `decompress_range` slice across the slab
+/// boundary, instead of the multi-MiB bytes themselves.
+fn pin_slabbed(name: &str) {
+    use fxrz::compressors::slab;
+    use fxrz::prelude::*;
+    let comp = fxrz::compressors::by_name(name).expect("registered");
+    let field = nyx::baryon_density(Dims::d3(8, 256, 256), NyxConfig::default().with_seed(4242));
+    let eb = field.stats().range * 1e-3;
+    let stream = comp
+        .compress(&field, &ErrorConfig::Abs(eb))
+        .expect("compress");
+    let (_, _, slabs) = slab::table(&stream, stream[0], comp.name())
+        .expect("slab directory")
+        .expect("a slab container");
+    assert_eq!(slabs.len(), 2);
+    assert_eq!(slabs[0].raw_elems, slab::SLAB_SYMBOLS);
+    let back = comp.decompress(&stream).expect("decompress");
+    assert!(field.max_abs_diff(&back) <= eb);
+    let range = slab::SLAB_SYMBOLS - 300..slab::SLAB_SYMBOLS + 300;
+    let slice = comp
+        .decompress_range(&stream, range.clone())
+        .expect("range decode");
+    assert_eq!(slice, back.data()[range]);
+    let sums = format!(
+        "stream {:08x}\ndecoded {:08x}\nrange {:08x}\n",
+        slab::checksum(&stream),
+        slab::checksum(&le_bytes(back.data())),
+        slab::checksum(&le_bytes(&slice)),
+    );
+    let fixture = load_or_bless(&format!("{name}_slabbed_nyx8x256.txt"), sums.as_bytes());
+    assert_eq!(
+        sums,
+        String::from_utf8_lossy(&fixture),
+        "{name} slabbed bytes drifted"
+    );
+}
+
+#[test]
+fn sz_slabbed_golden() {
+    pin_slabbed("sz");
+}
+
+#[test]
+fn sz_fse_slabbed_golden() {
+    pin_slabbed("sz-fse");
+}
+
+#[test]
+fn sz2_slabbed_golden() {
+    pin_slabbed("sz2");
+}
+
+#[test]
+fn szi_slabbed_golden() {
+    pin_slabbed("szi");
+}
