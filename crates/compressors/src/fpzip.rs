@@ -17,9 +17,9 @@
 //! ([`crate::ConfigSpace::Precision`]).
 
 use crate::header::{self, magic};
-use crate::{CompressError, Compressor, ConfigSpace, ErrorConfig};
+use crate::{lorenzo, CompressError, Compressor, ConfigSpace, ErrorConfig};
 use fxrz_codec::range::{BitModel, BitTree, RangeDecoder, RangeEncoder};
-use fxrz_datagen::{Dims, Field};
+use fxrz_datagen::Field;
 
 /// Minimum accepted precision.
 pub const MIN_PRECISION: u32 = 2;
@@ -69,38 +69,6 @@ fn reconstruct(t: u32, prec: u32) -> u32 {
     } else {
         shifted
     }
-}
-
-/// Lorenzo prediction over truncated integers (i64 arithmetic).
-#[inline]
-fn lorenzo_predict_int(vals: &[i64], dims: Dims, idx: usize, coords: &[usize]) -> i64 {
-    let ndim = dims.ndim();
-    let strides = dims.strides();
-    let mut pred = 0i64;
-    for mask in 1u32..(1 << ndim) {
-        let mut off = 0usize;
-        let mut ok = true;
-        for a in 0..ndim {
-            if mask & (1 << a) != 0 {
-                if coords[a] == 0 {
-                    ok = false;
-                    break;
-                }
-                off += strides[a];
-            }
-        }
-        if !ok {
-            continue;
-        }
-        // Wrapping arithmetic: decoding a corrupt stream can blow residuals
-        // up to ±2^63; encoder/decoder stay consistent under wrapping.
-        if mask.count_ones() % 2 == 1 {
-            pred = pred.wrapping_add(vals[idx - off]);
-        } else {
-            pred = pred.wrapping_sub(vals[idx - off]);
-        }
-    }
-    pred
 }
 
 /// Residual codec: magnitude-class bit-tree + direct payload bits + sign.
@@ -183,10 +151,10 @@ impl Compressor for Fpzip {
             // regrowth of the output buffer on typical fields.
             let mut enc = RangeEncoder::with_capacity(field.nbytes() / 4 + 64);
             let mut coder = ResidualCoder::new();
-            for (idx, c) in dims.iter_coords().enumerate() {
-                let pred = lorenzo_predict_int(&trunc, dims, idx, &c[..dims.ndim()]);
+            lorenzo::walk(dims, |idx, stencil| {
+                let pred = stencil.predict_int(&trunc, idx);
                 coder.encode(&mut enc, trunc[idx].wrapping_sub(pred));
-            }
+            });
 
             let mut out = Vec::new();
             header::write(&mut out, magic::FPZIP, field.name(), dims);
@@ -211,10 +179,11 @@ impl Compressor for Fpzip {
             let mut coder = ResidualCoder::new();
 
             let mut trunc = vec![0i64; dims.len()];
-            for (idx, c) in dims.iter_coords().enumerate() {
-                let pred = lorenzo_predict_int(&trunc, dims, idx, &c[..dims.ndim()]);
-                trunc[idx] = pred.wrapping_add(coder.decode(&mut dec));
-            }
+            lorenzo::walk(dims, |idx, stencil| {
+                trunc[idx] = stencil
+                    .predict_int(&trunc, idx)
+                    .wrapping_add(coder.decode(&mut dec));
+            });
             let max_t = (1u64 << prec) - 1;
             let data: Vec<f32> = trunc
                 .iter()
@@ -236,6 +205,7 @@ impl Compressor for Fpzip {
 mod tests {
     use super::*;
     use fxrz_datagen::grf::{gaussian_random_field, GrfConfig};
+    use fxrz_datagen::Dims;
 
     fn smooth_field() -> Field {
         gaussian_random_field(Dims::d3(16, 16, 16), GrfConfig::default().with_seed(11))

@@ -33,6 +33,7 @@ pub mod entropy;
 pub mod fpzip;
 pub mod header;
 pub mod instrument;
+mod lorenzo;
 pub mod mgard;
 pub mod names;
 pub mod slab;

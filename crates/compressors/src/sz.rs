@@ -29,7 +29,7 @@
 
 use crate::entropy::{self, EntropyMode};
 use crate::header::{self, magic};
-use crate::{slab, CompressError, ConfigSpace, ErrorConfig};
+use crate::{lorenzo, slab, CompressError, ConfigSpace, ErrorConfig};
 use fxrz_codec::lz77;
 use fxrz_datagen::{Dims, Field};
 
@@ -277,13 +277,13 @@ sz_row!(Sz, "sz", Sz, EntropyMode::Auto);
 sz_row!(SzFse, "sz-fse", Sz, EntropyMode::Fse);
 
 /// The Lorenzo walk of `sz` and `sz-fse`: raster order, every point
-/// predicted by [`lorenzo_predict`].
+/// predicted by the row-plan kernel ([`crate::lorenzo`]), bit for bit
+/// what [`lorenzo_predict`] gives.
 fn lorenzo_walk(dims: Dims, mut point: impl FnMut(usize, f64) -> f32) -> Vec<f32> {
     let mut recon = vec![0.0f32; dims.len()];
-    for (idx, c) in dims.iter_coords().enumerate() {
-        let pred = lorenzo_predict(&recon, dims, idx, &c[..dims.ndim()]);
-        recon[idx] = point(idx, pred);
-    }
+    lorenzo::walk(dims, |idx, stencil| {
+        recon[idx] = point(idx, stencil.predict(&recon, idx));
+    });
     recon
 }
 

@@ -84,21 +84,19 @@ impl AuditSink {
         }
     }
 
-    /// Appends one record as a JSON line. Failures are counted
-    /// (`serve.audit.write_errors`) and dropped, never retried — the
-    /// audit log must not be able to stall the data plane.
-    pub fn append(&self, record: &AuditRecord) {
-        let telemetry = fxrz_telemetry::global();
-        let Ok(line) = serde_json::to_string(record) else {
-            telemetry.incr(crate::names::AUDIT_WRITE_ERRORS);
-            return;
-        };
+    /// Appends one record as a JSON line. The server counts the outcome
+    /// (`serve.audit.records` / `serve.audit.write_errors`) and drops a
+    /// failed record, never retrying — the audit log must not be able to
+    /// stall the data plane.
+    ///
+    /// # Errors
+    /// Serialization and write failures.
+    pub fn append(&self, record: &AuditRecord) -> io::Result<()> {
+        let line = serde_json::to_string(record)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
         let mut out = self.out.lock().unwrap_or_else(|e| e.into_inner());
         // fxrz-lint: allow(lock_discipline): this lock exists solely to serialize sink writes; callers never hold another lock here (pinned by tests/serve_lock_scope.rs)
-        match writeln!(out, "{line}").and_then(|()| out.flush()) {
-            Ok(()) => telemetry.incr(crate::names::AUDIT_RECORDS),
-            Err(_) => telemetry.incr(crate::names::AUDIT_WRITE_ERRORS),
-        }
+        writeln!(out, "{line}").and_then(|()| out.flush())
     }
 }
 
@@ -215,8 +213,8 @@ mod tests {
     fn sink_writes_one_parseable_line_per_record() {
         let buf = Arc::new(Mutex::new(Vec::new()));
         let sink = AuditSink::from_writer(Box::new(SharedBuf(Arc::clone(&buf))));
-        sink.append(&sample_record());
-        sink.append(&sample_record());
+        sink.append(&sample_record()).expect("append");
+        sink.append(&sample_record()).expect("append");
         let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);

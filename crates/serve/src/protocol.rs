@@ -330,21 +330,60 @@ pub fn read_request(r: &mut impl Read, max_frame: u32) -> Result<Option<RequestF
     }))
 }
 
-/// Writes one request frame.
-///
-/// # Errors
-/// Propagates transport errors.
-pub fn write_request(w: &mut impl Write, frame: &RequestFrame) -> io::Result<()> {
+/// The `u32` length prefix of a `len`-byte payload; a payload of 4 GiB or
+/// more has none and is refused before any byte is written.
+fn frame_len(len: usize) -> io::Result<[u8; 4]> {
+    u32::try_from(len).map(u32::to_le_bytes).map_err(|_| {
+        io::Error::new(
+            io::ErrorKind::InvalidInput,
+            "frame payload exceeds the u32 length prefix",
+        )
+    })
+}
+
+/// The header of a request frame carrying `len` payload bytes.
+fn request_header(frame: &RequestFrame, len: usize) -> io::Result<[u8; REQUEST_HEADER_LEN]> {
     let mut header = [0u8; REQUEST_HEADER_LEN];
     header[..4].copy_from_slice(&REQUEST_MAGIC);
     header[4] = PROTOCOL_VERSION;
     header[5] = frame.op as u8;
     header[6..14].copy_from_slice(&frame.req_id.to_le_bytes());
     header[14..18].copy_from_slice(&frame.deadline_ms.to_le_bytes());
-    header[18..22].copy_from_slice(&(frame.payload.len() as u32).to_le_bytes());
-    w.write_all(&header)?;
-    w.write_all(&frame.payload)?;
+    header[18..22].copy_from_slice(&frame_len(len)?);
+    Ok(header)
+}
+
+/// The header of a response frame carrying `len` payload bytes.
+fn response_header(frame: &ResponseFrame, len: usize) -> io::Result<[u8; RESPONSE_HEADER_LEN]> {
+    let mut header = [0u8; RESPONSE_HEADER_LEN];
+    header[..4].copy_from_slice(&RESPONSE_MAGIC);
+    header[4] = PROTOCOL_VERSION;
+    header[5] = frame.status as u8;
+    header[6] = frame.op;
+    header[7..15].copy_from_slice(&frame.req_id.to_le_bytes());
+    header[15..19].copy_from_slice(&frame_len(len)?);
+    Ok(header)
+}
+
+/// Sends header and payload with one `write_all` of one buffer. Two
+/// writes would let Nagle's algorithm hold the payload back until the
+/// peer's delayed ACK of the header, a ~40 ms stall per frame.
+fn write_frame(w: &mut impl Write, header: &[u8], payload: &[u8]) -> io::Result<()> {
+    let mut wire = Vec::with_capacity(header.len() + payload.len());
+    wire.extend_from_slice(header);
+    wire.extend_from_slice(payload);
+    w.write_all(&wire)?;
     w.flush()
+}
+
+/// Writes one request frame.
+///
+/// # Errors
+/// Propagates transport errors; a payload of 4 GiB or more is
+/// `InvalidInput`, with nothing written.
+pub fn write_request(w: &mut impl Write, frame: &RequestFrame) -> io::Result<()> {
+    let header = request_header(frame, frame.payload.len())?;
+    write_frame(w, &header, &frame.payload)
 }
 
 /// Reads one response frame.
@@ -385,18 +424,11 @@ pub fn read_response(r: &mut impl Read, max_frame: u32) -> Result<ResponseFrame,
 /// Writes one response frame.
 ///
 /// # Errors
-/// Propagates transport errors.
+/// Propagates transport errors; a payload of 4 GiB or more is
+/// `InvalidInput`, with nothing written.
 pub fn write_response(w: &mut impl Write, frame: &ResponseFrame) -> io::Result<()> {
-    let mut header = [0u8; RESPONSE_HEADER_LEN];
-    header[..4].copy_from_slice(&RESPONSE_MAGIC);
-    header[4] = PROTOCOL_VERSION;
-    header[5] = frame.status as u8;
-    header[6] = frame.op;
-    header[7..15].copy_from_slice(&frame.req_id.to_le_bytes());
-    header[15..19].copy_from_slice(&(frame.payload.len() as u32).to_le_bytes());
-    w.write_all(&header)?;
-    w.write_all(&frame.payload)?;
-    w.flush()
+    let header = response_header(frame, frame.payload.len())?;
+    write_frame(w, &header, &frame.payload)
 }
 
 // ---------------------------------------------------------------------------
@@ -1202,6 +1234,82 @@ mod tests {
         payload.extend_from_slice(&vec![b'a'; MAX_STRING + 1]);
         let mut c = Cursor::new(&payload);
         assert!(c.str16().is_err());
+    }
+
+    /// A sink that accepts every byte and counts `write` calls.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_frame_is_one_write_call() {
+        let request = RequestFrame {
+            op: Op::Compress,
+            req_id: 11,
+            deadline_ms: 250,
+            payload: Request::Compress {
+                model: "nyx".into(),
+                ratio: 20.0,
+                field: sample_field(),
+            }
+            .encode(),
+        };
+        let mut w = CountingWriter::default();
+        write_request(&mut w, &request).expect("write request");
+        assert_eq!(w.writes, 1, "request header and payload in one write");
+        let back = read_request(&mut w.bytes.as_slice(), DEFAULT_MAX_FRAME)
+            .expect("read")
+            .expect("frame");
+        assert_eq!(back.payload, request.payload);
+
+        let response = ResponseFrame::ok(
+            Op::DecompressRange,
+            11,
+            Reply::Range(vec![1.5; 64]).encode(),
+        );
+        let mut w = CountingWriter::default();
+        write_response(&mut w, &response).expect("write response");
+        assert_eq!(w.writes, 1, "response header and payload in one write");
+        let back = read_response(&mut w.bytes.as_slice(), DEFAULT_MAX_FRAME).expect("read");
+        assert_eq!(back.payload, response.payload);
+    }
+
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn frame_length_cannot_wrap() {
+        let too_long = u32::MAX as usize + 1;
+        let request = RequestFrame {
+            op: Op::Ping,
+            req_id: 1,
+            deadline_ms: 0,
+            payload: Vec::new(),
+        };
+        let response = ResponseFrame::ok(Op::Ping, 1, Vec::new());
+        for err in [
+            request_header(&request, too_long).expect_err("request"),
+            response_header(&response, too_long).expect_err("response"),
+        ] {
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        }
+        let last = u32::MAX as usize;
+        let header = request_header(&request, last).expect("u32::MAX fits");
+        assert_eq!(header[18..22], u32::MAX.to_le_bytes());
+        let header = response_header(&response, last).expect("u32::MAX fits");
+        assert_eq!(header[15..19], u32::MAX.to_le_bytes());
     }
 
     #[test]

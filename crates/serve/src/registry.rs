@@ -9,6 +9,7 @@
 
 use fxrz_core::infer::FixedRatioCompressor;
 use fxrz_core::train::TrainedModel;
+use fxrz_telemetry::{Counter, MetricsRegistry};
 use serde::Serialize;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, RwLock};
@@ -77,12 +78,22 @@ pub struct ModelInfo {
 #[derive(Default)]
 pub struct ModelRegistry {
     models: RwLock<HashMap<String, BTreeMap<u32, Arc<ServedModel>>>>,
+    loads: Arc<Counter>,
 }
 
 impl ModelRegistry {
     /// An empty registry.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// An empty registry counting its loads in `metrics` (the owning
+    /// server's registry).
+    pub(crate) fn counting_into(metrics: &MetricsRegistry) -> Self {
+        Self {
+            models: RwLock::default(),
+            loads: metrics.counter(crate::names::REGISTRY_LOADS),
+        }
     }
 
     /// Validates and binds a deserialized model, without inserting it.
@@ -128,7 +139,7 @@ impl ModelRegistry {
         // An existing Arc at this version stays alive inside any in-flight
         // request that resolved it; only the registry's reference moves.
         slot.insert(version, served);
-        fxrz_telemetry::global().incr(crate::names::REGISTRY_LOADS);
+        self.loads.incr();
         Ok(version)
     }
 

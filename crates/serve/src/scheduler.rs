@@ -18,10 +18,11 @@
 //! flight recorder. The job receives a [`JobCtx`] with the trace and the
 //! measured queue wait.
 
+use crate::names;
 use crate::protocol::{code, ResponseFrame, Status};
-use fxrz_telemetry::TraceContext;
+use fxrz_telemetry::{Counter, Gauge, HdrHistogram, MetricsRegistry, TraceContext};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -56,36 +57,49 @@ pub struct JobCtx {
     pub queue_ns: u64,
 }
 
-/// Cumulative scheduler outcome counters, cheap enough to read on every
+/// The scheduler's `serve.sched.*` and queue series, resolved once in
+/// the owning server's registry and cheap enough to read on every
 /// `Stats` request. Lives behind an `Arc` because the wrapped job closure
 /// must be `'static` and cannot borrow the scheduler.
-#[derive(Debug, Default)]
 pub struct SchedCounters {
-    shed: AtomicU64,
-    admitted: AtomicU64,
-    deadline_exceeded: AtomicU64,
-    panics: AtomicU64,
+    shed: Arc<Counter>,
+    admitted: Arc<Counter>,
+    deadline_exceeded: Arc<Counter>,
+    panics: Arc<Counter>,
+    queue_depth: Arc<Gauge>,
+    queue_ns: Arc<HdrHistogram>,
 }
 
 impl SchedCounters {
+    fn resolve(metrics: &MetricsRegistry) -> Self {
+        Self {
+            shed: metrics.counter(names::SCHED_SHED),
+            admitted: metrics.counter(names::SCHED_ADMITTED),
+            deadline_exceeded: metrics.counter(names::SCHED_DEADLINE_EXCEEDED),
+            panics: metrics.counter(names::SCHED_PANICS),
+            queue_depth: metrics.gauge(names::QUEUE_DEPTH),
+            queue_ns: metrics.histogram(names::SCHED_QUEUE_NS),
+        }
+    }
+
     /// Requests shed with `Busy` because the bound was hit.
     pub fn shed(&self) -> u64 {
-        self.shed.load(Ordering::Relaxed)
+        self.shed.get()
     }
 
     /// Requests admitted past the bound check.
     pub fn admitted(&self) -> u64 {
-        self.admitted.load(Ordering::Relaxed)
+        self.admitted.get()
     }
 
     /// Requests dropped after expiring in the queue.
     pub fn deadline_exceeded(&self) -> u64 {
-        self.deadline_exceeded.load(Ordering::Relaxed)
+        self.deadline_exceeded.get()
     }
 
     /// Job panics converted to `INTERNAL` error replies.
     pub fn panics(&self) -> u64 {
-        self.panics.load(Ordering::Relaxed)
+        self.panics.get()
     }
 }
 
@@ -97,12 +111,13 @@ pub struct Scheduler {
 }
 
 impl Scheduler {
-    /// A scheduler with the given bounds.
-    pub fn new(config: SchedulerConfig) -> Self {
+    /// A scheduler with the given bounds, recording its series into
+    /// `metrics` (the owning server's registry).
+    pub fn new(config: SchedulerConfig, metrics: &MetricsRegistry) -> Self {
         Self {
             config,
             inflight: AtomicUsize::new(0),
-            counters: Arc::new(SchedCounters::default()),
+            counters: Arc::new(SchedCounters::resolve(metrics)),
         }
     }
 
@@ -154,18 +169,15 @@ impl Scheduler {
     where
         F: FnOnce(&JobCtx) -> ResponseFrame + Send + 'static,
     {
-        let telemetry = fxrz_telemetry::global();
         // Admission: one fetch_add decides; losers are shed immediately.
         let admitted = self.inflight.fetch_add(1, Ordering::SeqCst);
         if admitted >= self.config.queue_bound {
             self.inflight.fetch_sub(1, Ordering::SeqCst);
-            telemetry.incr(crate::names::SCHED_SHED);
-            self.counters.shed.fetch_add(1, Ordering::Relaxed);
+            self.counters.shed.incr();
             return ResponseFrame::busy(op, req_id);
         }
-        telemetry.set_gauge(crate::names::QUEUE_DEPTH, (admitted + 1) as i64);
-        telemetry.incr(crate::names::SCHED_ADMITTED);
-        self.counters.admitted.fetch_add(1, Ordering::Relaxed);
+        self.counters.queue_depth.set((admitted + 1) as i64);
+        self.counters.admitted.incr();
 
         let deadline = if deadline_ms == 0 {
             self.config.default_deadline
@@ -181,13 +193,12 @@ impl Scheduler {
             let _trace = fxrz_telemetry::trace::attach(trace);
             let queued = enqueued.elapsed();
             let queue_ns = u64::try_from(queued.as_nanos()).unwrap_or(u64::MAX);
-            fxrz_telemetry::global().observe(crate::names::SCHED_QUEUE_NS, queue_ns);
+            counters.queue_ns.record(queue_ns);
             // Deadline is checked when the job reaches the front: work
             // that sat in the queue past its budget is dropped *with an
             // explicit error reply*, never silently.
             let response = if queued > deadline {
-                fxrz_telemetry::global().incr(crate::names::SCHED_DEADLINE_EXCEEDED);
-                counters.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
+                counters.deadline_exceeded.incr();
                 ResponseFrame::error(
                     op,
                     req_id,
@@ -196,7 +207,7 @@ impl Scheduler {
                 )
             } else {
                 let ctx = JobCtx { trace, queue_ns };
-                let span = fxrz_telemetry::span!(crate::names::SPAN_REQUEST);
+                let span = fxrz_telemetry::span!(names::SPAN_REQUEST);
                 // Pool workers do not catch panics from standalone jobs;
                 // without this a panicking request would kill a worker
                 // and leave the client waiting forever.
@@ -205,8 +216,7 @@ impl Scheduler {
                 match outcome {
                     Ok(resp) => resp,
                     Err(_) => {
-                        fxrz_telemetry::global().incr(crate::names::SCHED_PANICS);
-                        counters.panics.fetch_add(1, Ordering::Relaxed);
+                        counters.panics.incr();
                         // A panic is exactly the moment the per-request
                         // view matters: dump the flight-recorder tail so
                         // the operator sees what led up to it.
@@ -239,7 +249,7 @@ impl Scheduler {
             ResponseFrame::error(op, req_id, code::INTERNAL, "request executor vanished")
         });
         let now = self.inflight.fetch_sub(1, Ordering::SeqCst) - 1;
-        telemetry.set_gauge(crate::names::QUEUE_DEPTH, now as i64);
+        self.counters.queue_depth.set(now as i64);
         debug_assert_ne!(response.status, Status::Busy);
         response
     }
@@ -261,7 +271,7 @@ mod tests {
 
     #[test]
     fn executes_and_returns_the_job_response() {
-        let s = Scheduler::new(SchedulerConfig::default());
+        let s = Scheduler::new(SchedulerConfig::default(), &MetricsRegistry::new());
         let resp = s.submit(Op::Ping as u8, 1, 0, trace(), |_| ok_frame());
         assert_eq!(resp.status, Status::Ok);
         assert_eq!(s.inflight(), 0);
@@ -270,7 +280,7 @@ mod tests {
 
     #[test]
     fn job_observes_its_trace_context() {
-        let s = Scheduler::new(SchedulerConfig::default());
+        let s = Scheduler::new(SchedulerConfig::default(), &MetricsRegistry::new());
         let t = trace();
         let resp = s.submit(Op::Ping as u8, 3, 0, t, move |ctx| {
             assert_eq!(ctx.trace.trace_id, t.trace_id);
@@ -286,10 +296,13 @@ mod tests {
 
     #[test]
     fn sheds_past_the_bound() {
-        let s = Arc::new(Scheduler::new(SchedulerConfig {
-            queue_bound: 1,
-            ..SchedulerConfig::default()
-        }));
+        let s = Arc::new(Scheduler::new(
+            SchedulerConfig {
+                queue_bound: 1,
+                ..SchedulerConfig::default()
+            },
+            &MetricsRegistry::new(),
+        ));
         // Hold the single slot with a job parked on a barrier, then
         // submit a second request: it must get Busy, not block.
         let gate = Arc::new(Barrier::new(2));
@@ -314,7 +327,7 @@ mod tests {
 
     #[test]
     fn expired_requests_get_deadline_errors() {
-        let s = Scheduler::new(SchedulerConfig::default());
+        let s = Scheduler::new(SchedulerConfig::default(), &MetricsRegistry::new());
         let past = Instant::now() - Duration::from_secs(2);
         let resp = s.submit_from(past, Op::Compress as u8, 9, 1, trace(), |_| {
             panic!("an expired job must never run")
@@ -327,7 +340,7 @@ mod tests {
 
     #[test]
     fn panicking_jobs_reply_internal_error() {
-        let s = Scheduler::new(SchedulerConfig::default());
+        let s = Scheduler::new(SchedulerConfig::default(), &MetricsRegistry::new());
         let resp = s.submit(Op::Features as u8, 5, 0, trace(), |_| panic!("boom"));
         assert_eq!(resp.status, Status::Error);
         let (code, msg) = resp.error_parts().expect("parts");

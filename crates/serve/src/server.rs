@@ -19,7 +19,7 @@ use crate::scheduler::{Scheduler, SchedulerConfig};
 use fxrz_core::infer::Estimate;
 use fxrz_core::sampling::StridedSampler;
 use fxrz_stream::{StreamConfig, StreamEncoder};
-use fxrz_telemetry::{TraceContext, TraceIdGen};
+use fxrz_telemetry::{Counter, HdrHistogram, MetricsRegistry, TraceContext, TraceIdGen};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -137,7 +137,13 @@ struct TcpAcceptor(TcpListener);
 impl Acceptor for TcpAcceptor {
     fn poll_accept(&self) -> io::Result<Option<Box<dyn Connection>>> {
         match self.0.accept() {
-            Ok((stream, _)) => Ok(Some(Box::new(stream))),
+            Ok((stream, _)) => {
+                // Replies go out at once, as requests do from the client:
+                // Nagle would hold a reply's tail for the peer's delayed
+                // ACK (~40 ms).
+                stream.set_nodelay(true).ok();
+                Ok(Some(Box::new(stream)))
+            }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(None),
             Err(e) => Err(e),
         }
@@ -158,6 +164,13 @@ impl Acceptor for UnixAcceptor {
     }
 }
 
+/// One op's request count and dispatch latency, resolved once.
+struct OpSeries {
+    op: Op,
+    count: Arc<Counter>,
+    latency_ns: Arc<HdrHistogram>,
+}
+
 /// State shared between the accept loop and every connection thread.
 struct Shared {
     registry: ModelRegistry,
@@ -169,11 +182,34 @@ struct Shared {
     audit: RwLock<Option<Arc<AuditSink>>>,
     accuracy: AccuracyStats,
     started: Instant,
+    /// This daemon's telemetry: every `serve.*` series, and nothing any
+    /// other daemon in the process records.
+    metrics: MetricsRegistry,
+    /// Per-op series, one per [`ALL_OPS`] entry.
+    ops: [OpSeries; ALL_OPS.len()],
 }
 
 impl Shared {
     fn should_stop(&self) -> bool {
         self.stop.load(Ordering::SeqCst) || signal::triggered()
+    }
+
+    /// Folds an audited request into the accuracy aggregates and appends
+    /// it to the audit sink, if one is installed.
+    fn audit(&self, record: &AuditRecord) {
+        self.accuracy.record(
+            &record.model,
+            record.rel_err,
+            record.in_tolerance,
+            record.exec_ns,
+        );
+        let sink = self.audit.read().unwrap_or_else(|e| e.into_inner()).clone();
+        if let Some(sink) = sink {
+            self.metrics.incr(match sink.append(record) {
+                Ok(()) => names::AUDIT_RECORDS,
+                Err(_) => names::AUDIT_WRITE_ERRORS,
+            });
+        }
     }
 }
 
@@ -239,10 +275,16 @@ impl Default for Server {
 impl Server {
     /// A server with an empty model registry.
     pub fn new(config: ServerConfig) -> Self {
+        let metrics = MetricsRegistry::new();
+        let ops = ALL_OPS.map(|op| OpSeries {
+            op,
+            count: metrics.counter(&format!("serve.op.{op}.count", op = op.name())),
+            latency_ns: metrics.histogram(&format!("serve.op.{op}.hdr_ns", op = op.name())),
+        });
         Self {
             shared: Arc::new(Shared {
-                registry: ModelRegistry::new(),
-                scheduler: Scheduler::new(config.scheduler),
+                registry: ModelRegistry::counting_into(&metrics),
+                scheduler: Scheduler::new(config.scheduler, &metrics),
                 stop: AtomicBool::new(false),
                 active_conns: AtomicUsize::new(0),
                 trace_ids: TraceIdGen::new(config.trace_seed),
@@ -250,6 +292,8 @@ impl Server {
                 accuracy: AccuracyStats::default(),
                 started: Instant::now(),
                 config,
+                metrics,
+                ops,
             }),
         }
     }
@@ -257,6 +301,13 @@ impl Server {
     /// The model registry (preload models here before serving).
     pub fn registry(&self) -> &ModelRegistry {
         &self.shared.registry
+    }
+
+    /// This server's own telemetry: every `serve.*` series it records,
+    /// and the `metrics` object of its `Stats` reply. Spans and the
+    /// library's codec series stay in [`fxrz_telemetry::global`].
+    pub fn metrics(&self) -> &MetricsRegistry {
+        &self.shared.metrics
     }
 
     /// Starts appending audit records to the JSONL file at `path`.
@@ -323,7 +374,7 @@ impl Server {
 }
 
 fn accept_loop(shared: &Arc<Shared>, acceptor: &dyn Acceptor) -> DrainReport {
-    let telemetry = fxrz_telemetry::global();
+    let telemetry = &shared.metrics;
     while !shared.should_stop() {
         match acceptor.poll_accept() {
             Ok(Some(conn)) => {
@@ -444,13 +495,21 @@ struct StreamSession {
 
 /// Per-connection stream-session table — the serve daemon's first
 /// stateful ops. Dropped (and counted) with the connection.
-#[derive(Default)]
 struct ConnStreams {
     next_id: u32,
     sessions: Vec<(u32, Arc<Mutex<StreamSession>>)>,
+    abandoned: Arc<Counter>,
 }
 
 impl ConnStreams {
+    fn new(metrics: &MetricsRegistry) -> Self {
+        Self {
+            next_id: 0,
+            sessions: Vec::new(),
+            abandoned: metrics.counter(names::STREAM_ABANDONED),
+        }
+    }
+
     fn get(&self, id: u32) -> Option<Arc<Mutex<StreamSession>>> {
         self.sessions
             .iter()
@@ -462,7 +521,7 @@ impl ConnStreams {
 impl Drop for ConnStreams {
     fn drop(&mut self) {
         if !self.sessions.is_empty() {
-            fxrz_telemetry::global().add(names::STREAM_ABANDONED, self.sessions.len() as u64);
+            self.abandoned.add(self.sessions.len() as u64);
         }
     }
 }
@@ -473,7 +532,7 @@ fn handle_connection(shared: &Arc<Shared>, mut conn: Box<dyn Connection>) {
     if conn.set_read_timeout(Some(POLL_INTERVAL)).is_err() {
         return;
     }
-    let mut streams = ConnStreams::default();
+    let mut streams = ConnStreams::new(&shared.metrics);
     loop {
         let read_result = {
             let mut patient = PatientReader {
@@ -488,7 +547,7 @@ fn handle_connection(shared: &Arc<Shared>, mut conn: Box<dyn Connection>) {
             Ok(Some(frame)) => {
                 let response = dispatch(shared, frame, &mut streams);
                 if protocol::write_response(&mut conn, &response).is_err() {
-                    fxrz_telemetry::global().incr(names::CONN_WRITE_ERRORS);
+                    shared.metrics.incr(names::CONN_WRITE_ERRORS);
                     break;
                 }
                 if shared.should_stop() {
@@ -499,7 +558,7 @@ fn handle_connection(shared: &Arc<Shared>, mut conn: Box<dyn Connection>) {
             Err(e) => {
                 // Protocol violation: reply once with a frame error, then
                 // close — the stream position is no longer trustworthy.
-                fxrz_telemetry::global().incr(names::CONN_FRAME_ERRORS);
+                shared.metrics.incr(names::CONN_FRAME_ERRORS);
                 let response = ResponseFrame::error(0, 0, code::BAD_FRAME, &e.to_string());
                 let _ = protocol::write_response(&mut conn, &response);
                 break;
@@ -514,17 +573,19 @@ fn handle_connection(shared: &Arc<Shared>, mut conn: Box<dyn Connection>) {
 /// the scheduler re-attaches it on whichever pool thread executes the
 /// job.
 fn dispatch(shared: &Arc<Shared>, frame: RequestFrame, streams: &mut ConnStreams) -> ResponseFrame {
-    let telemetry = fxrz_telemetry::global();
     let op = frame.op;
     let trace = shared.trace_ids.next();
     let _trace_guard = fxrz_telemetry::trace::attach(trace);
     let t0 = Instant::now();
     let response = dispatch_inner(shared, frame, trace, streams);
     let elapsed = t0.elapsed();
-    telemetry.observe_duration(&format!("serve.op.{op}.hdr_ns", op = op.name()), elapsed);
-    telemetry.incr(&format!("serve.op.{op}.count", op = op.name()));
+    // Every op has a row: `all_ops_lists_every_op` pins ALL_OPS.
+    if let Some(series) = shared.ops.iter().find(|s| s.op == op) {
+        series.latency_ns.record_duration(elapsed);
+        series.count.incr();
+    }
     if response.status == Status::Error {
-        telemetry.incr(names::OP_ERRORS);
+        shared.metrics.incr(names::OP_ERRORS);
     }
     response
 }
@@ -566,23 +627,31 @@ const ALL_OPS: [Op; 11] = [
 
 fn stats_json(shared: &Shared) -> String {
     let models = serde_json::to_string(&shared.registry.list()).unwrap_or_else(|_| "[]".to_owned());
-    let snapshot = fxrz_telemetry::global().snapshot();
+    let snapshot = shared.metrics.snapshot();
     let sched = shared.scheduler.counters();
-    // Per-op rows: request count plus fixed-precision latency
-    // percentiles from the HDR histograms recorded in `dispatch`.
-    let ops: Vec<String> = ALL_OPS
+    // Per-op rows for every op served so far: request count plus
+    // fixed-precision latency percentiles from the HDR histograms
+    // recorded in `dispatch`.
+    let ops: Vec<String> = shared
+        .ops
         .iter()
-        .filter_map(|op| {
-            let count = snapshot.counter(&format!("serve.op.{op}.count", op = op.name()))?;
-            let mut row = format!("{{\"op\":\"{}\",\"count\":{count}", op.name());
-            if let Some(h) = snapshot.hdr(&format!("serve.op.{op}.hdr_ns", op = op.name())) {
-                row.push_str(&format!(
-                    ",\"p50_ns\":{},\"p90_ns\":{},\"p99_ns\":{},\"p999_ns\":{},\"max_ns\":{},\"mean_ns\":{}",
-                    h.p50, h.p90, h.p99, h.p999, h.max, h.mean,
-                ));
+        .filter_map(|s| {
+            let count = s.count.get();
+            if count == 0 {
+                return None;
             }
-            row.push('}');
-            Some(row)
+            let h = s.latency_ns.snapshot(s.op.name());
+            Some(format!(
+                "{{\"op\":\"{}\",\"count\":{count},\"p50_ns\":{},\"p90_ns\":{},\"p99_ns\":{},\
+                 \"p999_ns\":{},\"max_ns\":{},\"mean_ns\":{}}}",
+                s.op.name(),
+                h.p50,
+                h.p90,
+                h.p99,
+                h.p999,
+                h.max,
+                h.mean,
+            ))
         })
         .collect();
     format!(
@@ -752,20 +821,7 @@ fn dispatch_inner(
                                 compressed_bytes: out.bytes.len() as u64,
                                 features: out.estimate.features,
                             };
-                            audit_shared.accuracy.record(
-                                &record.model,
-                                rel_err,
-                                in_tolerance,
-                                exec_ns,
-                            );
-                            let sink = audit_shared
-                                .audit
-                                .read()
-                                .unwrap_or_else(|e| e.into_inner())
-                                .clone();
-                            if let Some(sink) = sink {
-                                sink.append(&record);
-                            }
+                            audit_shared.audit(&record);
                             let info = format!(
                                 "{{\"model\":\"{}\",\"measured_ratio\":{},\"config\":\"{}\",\"analysis_ms\":{},\"compress_ms\":{},\"trace_id\":{}}}",
                                 served.reference(),
@@ -814,6 +870,7 @@ fn dispatch_inner(
                 })
         }
         Request::DecompressRange { start, end, stream } => {
+            let range_shared = Arc::clone(shared);
             shared
                 .scheduler
                 .submit(op_byte, req_id, frame.deadline_ms, trace, move |_ctx| {
@@ -825,7 +882,7 @@ fn dispatch_inner(
                             "unrecognized compressor stream magic",
                         );
                     };
-                    let telemetry = fxrz_telemetry::global();
+                    let telemetry = &range_shared.metrics;
                     telemetry.incr(names::SLAB_RANGE_REQUESTS);
                     match comp.decompress_range(&stream, start as usize..end as usize) {
                         Ok(values) => {
@@ -883,7 +940,7 @@ fn dispatch_inner(
             streams
                 .sessions
                 .push((id, Arc::new(Mutex::new(StreamSession { encoder }))));
-            fxrz_telemetry::global().incr(names::STREAM_OPENED);
+            shared.metrics.incr(names::STREAM_OPENED);
             let info = format!(
                 "{{\"stream_id\":{id},\"target_ratio\":{target_ratio},\"models\":{},\"trace_id\":{}}}",
                 serde_json::to_string(&refs).unwrap_or_else(|_| "[]".to_owned()),
@@ -926,7 +983,7 @@ fn dispatch_inner(
                             u64::try_from(held.elapsed().as_nanos()).unwrap_or(u64::MAX),
                         )
                     };
-                    fxrz_telemetry::global().observe(names::STREAM_LOCK_NS, lock_ns);
+                    audit_shared.metrics.observe(names::STREAM_LOCK_NS, lock_ns);
                     match outcome {
                         Ok(outcome) => {
                             let exec_ns =
@@ -951,21 +1008,8 @@ fn dispatch_inner(
                                 compressed_bytes: outcome.bytes.len() as u64,
                                 features: outcome.features,
                             };
-                            audit_shared.accuracy.record(
-                                &record.model,
-                                rel_err,
-                                in_tolerance,
-                                exec_ns,
-                            );
-                            let sink = audit_shared
-                                .audit
-                                .read()
-                                .unwrap_or_else(|e| e.into_inner())
-                                .clone();
-                            if let Some(sink) = sink {
-                                sink.append(&record);
-                            }
-                            fxrz_telemetry::global().incr(names::STREAM_FRAMES);
+                            audit_shared.audit(&record);
+                            audit_shared.metrics.incr(names::STREAM_FRAMES);
                             let info = format!(
                                 "{{\"stream_id\":{stream_id},\"frame\":{},\"codec\":\"{}\",\"eb\":{:e},\
                                  \"frame_target\":{},\"achieved\":{},\"cumulative\":{},\
@@ -1013,7 +1057,7 @@ fn dispatch_inner(
             let session = session.lock().unwrap_or_else(|e| e.into_inner());
             let trailer = session.encoder.finish();
             let summary = session.encoder.summary();
-            fxrz_telemetry::global().incr(names::STREAM_CLOSED);
+            shared.metrics.incr(names::STREAM_CLOSED);
             let codecs: Vec<String> = summary
                 .codecs
                 .iter()
@@ -1043,5 +1087,19 @@ fn dispatch_inner(
                 .encode(),
             )
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn all_ops_lists_every_op() {
+        let listed = (0..=u8::MAX)
+            .filter_map(Op::from_u8)
+            .inspect(|op| assert!(ALL_OPS.contains(op), "{} has no series", op.name()))
+            .count();
+        assert_eq!(listed, ALL_OPS.len());
     }
 }

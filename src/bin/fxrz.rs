@@ -811,13 +811,19 @@ fn run() -> Result<(), String> {
                         report.drain_time.as_secs_f64() * 1e3
                     );
                 }
-                // The final telemetry snapshot always lands on stderr so a
+                // The final telemetry snapshots always land on stderr so a
                 // SIGTERM'd daemon leaves its request counters behind even
-                // without `--metrics`.
-                let rendered = fxrz::telemetry::global().snapshot().to_string();
-                eprint!("{rendered}");
-                if !rendered.ends_with('\n') {
-                    eprintln!();
+                // without `--metrics`: the daemon's own `serve.*` series,
+                // then the process's spans and codec series.
+                for snapshot in [
+                    server.metrics().snapshot(),
+                    fxrz::telemetry::global().snapshot(),
+                ] {
+                    let rendered = snapshot.to_string();
+                    eprint!("{rendered}");
+                    if !rendered.ends_with('\n') {
+                        eprintln!();
+                    }
                 }
                 // Flight-recorder tail: the last spans/events before the
                 // drain, each tagged with its request trace id.

@@ -327,18 +327,23 @@ fn le_bytes(data: &[f32]) -> Vec<u8> {
 
 /// Stream-bytes and decoded-bytes pins of registry row `name` on the
 /// `sz_nyx12` field (16³ Nyx baryon density, seed 4242) and bound.
+/// fpzip, which takes a precision instead of a bound, keeps 16 bits.
 fn pin_nyx12(name: &str) {
     use fxrz::prelude::*;
     let comp = fxrz::compressors::by_name(name).expect("registered");
     let field = nyx::baryon_density(Dims::d3(16, 16, 16), NyxConfig::default().with_seed(4242));
     let eb = field.stats().range * 1e-3;
-    let stream = comp
-        .compress(&field, &ErrorConfig::Abs(eb))
-        .expect("compress");
+    let cfg = match name {
+        "fpzip" => ErrorConfig::Precision(16),
+        _ => ErrorConfig::Abs(eb),
+    };
+    let stream = comp.compress(&field, &cfg).expect("compress");
     let fixture = load_or_bless(&format!("{name}_nyx12.fxrz"), &stream);
     assert_eq!(stream, fixture, "{name} stream bytes drifted");
     let back = comp.decompress(&fixture).expect("decompress");
-    assert!(field.max_abs_diff(&back) <= eb);
+    if name != "fpzip" {
+        assert!(field.max_abs_diff(&back) <= eb);
+    }
     let got = le_bytes(back.data());
     let expected = load_or_bless(&format!("{name}_nyx12_decoded.f32"), &got);
     assert_eq!(got, expected, "{name} reconstruction drifted");
@@ -357,6 +362,11 @@ fn szi_nyx12_golden() {
 #[test]
 fn mgard_nyx12_golden() {
     pin_nyx12("mgard");
+}
+
+#[test]
+fn fpzip_nyx12_golden() {
+    pin_nyx12("fpzip");
 }
 
 /// Slab-container pins of registry row `name`: an 8×256×256 Nyx field

@@ -3,8 +3,8 @@
 //! per-session guard drops.
 //!
 //! The server records how long the session lock is held per frame in
-//! the `serve.stream.lock_ns` HDR histogram, and the server threads
-//! share this process's global telemetry registry. So the test installs
+//! the `serve.stream.lock_ns` HDR histogram of its own registry
+//! (`Server::metrics`). So the test installs
 //! an audit sink whose every write sleeps far longer than a frame takes
 //! to encode, streams a few frames through a live TCP server, and then
 //! asserts the *maximum* observed lock-hold time stays well below the
@@ -93,7 +93,7 @@ fn stream_frame_lock_excludes_audit_io() {
         writes.load(Ordering::SeqCst)
     );
 
-    let snapshot = fxrz::telemetry::global().snapshot();
+    let snapshot = server.metrics().snapshot();
     let hdr = snapshot
         .hdr("serve.stream.lock_ns")
         .expect("serve.stream.lock_ns histogram exists");
