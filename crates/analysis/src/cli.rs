@@ -6,39 +6,29 @@
 //! cannot drift apart.
 //!
 //! ```text
-//! [--root DIR] [--baseline FILE] [--format human|json]
-//! [--list] [--update-baseline]
+//! [--root DIR] [--format human|json] [--list]
 //! ```
 //!
-//! Exit status is 0 when no active (non-suppressed, non-baselined)
-//! finding remains and the baseline has no stale entries, 1 when
-//! findings or stale baseline entries exist, 2 on usage or I/O errors.
-//! Failing on stale entries means the baseline can only shrink: a fixed
-//! finding must be removed from the file (or `--update-baseline` re-run)
-//! rather than silently shadowing a future regression at the same line.
+//! Exit status is 0 when no active (non-suppressed) finding remains, 1
+//! when findings exist, 2 on usage or I/O errors.
 
 use std::path::PathBuf;
 
-use crate::{all_lints, analyze, find_workspace_root, report, Baseline};
+use crate::{all_lints, analyze, find_workspace_root, report};
 
 /// Parsed command-line options for the lint driver.
 pub struct Opts {
     /// Workspace root to scan; discovered from the cwd when absent.
     pub root: Option<PathBuf>,
-    /// Baseline file; defaults to `<root>/fxrz-lint.baseline`.
-    pub baseline: Option<PathBuf>,
     /// Emit machine-readable JSON instead of the human report.
     pub json: bool,
     /// List registered lints and exit.
     pub list: bool,
-    /// Rewrite the baseline file from the current findings.
-    pub update_baseline: bool,
 }
 
 /// Flag summary shown on usage errors (`PROG` is substituted by the
 /// caller's program name).
-pub const USAGE: &str = "usage: PROG [--root DIR] [--baseline FILE] [--format human|json] \
-                         [--list] [--update-baseline]";
+pub const USAGE: &str = "usage: PROG [--root DIR] [--format human|json] [--list]";
 
 /// Parses driver flags. `prog` names the binary in error messages.
 ///
@@ -48,10 +38,8 @@ pub fn parse(prog: &str, args: &[String]) -> Result<Opts, String> {
     let usage = USAGE.replace("PROG", prog);
     let mut opts = Opts {
         root: None,
-        baseline: None,
         json: false,
         list: false,
-        update_baseline: false,
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -60,17 +48,12 @@ pub fn parse(prog: &str, args: &[String]) -> Result<Opts, String> {
                 let v = it.next().ok_or("--root needs a directory")?;
                 opts.root = Some(PathBuf::from(v));
             }
-            "--baseline" => {
-                let v = it.next().ok_or("--baseline needs a file path")?;
-                opts.baseline = Some(PathBuf::from(v));
-            }
             "--format" => match it.next().map(String::as_str) {
                 Some("human") => opts.json = false,
                 Some("json") => opts.json = true,
                 _ => return Err("--format takes `human` or `json`".into()),
             },
             "--list" => opts.list = true,
-            "--update-baseline" => opts.update_baseline = true,
             "--help" | "-h" => return Err(usage),
             other => return Err(format!("unknown flag `{other}`\n{usage}")),
         }
@@ -103,38 +86,17 @@ pub fn run(prog: &str, args: &[String]) -> u8 {
         eprintln!("{prog}: no workspace root found (run inside the repo or pass --root)");
         return 2;
     };
-    let baseline_path = opts
-        .baseline
-        .unwrap_or_else(|| root.join("fxrz-lint.baseline"));
-    let baseline = if opts.update_baseline {
-        Baseline::default()
-    } else {
-        Baseline::load(&baseline_path)
-    };
-    let res = match analyze(&root, &baseline) {
+    let res = match analyze(&root) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("{prog}: {e}");
             return 2;
         }
     };
-    if opts.update_baseline {
-        let text = Baseline::render(&res.findings);
-        if let Err(e) = std::fs::write(&baseline_path, text) {
-            eprintln!("{prog}: writing {}: {e}", baseline_path.display());
-            return 2;
-        }
-        println!(
-            "{prog}: baselined {} finding(s) into {}",
-            res.findings.len(),
-            baseline_path.display()
-        );
-        return 0;
-    }
     if opts.json {
         print!("{}", report::json(&res));
     } else {
         print!("{}", report::human(&res));
     }
-    u8::from(!res.findings.is_empty() || !res.stale_baseline.is_empty())
+    u8::from(!res.findings.is_empty())
 }

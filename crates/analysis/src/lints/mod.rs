@@ -6,9 +6,6 @@
 //! built by the index pass.
 
 pub mod alloc_bounds;
-pub mod determinism;
 pub mod lock_discipline;
-pub mod panic_path;
 pub mod telemetry_names;
-pub mod unsafe_audit;
 pub mod wire_protocol;

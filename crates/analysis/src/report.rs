@@ -1,9 +1,8 @@
 //! Finding renderers: a human summary for terminals and a stable JSON
 //! document for CI artifacts. JSON is emitted by hand (this crate is
 //! dependency-free); the schema is
-//! `{schema, files_scanned, counts{active, suppressed, baselined, stale},
-//!   findings[], suppressed[], baselined[], stale_baseline[],
-//!   timings_ms{}, total_ms}` with each finding as
+//! `{schema, files_scanned, counts{active, suppressed}, findings[],
+//!   suppressed[], timings_ms{}, total_ms}` with each finding as
 //! `{lint, file, line, message}`.
 
 use crate::{AnalysisResult, Finding};
@@ -20,23 +19,11 @@ pub fn human(res: &AnalysisResult) -> String {
     if !res.findings.is_empty() {
         out.push('\n');
     }
-    for entry in &res.stale_baseline {
-        out.push_str(&format!(
-            "stale baseline entry `{entry}` no longer fires — remove it \
-             (or re-run with --update-baseline)\n"
-        ));
-    }
-    if !res.stale_baseline.is_empty() {
-        out.push('\n');
-    }
     out.push_str(&format!(
-        "fxrz-lint: {} finding{} ({} suppressed, {} baselined, {} stale) \
-         across {} files in {:.1}ms\n",
+        "fxrz-lint: {} finding{} ({} suppressed) across {} files in {:.1}ms\n",
         res.findings.len(),
         if res.findings.len() == 1 { "" } else { "s" },
         res.suppressed.len(),
-        res.baselined.len(),
-        res.stale_baseline.len(),
         res.files_scanned,
         res.total_ms,
     ));
@@ -45,20 +32,14 @@ pub fn human(res: &AnalysisResult) -> String {
 
 /// Renders the JSON report.
 pub fn json(res: &AnalysisResult) -> String {
-    let mut out = String::from("{\n  \"schema\": \"fxrz-lint/2\",\n");
+    let mut out = String::from("{\n  \"schema\": \"fxrz-lint/3\",\n");
     out.push_str(&format!("  \"files_scanned\": {},\n", res.files_scanned));
     out.push_str(&format!(
-        "  \"counts\": {{\"active\": {}, \"suppressed\": {}, \"baselined\": {}, \"stale\": {}}},\n",
+        "  \"counts\": {{\"active\": {}, \"suppressed\": {}}},\n",
         res.findings.len(),
         res.suppressed.len(),
-        res.baselined.len(),
-        res.stale_baseline.len(),
     ));
-    for (key, list) in [
-        ("findings", &res.findings),
-        ("suppressed", &res.suppressed),
-        ("baselined", &res.baselined),
-    ] {
+    for (key, list) in [("findings", &res.findings), ("suppressed", &res.suppressed)] {
         out.push_str(&format!("  \"{key}\": ["));
         for (i, f) in list.iter().enumerate() {
             if i > 0 {
@@ -72,14 +53,6 @@ pub fn json(res: &AnalysisResult) -> String {
         }
         out.push_str("],\n");
     }
-    out.push_str("  \"stale_baseline\": [");
-    for (i, entry) in res.stale_baseline.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&format!("\"{}\"", esc(entry)));
-    }
-    out.push_str("],\n");
     out.push_str("  \"timings_ms\": {");
     for (i, (name, ms)) in res.timings_ms.iter().enumerate() {
         if i > 0 {
@@ -127,16 +100,14 @@ mod tests {
     fn res() -> AnalysisResult {
         AnalysisResult {
             findings: vec![Finding {
-                lint: "panic_path",
+                lint: "alloc_bounds",
                 file: "crates/serve/src/protocol.rs".into(),
                 line: 7,
-                message: "`.unwrap()` on \"hot\" path".into(),
+                message: "`len` on \"hot\" path".into(),
             }],
             suppressed: vec![],
-            baselined: vec![],
-            stale_baseline: vec!["determinism crates/core/src/lib.rs:3".into()],
             files_scanned: 3,
-            timings_ms: vec![("index".into(), 1.25), ("panic_path".into(), 0.5)],
+            timings_ms: vec![("index".into(), 1.25), ("alloc_bounds".into(), 0.5)],
             total_ms: 1.75,
         }
     }
@@ -144,21 +115,17 @@ mod tests {
     #[test]
     fn human_report_lists_findings_and_totals() {
         let text = human(&res());
-        assert!(text.contains("crates/serve/src/protocol.rs:7: [panic_path]"));
-        assert!(text.contains("stale baseline entry `determinism crates/core/src/lib.rs:3`"));
-        assert!(text.contains("1 finding (0 suppressed, 0 baselined, 1 stale) across 3 files"));
+        assert!(text.contains("crates/serve/src/protocol.rs:7: [alloc_bounds]"));
+        assert!(text.contains("1 finding (0 suppressed) across 3 files"));
     }
 
     #[test]
     fn json_escapes_quotes_and_counts() {
         let text = json(&res());
-        assert!(text.contains("\"schema\": \"fxrz-lint/2\""));
+        assert!(text.contains("\"schema\": \"fxrz-lint/3\""));
         assert!(text.contains("\\\"hot\\\""));
-        assert!(text.contains(
-            "\"counts\": {\"active\": 1, \"suppressed\": 0, \"baselined\": 0, \"stale\": 1}"
-        ));
-        assert!(text.contains("\"stale_baseline\": [\"determinism crates/core/src/lib.rs:3\"]"));
-        assert!(text.contains("\"timings_ms\": {\"index\": 1.250, \"panic_path\": 0.500}"));
+        assert!(text.contains("\"counts\": {\"active\": 1, \"suppressed\": 0}"));
+        assert!(text.contains("\"timings_ms\": {\"index\": 1.250, \"alloc_bounds\": 0.500}"));
         assert!(text.contains("\"total_ms\": 1.750"));
     }
 }

@@ -1,7 +1,7 @@
-//! Per-file lint context: tokens, comments, suppression comments, and
+//! Per-file lint context: tokens, suppression comments, and
 //! `#[cfg(test)]` / `#[test]` spans.
 
-use crate::lexer::{lex, Comment, Token};
+use crate::lexer::{lex, Token};
 use std::collections::HashMap;
 use std::path::PathBuf;
 
@@ -10,23 +10,14 @@ pub struct SourceFile {
     /// Absolute path on disk.
     pub path: PathBuf,
     /// Workspace-relative path with `/` separators (stable across OSes;
-    /// used in findings, baselines, and lint scoping).
+    /// used in findings and lint scoping).
     pub rel: String,
-    /// Package name owning the file (`fxrz-codec`, …); `fxrz` for the
-    /// facade's `src/` and workspace-level `tests/`.
-    pub crate_name: String,
     /// True for integration tests / benches (`tests/`, `benches/` dirs).
     pub is_test_file: bool,
     /// Lexed tokens.
     pub tokens: Vec<Token>,
-    /// Lexed comments in source order.
-    pub comments: Vec<Comment>,
-    /// Line → comment text for fast adjacency checks.
-    comment_by_line: HashMap<u32, Vec<String>>,
     /// Lints suppressed per line by `// fxrz-lint: allow(<lint>)`.
     line_allows: HashMap<u32, Vec<String>>,
-    /// Lints suppressed for the whole file by `allow-file(<lint>)`.
-    file_allows: Vec<String>,
     /// Inclusive line ranges of `#[cfg(test)] mod` bodies and `#[test]`
     /// functions.
     test_ranges: Vec<(u32, u32)>,
@@ -34,36 +25,22 @@ pub struct SourceFile {
 
 impl SourceFile {
     /// Lexes and annotates one file.
-    pub fn parse(path: PathBuf, rel: String, crate_name: String, src: &str) -> Self {
+    pub fn parse(path: PathBuf, rel: String, src: &str) -> Self {
         let (tokens, comments) = lex(src);
         let is_test_file = rel.split('/').any(|seg| seg == "tests" || seg == "benches");
-        let mut comment_by_line: HashMap<u32, Vec<String>> = HashMap::new();
         let mut line_allows: HashMap<u32, Vec<String>> = HashMap::new();
-        let mut file_allows = Vec::new();
         for c in &comments {
-            comment_by_line
-                .entry(c.line)
-                .or_default()
-                .push(c.text.clone());
-            if let Some(rest) = c.text.split("fxrz-lint:").nth(1) {
-                if let Some(lints) = extract_allow(rest, "allow-file(") {
-                    file_allows.extend(lints);
-                } else if let Some(lints) = extract_allow(rest, "allow(") {
-                    line_allows.entry(c.line).or_default().extend(lints);
-                }
+            if let Some(lints) = c.text.split("fxrz-lint:").nth(1).and_then(extract_allow) {
+                line_allows.entry(c.line).or_default().extend(lints);
             }
         }
         let test_ranges = find_test_ranges(&tokens);
         Self {
             path,
             rel,
-            crate_name,
             is_test_file,
             tokens,
-            comments,
-            comment_by_line,
             line_allows,
-            file_allows,
             test_ranges,
         }
     }
@@ -78,13 +55,9 @@ impl SourceFile {
                 .any(|&(a, b)| line >= a && line <= b)
     }
 
-    /// True when findings of `lint` are suppressed at `line` — by a
-    /// file-level allow, or a line allow on the same line or the line
-    /// directly above.
+    /// True when findings of `lint` are suppressed at `line` by an allow
+    /// comment on the same line or the line directly above.
     pub fn allowed(&self, lint: &str, line: u32) -> bool {
-        if self.file_allows.iter().any(|l| l == lint || l == "all") {
-            return true;
-        }
         for l in [line, line.saturating_sub(1)] {
             if let Some(lints) = self.line_allows.get(&l) {
                 if lints.iter().any(|x| x == lint || x == "all") {
@@ -93,11 +66,6 @@ impl SourceFile {
             }
         }
         false
-    }
-
-    /// Comment texts starting on `line` (may be several: `/* */ // x`).
-    pub fn comments_on(&self, line: u32) -> Option<&[String]> {
-        self.comment_by_line.get(&line).map(Vec::as_slice)
     }
 
     /// Index of the matching closer for the opener at `open` (`(`→`)`,
@@ -129,11 +97,9 @@ pub fn matching(tokens: &[Token], open: usize) -> usize {
     tokens.len()
 }
 
-/// Parses `allow(a, b)` / `allow-file(a)` after the `fxrz-lint:` marker.
-fn extract_allow(rest: &str, keyword: &str) -> Option<Vec<String>> {
-    let after = rest
-        .trim_start()
-        .strip_prefix(keyword.trim_end_matches('('))?;
+/// Parses `allow(a, b)` after the `fxrz-lint:` marker.
+fn extract_allow(rest: &str) -> Option<Vec<String>> {
+    let after = rest.trim_start().strip_prefix("allow")?;
     let after = after.trim_start().strip_prefix('(')?;
     let inner = after.split(')').next()?;
     Some(
@@ -214,7 +180,6 @@ mod tests {
         SourceFile::parse(
             PathBuf::from("/x/lib.rs"),
             "crates/x/src/lib.rs".into(),
-            "x".into(),
             src,
         )
     }
@@ -236,16 +201,10 @@ mod tests {
 
     #[test]
     fn line_allow_covers_same_and_next_line() {
-        let f = file("// fxrz-lint: allow(determinism): timing only\nlet t = Instant::now();\n");
-        assert!(f.allowed("determinism", 2));
-        assert!(!f.allowed("determinism", 3));
-        assert!(!f.allowed("panic_path", 2));
-    }
-
-    #[test]
-    fn file_allow_covers_everything() {
-        let f = file("// fxrz-lint: allow-file(determinism): wrapper crate\nfn a() {}\n");
-        assert!(f.allowed("determinism", 40));
+        let f = file("// fxrz-lint: allow(alloc_bounds): capped by caller\nlet v = vec![0; n];\n");
+        assert!(f.allowed("alloc_bounds", 2));
+        assert!(!f.allowed("alloc_bounds", 3));
+        assert!(!f.allowed("lock_discipline", 2));
     }
 
     #[test]
@@ -253,7 +212,6 @@ mod tests {
         let f = SourceFile::parse(
             PathBuf::from("/x/t.rs"),
             "crates/x/tests/t.rs".into(),
-            "x".into(),
             "fn a() {}",
         );
         assert!(f.in_test_code(1));

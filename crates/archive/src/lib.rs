@@ -40,6 +40,18 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Archive bytes are untrusted input: decoders return typed errors,
+// never panic.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::panic_in_result_fn
+)]
 
 pub mod names;
 

@@ -5,9 +5,12 @@
 //! named after the codec (so a pipeline-level `codec` span nests to
 //! `compress/codec/sz`) and record byte counters, wall-clock histograms
 //! and throughput under `compressor.<name>.<direction>.*`.
-//
-// fxrz-lint: allow-file(determinism): this module exists to measure wall
-// time for telemetry; timings never influence compressed output bytes.
+
+#![expect(
+    clippy::disallowed_types,
+    reason = "this module exists to measure wall time for telemetry; \
+              timings never influence compressed output bytes"
+)]
 
 use crate::CompressError;
 use fxrz_datagen::Field;

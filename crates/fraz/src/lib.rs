@@ -14,7 +14,10 @@
 
 use fxrz_compressors::{CompressError, Compressor, ErrorConfig};
 use fxrz_datagen::Field;
-// fxrz-lint: allow(determinism): Instant is telemetry-only in this crate
+#[expect(
+    clippy::disallowed_types,
+    reason = "Instant is telemetry-only in this crate"
+)]
 use std::time::{Duration, Instant};
 
 /// Telemetry metric and span name inventory (checked by `fxrz lint`).
@@ -102,7 +105,7 @@ impl FrazSearcher {
             )));
         }
         let _search_span = fxrz_telemetry::span!(names::SPAN_SEARCH);
-        // fxrz-lint: allow(determinism): feeds the search_time report only
+        #[expect(clippy::disallowed_types, reason = "feeds the search_time report only")]
         let t0 = Instant::now();
         let space = compressor.config_space();
         let range = field.stats().range;
@@ -111,7 +114,7 @@ impl FrazSearcher {
 
         let mut probe = |t: f64, runs: &mut usize| -> Result<f64, CompressError> {
             let cfg = space.at(t, range);
-            // fxrz-lint: allow(determinism): timing feeds fraz.round_ns only
+            #[expect(clippy::disallowed_types, reason = "timing feeds fraz.round_ns only")]
             let round_start = Instant::now();
             let cr = compressor.ratio(field, &cfg)?;
             fxrz_telemetry::global().observe_duration(names::ROUND_NS, round_start.elapsed());

@@ -38,7 +38,6 @@
 //! parallelism deadlock-free without a work-stealing scheduler: the outer
 //! level already saturates the pool.
 
-#![deny(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]
 
 use std::cell::Cell;
@@ -46,7 +45,10 @@ use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, OnceLock};
-// fxrz-lint: allow(determinism): Instant times worker busy-ns telemetry only
+#[expect(
+    clippy::disallowed_types,
+    reason = "Instant times worker busy-ns telemetry only"
+)]
 use std::time::Instant;
 
 /// A type-erased unit of pool work.
@@ -179,7 +181,7 @@ impl Pool {
                     .spawn(move || {
                         IN_WORKER.with(|f| f.set(true));
                         while let Ok(job) = queue.recv() {
-                            // fxrz-lint: allow(determinism): busy-time metric
+                            #[expect(clippy::disallowed_types, reason = "busy-time metric")]
                             let t0 = Instant::now();
                             job();
                             busy.record_duration(t0.elapsed());
@@ -297,6 +299,7 @@ impl Pool {
             // the job's last action). Workers outlive the pool's sender
             // and run every queued job, so no erased job can run — or be
             // dropped — after this frame returns.
+            #[expect(unsafe_code, reason = "lifetime erasure of a scoped pool job")]
             let job: Job = unsafe { std::mem::transmute(job) };
             assert!(self.injector.send(job).is_ok(), "pool queue closed");
         }

@@ -42,7 +42,6 @@
 //! assert!(report.drained);
 //! ```
 
-#![deny(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]
 
 pub mod audit;

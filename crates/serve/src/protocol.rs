@@ -20,6 +20,20 @@
 //! / data length inside a payload is validated against the actual payload
 //! size — a claimed length never drives an allocation larger than the
 //! bytes that were really received.
+//!
+//! Hostile bytes must come back as typed errors, never panics: the
+//! module denies clippy's panicking constructs outside its tests.
+
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::panic_in_result_fn
+)]
 
 use fxrz_datagen::{dims::MAX_NDIM, Dims, Field};
 use std::io::{self, Read, Write};
@@ -263,12 +277,14 @@ impl ResponseFrame {
 
     /// Parses an `Error` payload into `(code, message)`.
     pub fn error_parts(&self) -> Option<(u16, String)> {
-        if self.status != Status::Error || self.payload.len() < 2 {
+        if self.status != Status::Error {
             return None;
         }
-        let code = u16::from_le_bytes([self.payload[0], self.payload[1]]);
-        let msg = String::from_utf8_lossy(&self.payload[2..]).into_owned();
-        Some((code, msg))
+        let (code, msg) = self.payload.split_first_chunk()?;
+        Some((
+            u16::from_le_bytes(*code),
+            String::from_utf8_lossy(msg).into_owned(),
+        ))
     }
 }
 
@@ -462,7 +478,7 @@ impl<'a> Cursor<'a> {
     }
 
     fn u8(&mut self) -> Result<u8, FrameError> {
-        Ok(self.take(1)?[0])
+        Ok(u8::from_le_bytes(le_array(self.take(1)?)?))
     }
 
     fn u16(&mut self) -> Result<u16, FrameError> {
@@ -1126,6 +1142,14 @@ mod tests {
         assert_eq!(code, code::NO_SUCH_MODEL);
         assert_eq!(msg, "no model `x`");
         assert!(ResponseFrame::busy(1, 1).error_parts().is_none());
+        // An Error frame too short to hold the u16 code has no parts.
+        for payload in [vec![], vec![0x01]] {
+            let short = ResponseFrame {
+                payload,
+                ..ResponseFrame::error(Op::Ping as u8, 1, 0, "")
+            };
+            assert!(short.error_parts().is_none());
+        }
     }
 
     #[test]

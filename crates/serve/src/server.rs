@@ -61,6 +61,7 @@ pub mod signal {
         const SIGTERM: i32 = 15;
         // SAFETY: `signal` is the libc function of that name; the handler
         // only performs an atomic store, which is async-signal-safe.
+        #[expect(unsafe_code, reason = "libc signal FFI without a crate dependency")]
         unsafe {
             let _ = signal(SIGINT, handle);
             let _ = signal(SIGTERM, handle);

@@ -27,8 +27,20 @@
 //! frames decode independently and in any order; a reader seeks by
 //! summing `payload_len`s without touching payload bytes. Like the slab
 //! container, the checksum is verified **before** any payload byte is
-//! interpreted. All parsing here is panic-free (`fxrz lint` panic_path
-//! scope): malformed input yields typed [`StreamError`]s, never a panic.
+//! interpreted. All parsing here is panic-free (clippy's panic lints
+//! are denied below): malformed input yields typed [`StreamError`]s,
+//! never a panic.
+
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::panic_in_result_fn
+)]
 
 use fxrz_compressors::header::{read_varint, write_varint};
 use fxrz_compressors::{detect, slab, Codec, CompressError, CODECS};

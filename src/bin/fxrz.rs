@@ -35,7 +35,7 @@ fn usage(msg: &str) -> ExitCode {
         eprintln!("error: {msg}\n");
     }
     eprintln!(
-        "usage:\n  fxrz gen --app <nyx|hurricane|rtm|qmcpack> --dims ZxYxX [--seed N] [--timestep N] --out FILE\n  fxrz train --compressor <sz|zfp|mgard|fpzip|szi|sz2|sz-fse> --dims ZxYxX --model FILE <f32-files…>\n  fxrz compress --model FILE --ratio R --dims ZxYxX --input FILE --output FILE\n  fxrz decompress --input FILE --output FILE\n  fxrz search --compressor NAME --ratio R --dims ZxYxX --input FILE [--iters N]\n  fxrz info --input FILE\n  fxrz pack --model FILE --ratio R --dims ZxYxX --output ARCHIVE <f32-files…>\n  fxrz ls --input ARCHIVE\n  fxrz unpack --input ARCHIVE --field NAME --output FILE\n  fxrz stats --input ARCHIVE\n  fxrz stream compress --ratio R [--frame N] [--window N] [--tolerance F]\n              [--models a.json,b.json] [--input FILE|-] --output FILE\n  fxrz stream decompress --input FILE --output FILE\n  fxrz stream inspect --input FILE\n  fxrz lint [--root DIR] [--baseline FILE] [--format human|json] [--list]\n            [--update-baseline]\n  fxrz serve [--listen HOST:PORT] [--socket PATH] [--queue N] [--deadline-ms N]\n             [--drain-ms N] [--max-frame BYTES] [--audit-log FILE]\n             [--trace-seed N] [--cr-tolerance F] [id=]model.json …\n  fxrz top (--connect HOST:PORT | --socket PATH) [--interval-ms N] [--once]\n  fxrz client (--connect HOST:PORT | --socket PATH) [--deadline-ms N] <action>\n      actions: ping | stats\n               features   --dims ZxYxX --input FILE\n               predict    --model REF --ratio R --dims ZxYxX --input FILE\n               compress   --model REF --ratio R --dims ZxYxX --input FILE --output FILE\n               decompress --input FILE --output FILE\n               decompress-range --input FILE --start N --end N --output FILE\n               stream     --ratio R [--frame N] [--window N] [--models id1,id2]\n                          [--input FILE|-] --output FILE\n               load-model --id NAME [--version N] --model FILE\nglobal flags:\n  --metrics <text|json>   dump the telemetry snapshot on exit\n  --metrics-out FILE      write the snapshot to FILE instead of stderr\n  --threads N             worker-pool size for parallel kernels\n                          (default: FXRZ_THREADS env, then all cores)"
+        "usage:\n  fxrz gen --app <nyx|hurricane|rtm|qmcpack> --dims ZxYxX [--seed N] [--timestep N] --out FILE\n  fxrz train --compressor <sz|zfp|mgard|fpzip|szi|sz2|sz-fse> --dims ZxYxX --model FILE <f32-files…>\n  fxrz compress --model FILE --ratio R --dims ZxYxX --input FILE --output FILE\n  fxrz decompress --input FILE --output FILE\n  fxrz search --compressor NAME --ratio R --dims ZxYxX --input FILE [--iters N]\n  fxrz info --input FILE\n  fxrz pack --model FILE --ratio R --dims ZxYxX --output ARCHIVE <f32-files…>\n  fxrz ls --input ARCHIVE\n  fxrz unpack --input ARCHIVE --field NAME --output FILE\n  fxrz stats --input ARCHIVE\n  fxrz stream compress --ratio R [--frame N] [--window N] [--tolerance F]\n              [--models a.json,b.json] [--input FILE|-] --output FILE\n  fxrz stream decompress --input FILE --output FILE\n  fxrz stream inspect --input FILE\n  fxrz lint [--root DIR] [--format human|json] [--list]\n  fxrz serve [--listen HOST:PORT] [--socket PATH] [--queue N] [--deadline-ms N]\n             [--drain-ms N] [--max-frame BYTES] [--audit-log FILE]\n             [--trace-seed N] [--cr-tolerance F] [id=]model.json …\n  fxrz top (--connect HOST:PORT | --socket PATH) [--interval-ms N] [--once]\n  fxrz client (--connect HOST:PORT | --socket PATH) [--deadline-ms N] <action>\n      actions: ping | stats\n               features   --dims ZxYxX --input FILE\n               predict    --model REF --ratio R --dims ZxYxX --input FILE\n               compress   --model REF --ratio R --dims ZxYxX --input FILE --output FILE\n               decompress --input FILE --output FILE\n               decompress-range --input FILE --start N --end N --output FILE\n               stream     --ratio R [--frame N] [--window N] [--models id1,id2]\n                          [--input FILE|-] --output FILE\n               load-model --id NAME [--version N] --model FILE\nglobal flags:\n  --metrics <text|json>   dump the telemetry snapshot on exit\n  --metrics-out FILE      write the snapshot to FILE instead of stderr\n  --threads N             worker-pool size for parallel kernels\n                          (default: FXRZ_THREADS env, then all cores)"
     );
     ExitCode::FAILURE
 }
