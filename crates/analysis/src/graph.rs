@@ -4,13 +4,9 @@
 //! One linear walk over each file's token stream records the symbols
 //! cross-file lints need without re-deriving them per lint:
 //!
-//! * **functions** — name, owning `impl` type, parameter names with an
-//!   integer-typed flag (wire lengths travel as `usize`/`u32`/…), the
-//!   token ranges of the parameter list and body;
-//! * **consts/statics** — name, enclosing `mod`, and the parsed value
-//!   when the initializer is a single integer literal (op codes, error
-//!   codes, frame/codec/slab tags);
-//! * **enums** — variants with explicit discriminants (`Op`, `Status`);
+//! * **functions** — name, parameter names with an integer-typed flag
+//!   (wire lengths travel as `usize`/`u32`/…), the token ranges of the
+//!   parameter list and body;
 //! * **call edges** — every `callee(…)` / `.callee(…)` site inside a
 //!   function body with per-argument token ranges, so taint can flow one
 //!   level through calls and lock lints can see what runs under a guard.
@@ -43,10 +39,6 @@ pub struct FnDef {
     pub file: usize,
     /// Function name.
     pub name: String,
-    /// Self type of the enclosing `impl` block, when any (`Reply` for
-    /// `impl Reply { fn decode … }`; the *trait implementor* for
-    /// `impl Trait for Type`).
-    pub owner: Option<String>,
     /// Line of the `fn` keyword.
     pub line: u32,
     /// True when the parameter list starts with a `self` receiver.
@@ -57,47 +49,6 @@ pub struct FnDef {
     pub params_range: Range<usize>,
     /// Token range between the body braces (exclusive).
     pub body: Range<usize>,
-}
-
-/// One `const` / `static` item.
-#[derive(Clone, Debug)]
-pub struct ConstDef {
-    /// Index into `Workspace::files`.
-    pub file: usize,
-    /// Item name.
-    pub name: String,
-    /// Line of the declaration.
-    pub line: u32,
-    /// Innermost enclosing `mod` name, if the item is inside an inline
-    /// module (`code` for `pub mod code { const BAD_FRAME … }`).
-    pub module: Option<String>,
-    /// Parsed value when the initializer is one integer literal
-    /// (decimal, hex, or underscore-separated); `None` otherwise.
-    pub value: Option<u64>,
-}
-
-/// One enum variant.
-#[derive(Clone, Debug)]
-pub struct EnumVariant {
-    /// Variant name.
-    pub name: String,
-    /// Line of the variant.
-    pub line: u32,
-    /// Explicit discriminant (`Ping = 0x01`), when present and literal.
-    pub value: Option<u64>,
-}
-
-/// One `enum` definition.
-#[derive(Clone, Debug)]
-pub struct EnumDef {
-    /// Index into `Workspace::files`.
-    pub file: usize,
-    /// Enum name.
-    pub name: String,
-    /// Line of the `enum` keyword.
-    pub line: u32,
-    /// Variants in declaration order.
-    pub variants: Vec<EnumVariant>,
 }
 
 /// One call site inside a function body.
@@ -125,10 +76,6 @@ pub struct CallSite {
 pub struct SymbolGraph {
     /// Function definitions across all files.
     pub fns: Vec<FnDef>,
-    /// Const/static definitions across all files.
-    pub consts: Vec<ConstDef>,
-    /// Enum definitions across all files.
-    pub enums: Vec<EnumDef>,
     /// Call sites, grouped implicitly by `caller`.
     pub calls: Vec<CallSite>,
 }
@@ -141,23 +88,6 @@ impl SymbolGraph {
             index_file(idx, f, &mut g);
         }
         g
-    }
-
-    /// Functions defined in the file at `file` index.
-    pub fn fns_in(&self, file: usize) -> impl Iterator<Item = &FnDef> {
-        self.fns.iter().filter(move |f| f.file == file)
-    }
-
-    /// Looks a function up by file index, owner and name.
-    pub fn find_fn(&self, file: usize, owner: Option<&str>, name: &str) -> Option<&FnDef> {
-        self.fns
-            .iter()
-            .find(|f| f.file == file && f.owner.as_deref() == owner && f.name == name)
-    }
-
-    /// Enum defined in `file` with the given name.
-    pub fn find_enum(&self, file: usize, name: &str) -> Option<&EnumDef> {
-        self.enums.iter().find(|e| e.file == file && e.name == name)
     }
 
     /// Resolves a call to its unique definition by name + arity (+
@@ -189,54 +119,6 @@ const NON_CALLEES: &[&str] = &[
 
 fn index_file(file: usize, f: &SourceFile, g: &mut SymbolGraph) {
     let t = &f.tokens;
-    // impl-block spans: (body range, self-type name).
-    let mut impls: Vec<(Range<usize>, String)> = Vec::new();
-    // inline-module spans: (body range, mod name).
-    let mut mods: Vec<(Range<usize>, String)> = Vec::new();
-    let mut i = 0usize;
-    while i < t.len() {
-        if t[i].is_ident("impl") {
-            if let Some((range, name)) = impl_block(t, i) {
-                impls.push((range, name));
-            }
-        } else if t[i].is_ident("mod")
-            && t.get(i + 1)
-                .map(|x| x.kind == TokKind::Ident)
-                .unwrap_or(false)
-            && t.get(i + 2).map(|x| x.is_punct('{')).unwrap_or(false)
-        {
-            let close = matching(t, i + 2);
-            mods.push((i + 3..close, t[i + 1].text.clone()));
-        } else if t[i].is_ident("enum")
-            && t.get(i + 1)
-                .map(|x| x.kind == TokKind::Ident)
-                .unwrap_or(false)
-        {
-            if let Some(e) = enum_def(file, t, i) {
-                g.enums.push(e);
-            }
-        } else if (t[i].is_ident("const") || t[i].is_ident("static"))
-            && t.get(i + 1)
-                .map(|x| x.kind == TokKind::Ident && !x.is_ident("fn"))
-                .unwrap_or(false)
-            && t.get(i + 2).map(|x| x.is_punct(':')).unwrap_or(false)
-        {
-            let module = mods
-                .iter()
-                .rfind(|(r, _)| r.contains(&i))
-                .map(|(_, m)| m.clone());
-            g.consts.push(ConstDef {
-                file,
-                name: t[i + 1].text.clone(),
-                line: t[i].line,
-                module,
-                value: const_value(t, i + 2),
-            });
-        }
-        i += 1;
-    }
-
-    // Function definitions + call sites within their bodies.
     let mut i = 0usize;
     while i < t.len() {
         if !(t[i].is_ident("fn")
@@ -267,16 +149,11 @@ fn index_file(file: usize, f: &SourceFile, g: &mut SymbolGraph) {
             continue;
         }
         let bclose = matching(t, k);
-        let owner = impls
-            .iter()
-            .rfind(|(r, _)| r.contains(&i))
-            .map(|(_, n)| n.clone());
         let (has_self, params) = parse_params(&t[j + 1..pclose]);
         let fn_idx = g.fns.len();
         g.fns.push(FnDef {
             file,
             name: t[i + 1].text.clone(),
-            owner,
             line: t[i].line,
             has_self,
             params,
@@ -286,172 +163,6 @@ fn index_file(file: usize, f: &SourceFile, g: &mut SymbolGraph) {
         collect_calls(file, fn_idx, t, k + 1..bclose, &mut g.calls);
         i = bclose.max(k) + 1;
     }
-}
-
-/// Parses `impl [<…>] Type [for Type2] { … }`; returns the body token
-/// range and the self-type name (`Type2` when `for` is present).
-fn impl_block(t: &[Token], at: usize) -> Option<(Range<usize>, String)> {
-    let mut j = at + 1;
-    let mut angle = 0i32;
-    let mut name: Option<String> = None;
-    let mut after_for = false;
-    while j < t.len() {
-        let tok = &t[j];
-        if tok.is_punct('{') && angle == 0 {
-            let close = matching(t, j);
-            return name.map(|n| (j + 1..close, n));
-        }
-        if tok.is_punct(';') && angle == 0 {
-            return None;
-        }
-        if tok.is_punct('<') {
-            angle += 1;
-        } else if tok.is_punct('>') {
-            angle -= 1;
-        } else if angle == 0 {
-            if tok.is_ident("for") {
-                after_for = true;
-                name = None;
-            } else if tok.kind == TokKind::Ident && (name.is_none() || after_for && name.is_none())
-            {
-                name = Some(tok.text.clone());
-            }
-        }
-        j += 1;
-    }
-    None
-}
-
-/// Parses an enum definition starting at the `enum` keyword.
-fn enum_def(file: usize, t: &[Token], at: usize) -> Option<EnumDef> {
-    let name = t.get(at + 1)?.text.clone();
-    let line = t[at].line;
-    // First `{` after the name (skipping generics) opens the body.
-    let mut j = at + 2;
-    let mut angle = 0i32;
-    while j < t.len() {
-        if t[j].is_punct('<') {
-            angle += 1;
-        } else if t[j].is_punct('>') {
-            angle -= 1;
-        } else if t[j].is_punct('{') && angle == 0 {
-            break;
-        } else if t[j].is_punct(';') && angle == 0 {
-            return None;
-        }
-        j += 1;
-    }
-    if j >= t.len() {
-        return None;
-    }
-    let close = matching(t, j);
-    let mut variants = Vec::new();
-    let mut m = j + 1;
-    while m < close {
-        // Skip attributes on the variant.
-        while m < close && t[m].is_punct('#') {
-            if t.get(m + 1).map(|x| x.is_punct('[')).unwrap_or(false) {
-                m = matching(t, m + 1) + 1;
-            } else {
-                m += 1;
-            }
-        }
-        if m >= close {
-            break;
-        }
-        if t[m].kind != TokKind::Ident {
-            m += 1;
-            continue;
-        }
-        let vname = t[m].text.clone();
-        let vline = t[m].line;
-        // Scan to the variant-separating comma at depth 0, noting a
-        // `= <literal>` discriminant on the way.
-        let mut depth = 0i32;
-        let mut value = None;
-        let mut n = m + 1;
-        while n < close {
-            let tok = &t[n];
-            if tok.is_punct('(') || tok.is_punct('[') || tok.is_punct('{') {
-                depth += 1;
-            } else if tok.is_punct(')') || tok.is_punct(']') || tok.is_punct('}') {
-                depth -= 1;
-            } else if tok.is_punct(',') && depth == 0 {
-                break;
-            } else if tok.is_punct('=') && depth == 0 {
-                value = t
-                    .get(n + 1)
-                    .filter(|x| x.kind == TokKind::Num)
-                    .and_then(|x| parse_int(&x.text));
-            }
-            n += 1;
-        }
-        variants.push(EnumVariant {
-            name: vname,
-            line: vline,
-            value,
-        });
-        m = n + 1;
-    }
-    Some(EnumDef {
-        file,
-        name,
-        line,
-        variants,
-    })
-}
-
-/// Parses the value of `const N: T = <literal>;` starting at the `:`
-/// token. Only a single-integer-literal initializer yields a value.
-fn const_value(t: &[Token], colon: usize) -> Option<u64> {
-    let mut j = colon;
-    let mut depth = 0i32;
-    while j < t.len() {
-        let tok = &t[j];
-        if tok.is_punct('(') || tok.is_punct('[') || tok.is_punct('{') || tok.is_punct('<') {
-            depth += 1;
-        } else if tok.is_punct(')') || tok.is_punct(']') || tok.is_punct('}') || tok.is_punct('>') {
-            depth -= 1;
-        } else if tok.is_punct('=') && depth == 0 {
-            let val = t.get(j + 1).filter(|x| x.kind == TokKind::Num)?;
-            let terminated = t.get(j + 2).map(|x| x.is_punct(';')).unwrap_or(false);
-            return if terminated {
-                parse_int(&val.text)
-            } else {
-                None
-            };
-        } else if tok.is_punct(';') && depth == 0 {
-            return None;
-        }
-        j += 1;
-    }
-    None
-}
-
-/// Parses an integer literal: decimal or `0x` hex, tolerating `_`
-/// separators and a trailing type suffix (`0x0Au8`, `4096usize`).
-pub fn parse_int(text: &str) -> Option<u64> {
-    let s: String = text.chars().filter(|&c| c != '_').collect();
-    let (digits, radix) = match s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
-        Some(rest) => (rest, 16u32),
-        None => (s.as_str(), 10u32),
-    };
-    let end = digits
-        .find(|c: char| !c.is_digit(radix))
-        .unwrap_or(digits.len());
-    if end == 0 {
-        return None;
-    }
-    // Anything after the digits must be a known integer suffix, not
-    // e.g. the exponent of a float literal.
-    let suffix = &digits[end..];
-    const SUFFIXES: &[&str] = &[
-        "", "u8", "u16", "u32", "u64", "usize", "i8", "i16", "i32", "i64", "isize",
-    ];
-    if !SUFFIXES.contains(&suffix) {
-        return None;
-    }
-    u64::from_str_radix(&digits[..end], radix).ok()
 }
 
 /// Integer parameter types (the shapes wire lengths travel in).
@@ -559,7 +270,7 @@ mod tests {
     use crate::testutil::workspace;
 
     #[test]
-    fn indexes_fns_with_owner_params_and_calls() {
+    fn indexes_fns_with_params_and_calls() {
         let ws = workspace(
             "crates/serve/src/protocol.rs",
             "impl Reply {\n    pub fn decode(op: Op, n: usize) -> u8 {\n        helper(n, 2)\n    }\n}\nfn helper(len: usize, k: u32) -> u8 { 0 }\n",
@@ -568,7 +279,6 @@ mod tests {
         assert_eq!(g.fns.len(), 2);
         let dec = &g.fns[0];
         assert_eq!(dec.name, "decode");
-        assert_eq!(dec.owner.as_deref(), Some("Reply"));
         assert!(!dec.has_self);
         assert_eq!(dec.params.len(), 2);
         assert!(!dec.params[0].is_int);
@@ -580,45 +290,14 @@ mod tests {
     }
 
     #[test]
-    fn trait_impls_attribute_to_the_implementor() {
+    fn self_receiver_is_a_flag_not_a_param() {
         let ws = workspace(
             "crates/serve/src/lib.rs",
             "impl Lint for PanicPath {\n    fn name(&self) -> &'static str { \"x\" }\n}\n",
         );
         let g = SymbolGraph::build(&ws);
-        assert_eq!(g.fns[0].owner.as_deref(), Some("PanicPath"));
         assert!(g.fns[0].has_self);
         assert!(g.fns[0].params.is_empty());
-    }
-
-    #[test]
-    fn consts_capture_module_and_integer_values() {
-        let ws = workspace(
-            "crates/serve/src/protocol.rs",
-            "pub const MAX: usize = 4096;\npub mod code {\n    pub const BAD_FRAME: u16 = 1;\n    pub const NO_SUCH_STREAM: u16 = 9;\n}\nconst MAGIC: [u8; 4] = *b\"FXRS\";\nconst TAG: u8 = 0xAE;\n",
-        );
-        let g = SymbolGraph::build(&ws);
-        let by_name = |n: &str| g.consts.iter().find(|c| c.name == n).unwrap();
-        assert_eq!(by_name("MAX").value, Some(4096));
-        assert_eq!(by_name("MAX").module, None);
-        assert_eq!(by_name("BAD_FRAME").module.as_deref(), Some("code"));
-        assert_eq!(by_name("NO_SUCH_STREAM").value, Some(9));
-        assert_eq!(by_name("MAGIC").value, None);
-        assert_eq!(by_name("TAG").value, Some(0xAE));
-    }
-
-    #[test]
-    fn enums_capture_explicit_discriminants() {
-        let ws = workspace(
-            "crates/serve/src/protocol.rs",
-            "#[repr(u8)]\npub enum Op {\n    /// Probe.\n    Ping = 0x01,\n    Features = 0x02,\n    Mixed { x: u8 },\n}\n",
-        );
-        let g = SymbolGraph::build(&ws);
-        let op = g.find_enum(0, "Op").unwrap();
-        assert_eq!(op.variants.len(), 3);
-        assert_eq!(op.variants[0].value, Some(1));
-        assert_eq!(op.variants[1].value, Some(2));
-        assert_eq!(op.variants[2].value, None);
     }
 
     #[test]
@@ -630,15 +309,5 @@ mod tests {
         let g = SymbolGraph::build(&ws);
         let call = g.calls.iter().find(|c| c.callee == "twin").unwrap();
         assert_eq!(g.resolve(call), None);
-    }
-
-    #[test]
-    fn parse_int_handles_hex_suffix_and_separators() {
-        assert_eq!(parse_int("0x0B"), Some(11));
-        assert_eq!(parse_int("0xAEu8"), Some(0xAE));
-        assert_eq!(parse_int("1_000"), Some(1000));
-        assert_eq!(parse_int("4096usize"), Some(4096));
-        assert_eq!(parse_int("1e3"), None);
-        assert_eq!(parse_int("x"), None);
     }
 }

@@ -10,19 +10,19 @@
 //! * **telemetry_names** — every metric and span name comes from its
 //!   crate's `names` module;
 //! * **lock_discipline** — no blocking work or second lock under a held
-//!   guard, and no lock-order cycles;
-//! * **wire_protocol** — the protocol's op/error constants stay
-//!   single-sourced and handled on both ends of the socket.
+//!   guard, and no lock-order cycles.
 //!
 //! Determinism (`disallowed-types` in the output-affecting crates'
 //! `clippy.toml`), panic-free decoding (clippy's panic lints denied in
-//! the untrusted-input modules) and the `unsafe` audit (workspace
-//! `[lints]`) are enforced by rustc and clippy instead.
+//! the untrusted-input modules), the `unsafe` audit (workspace
+//! `[lints]`) and the serve protocol's op table (one `macro_rules!`
+//! row per op, `#[repr]` enums, clippy's wildcard-arm lints) are
+//! enforced by rustc and clippy instead.
 //!
 //! Architecture: [`lexer`] tokenizes (comment- and string-aware),
 //! [`source`] adds per-file context (suppressions, test spans), an
 //! **index pass** ([`graph`]) builds the workspace symbol graph
-//! (functions, consts, enums, call edges) in one walk, each lint in
+//! (functions and call edges) in one walk, each lint in
 //! [`lints`] checks the token stream and/or the graph, and [`report`]
 //! renders human or JSON output. Suppression is by comment —
 //! `// fxrz-lint: allow(<lint>): <justification>` on or directly above
@@ -49,7 +49,7 @@ use std::path::{Path, PathBuf};
 /// One lint violation.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Finding {
-    /// Lint name (`alloc_bounds`, `wire_protocol`, …).
+    /// Lint name (`alloc_bounds`, `lock_discipline`, …).
     pub lint: &'static str,
     /// Workspace-relative file path.
     pub file: String,
@@ -77,7 +77,6 @@ pub fn all_lints() -> Vec<Box<dyn Lint>> {
         Box::new(lints::alloc_bounds::AllocBounds),
         Box::new(lints::telemetry_names::TelemetryNames),
         Box::new(lints::lock_discipline::LockDiscipline),
-        Box::new(lints::wire_protocol::WireProtocol),
     ]
 }
 

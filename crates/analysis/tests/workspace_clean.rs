@@ -39,7 +39,7 @@ fn workspace_lints_include_the_graph_pass() {
     // registered lint (including the workspace-graph ones) report a
     // timing entry, and the whole run stays fast enough to gate CI.
     let res = analyze(repo_root()).expect("workspace scan");
-    for pass in ["index", "lock_discipline", "wire_protocol", "alloc_bounds"] {
+    for pass in ["index", "lock_discipline", "alloc_bounds"] {
         assert!(
             res.timings_ms.iter().any(|(name, _)| name == pass),
             "missing timing entry for `{pass}`: {:?}",

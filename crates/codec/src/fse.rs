@@ -18,7 +18,7 @@
 //! **Bit direction.** ANS is last-in-first-out: the decoder must consume
 //! per-symbol bit fields in the reverse of encode order. The encoder
 //! therefore walks the input back-to-front writing bits *forward* (via a
-//! hot-loop [`BitSink`] emitting the same LSB-first layout as
+//! hot-loop `BitSink` emitting the same LSB-first layout as
 //! [`crate::bitstream::BitWriter`]), flushes both final states, and
 //! terminates with a single `1` marker bit. The decoder locates the
 //! marker (the highest set bit of the last non-zero byte — the tail is

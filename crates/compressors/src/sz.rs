@@ -1,13 +1,13 @@
 //! The SZ-family pipeline, shared by the `sz`, `sz-fse`, `sz2` and `szi`
 //! rows (SZ3's split of one predictor over one back end).
 //!
-//! 1. **Prediction walk** — the only piece a row supplies (a [`Walk`]):
+//! 1. **Prediction walk** — the only piece a row supplies (a `Walk`):
 //!    every value is predicted from already-reconstructed values, in a
 //!    fixed order. `sz`/`sz-fse` use the **Lorenzo** corner stencil (the
 //!    inclusion–exclusion stencil of Eq. 1–2 of the paper, generalized
 //!    here to 1-D..4-D); [`crate::sz2`] and [`crate::szinterp`] bring
 //!    their own walks.
-//! 2. **Linear-scaling quantization** ([`Quantizer`]) — the prediction
+//! 2. **Linear-scaling quantization** (`Quantizer`) — the prediction
 //!    residual is mapped to an integer code with bin width `2·eb`; codes
 //!    outside the `2^16`-bin capacity (or values whose `f32`
 //!    reconstruction would violate the bound) are flagged

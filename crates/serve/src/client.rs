@@ -19,7 +19,7 @@ pub enum ClientError {
     Busy,
     /// The server replied with an application error.
     Server {
-        /// Wire error code (see [`protocol::code`]).
+        /// Wire error code (see [`protocol::ErrorCode`]).
         code: u16,
         /// Human-readable message.
         message: String,
@@ -278,7 +278,7 @@ impl Client {
     /// frame record bytes)`.
     ///
     /// # Errors
-    /// Propagates call failures (`NO_SUCH_STREAM` when the id is stale).
+    /// Propagates call failures (`NoSuchStream` when the id is stale).
     pub fn stream_frame(
         &mut self,
         stream_id: u32,
@@ -296,7 +296,7 @@ impl Client {
     /// Closes a session; returns `(summary json, trailer bytes)`.
     ///
     /// # Errors
-    /// Propagates call failures (`NO_SUCH_STREAM` when the id is stale).
+    /// Propagates call failures (`NoSuchStream` when the id is stale).
     pub fn stream_close(&mut self, stream_id: u32) -> Result<(String, Vec<u8>), ClientError> {
         match self.call(&Request::StreamClose { stream_id })? {
             Reply::Stream { info, bytes } => Ok((info, bytes)),

@@ -22,7 +22,10 @@
 //! bytes that were really received.
 //!
 //! Hostile bytes must come back as typed errors, never panics: the
-//! module denies clippy's panicking constructs outside its tests.
+//! module denies clippy's panicking constructs outside its tests. It
+//! also denies wildcard arms over enums outside its tests, so
+//! `Request::decode` and `Reply::decode` must name every [`Op`] and no
+//! `_ =>` arm can absorb a new op.
 
 #![deny(
     clippy::unwrap_used,
@@ -33,6 +36,14 @@
     clippy::unimplemented,
     clippy::indexing_slicing,
     clippy::panic_in_result_fn
+)]
+// Clippy reports a `_` arm that covers one variant under the second name.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )
 )]
 
 use fxrz_datagen::{dims::MAX_NDIM, Dims, Field};
@@ -53,69 +64,64 @@ pub const REQUEST_HEADER_LEN: usize = 22;
 /// Size of the fixed response header.
 pub const RESPONSE_HEADER_LEN: usize = 19;
 
-/// Operation selector carried in every request frame.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[repr(u8)]
-pub enum Op {
-    /// Liveness probe; empty payload both ways.
-    Ping = 0x01,
-    /// Extract the FXRZ feature vector from a field.
-    Features = 0x02,
-    /// Run the compression-free analysis (features + CA + model) only.
-    Predict = 0x03,
-    /// Full fixed-ratio compression through a registered model.
-    Compress = 0x04,
-    /// Decompress a self-describing compressor stream.
-    Decompress = 0x05,
-    /// Load (or hot-reload) a trained model into the registry.
-    LoadModel = 0x06,
-    /// Server statistics: models, queue state, telemetry snapshot.
-    Stats = 0x07,
-    /// Decompress an element range of a stream without decoding the rest.
-    DecompressRange = 0x08,
-    /// Open a per-connection `FXRZS1` stream session.
-    StreamOpen = 0x09,
-    /// Encode one frame into an open stream session.
-    StreamFrame = 0x0A,
-    /// Close a stream session and collect its trailer.
-    StreamClose = 0x0B,
+/// Declares every op once: its variant, wire byte and metric name. The
+/// one table row generates the enum discriminant, the [`Op::from_u8`]
+/// arm, the [`Op::name`] arm and the [`Op::ALL`] entry, so they cannot
+/// disagree; two rows with one byte fail to compile (E0081).
+macro_rules! ops {
+    ($($(#[doc = $doc:literal])* $variant:ident = $byte:literal, $name:literal;)*) => {
+        /// Operation selector carried in every request frame.
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        #[repr(u8)]
+        pub enum Op {
+            $($(#[doc = $doc])* $variant = $byte,)*
+        }
+
+        impl Op {
+            /// Every op, in table order.
+            pub const ALL: [Op; [$(Op::$variant),*].len()] = [$(Op::$variant),*];
+
+            /// Decodes the wire byte.
+            pub fn from_u8(b: u8) -> Option<Self> {
+                match b {
+                    $($byte => Some(Op::$variant),)*
+                    _ => None,
+                }
+            }
+
+            /// Lowercase identifier used in telemetry metric names.
+            pub fn name(&self) -> &'static str {
+                match self {
+                    $(Op::$variant => $name,)*
+                }
+            }
+        }
+    };
 }
 
-impl Op {
-    /// Decodes the wire byte.
-    pub fn from_u8(b: u8) -> Option<Self> {
-        Some(match b {
-            0x01 => Op::Ping,
-            0x02 => Op::Features,
-            0x03 => Op::Predict,
-            0x04 => Op::Compress,
-            0x05 => Op::Decompress,
-            0x06 => Op::LoadModel,
-            0x07 => Op::Stats,
-            0x08 => Op::DecompressRange,
-            0x09 => Op::StreamOpen,
-            0x0A => Op::StreamFrame,
-            0x0B => Op::StreamClose,
-            _ => return None,
-        })
-    }
-
-    /// Lowercase identifier used in telemetry metric names.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Op::Ping => "ping",
-            Op::Features => "features",
-            Op::Predict => "predict",
-            Op::Compress => "compress",
-            Op::Decompress => "decompress",
-            Op::LoadModel => "load_model",
-            Op::Stats => "stats",
-            Op::DecompressRange => "decompress_range",
-            Op::StreamOpen => "stream_open",
-            Op::StreamFrame => "stream_frame",
-            Op::StreamClose => "stream_close",
-        }
-    }
+ops! {
+    /// Liveness probe; empty payload both ways.
+    Ping = 0x01, "ping";
+    /// Extract the FXRZ feature vector from a field.
+    Features = 0x02, "features";
+    /// Run the compression-free analysis (features + CA + model) only.
+    Predict = 0x03, "predict";
+    /// Full fixed-ratio compression through a registered model.
+    Compress = 0x04, "compress";
+    /// Decompress a self-describing compressor stream.
+    Decompress = 0x05, "decompress";
+    /// Load (or hot-reload) a trained model into the registry.
+    LoadModel = 0x06, "load_model";
+    /// Server statistics: models, queue state, telemetry snapshot.
+    Stats = 0x07, "stats";
+    /// Decompress an element range of a stream without decoding the rest.
+    DecompressRange = 0x08, "decompress_range";
+    /// Open a per-connection `FXRZS1` stream session.
+    StreamOpen = 0x09, "stream_open";
+    /// Encode one frame into an open stream session.
+    StreamFrame = 0x0A, "stream_frame";
+    /// Close a stream session and collect its trailer.
+    StreamClose = 0x0B, "stream_close";
 }
 
 /// Response disposition.
@@ -142,27 +148,29 @@ impl Status {
     }
 }
 
-/// Error codes carried in `Status::Error` responses.
-pub mod code {
+/// Error codes carried in `Status::Error` responses, as a `u16`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[repr(u16)]
+pub enum ErrorCode {
     /// Frame-level violation (bad magic / version / oversized).
-    pub const BAD_FRAME: u16 = 1;
+    BadFrame = 1,
     /// Payload did not decode for the op.
-    pub const BAD_REQUEST: u16 = 2;
+    BadRequest = 2,
     /// `model_ref` matched nothing in the registry.
-    pub const NO_SUCH_MODEL: u16 = 3;
+    NoSuchModel = 3,
     /// A `LoadModel` payload was rejected (parse / version / bind).
-    pub const MODEL_REJECTED: u16 = 4;
+    ModelRejected = 4,
     /// The compression engine failed.
-    pub const ENGINE: u16 = 5;
+    Engine = 5,
     /// The request sat in the queue past its deadline.
-    pub const DEADLINE_EXCEEDED: u16 = 6;
+    DeadlineExceeded = 6,
     /// The server is draining and accepts no new work.
-    pub const SHUTTING_DOWN: u16 = 7;
+    ShuttingDown = 7,
     /// The request executor panicked or vanished.
-    pub const INTERNAL: u16 = 8;
+    Internal = 8,
     /// A stream op referenced a stream id this connection never opened
     /// (or already closed).
-    pub const NO_SUCH_STREAM: u16 = 9;
+    NoSuchStream = 9,
 }
 
 /// Frame-layer failures (transport or framing, not application errors).
@@ -261,11 +269,11 @@ impl ResponseFrame {
     }
 
     /// An `Error` response with a code and message.
-    pub fn error(op: u8, req_id: u64, code: u16, message: &str) -> Self {
+    pub fn error(op: u8, req_id: u64, code: ErrorCode, message: &str) -> Self {
         let bytes = message.as_bytes();
         let msg = bytes.get(..MAX_STRING).unwrap_or(bytes);
         let mut payload = Vec::with_capacity(2 + msg.len());
-        payload.extend_from_slice(&code.to_le_bytes());
+        payload.extend_from_slice(&(code as u16).to_le_bytes());
         payload.extend_from_slice(msg);
         Self {
             status: Status::Error,
@@ -275,7 +283,8 @@ impl ResponseFrame {
         }
     }
 
-    /// Parses an `Error` payload into `(code, message)`.
+    /// Parses an `Error` payload into `(code, message)`. The code stays a
+    /// `u16`: a newer peer may send one this build does not know.
     pub fn error_parts(&self) -> Option<(u16, String)> {
         if self.status != Status::Error {
             return None;
@@ -1135,18 +1144,30 @@ mod tests {
     }
 
     #[test]
+    fn status_bytes_round_trip() {
+        for status in [Status::Ok, Status::Busy, Status::Error] {
+            assert_eq!(Status::from_u8(status as u8), Some(status));
+        }
+        assert_eq!(Status::from_u8(3), None);
+    }
+
+    #[test]
     fn error_response_carries_code_and_message() {
-        let frame =
-            ResponseFrame::error(Op::Compress as u8, 7, code::NO_SUCH_MODEL, "no model `x`");
+        let frame = ResponseFrame::error(
+            Op::Compress as u8,
+            7,
+            ErrorCode::NoSuchModel,
+            "no model `x`",
+        );
         let (code, msg) = frame.error_parts().expect("parts");
-        assert_eq!(code, code::NO_SUCH_MODEL);
+        assert_eq!(code, ErrorCode::NoSuchModel as u16);
         assert_eq!(msg, "no model `x`");
         assert!(ResponseFrame::busy(1, 1).error_parts().is_none());
         // An Error frame too short to hold the u16 code has no parts.
         for payload in [vec![], vec![0x01]] {
             let short = ResponseFrame {
                 payload,
-                ..ResponseFrame::error(Op::Ping as u8, 1, 0, "")
+                ..ResponseFrame::error(Op::Ping as u8, 1, ErrorCode::BadFrame, "")
             };
             assert!(short.error_parts().is_none());
         }

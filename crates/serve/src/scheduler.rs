@@ -19,7 +19,7 @@
 //! measured queue wait.
 
 use crate::names;
-use crate::protocol::{code, ResponseFrame, Status};
+use crate::protocol::{ErrorCode, ResponseFrame, Status};
 use fxrz_telemetry::{Counter, Gauge, HdrHistogram, MetricsRegistry, TraceContext};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -97,7 +97,7 @@ impl SchedCounters {
         self.deadline_exceeded.get()
     }
 
-    /// Job panics converted to `INTERNAL` error replies.
+    /// Job panics converted to `Internal` error replies.
     pub fn panics(&self) -> u64 {
         self.panics.get()
     }
@@ -138,7 +138,7 @@ impl Scheduler {
 
     /// Admits, executes and awaits one request. Returns the job's
     /// response, or `Busy` when the bound is hit, or a
-    /// `DEADLINE_EXCEEDED` / `INTERNAL` error frame when the job expired
+    /// `DeadlineExceeded` / `Internal` error frame when the job expired
     /// in the queue or panicked.
     pub fn submit<F>(
         &self,
@@ -202,7 +202,7 @@ impl Scheduler {
                 ResponseFrame::error(
                     op,
                     req_id,
-                    code::DEADLINE_EXCEEDED,
+                    ErrorCode::DeadlineExceeded,
                     "request expired in queue",
                 )
             } else {
@@ -231,7 +231,7 @@ impl Scheduler {
                         ResponseFrame::error(
                             op,
                             req_id,
-                            code::INTERNAL,
+                            ErrorCode::Internal,
                             "request executor panicked",
                         )
                     }
@@ -246,7 +246,7 @@ impl Scheduler {
             job();
         }
         let response = rx.recv().unwrap_or_else(|_| {
-            ResponseFrame::error(op, req_id, code::INTERNAL, "request executor vanished")
+            ResponseFrame::error(op, req_id, ErrorCode::Internal, "request executor vanished")
         });
         let now = self.inflight.fetch_sub(1, Ordering::SeqCst) - 1;
         self.counters.queue_depth.set(now as i64);
@@ -334,7 +334,7 @@ mod tests {
         });
         assert_eq!(resp.status, Status::Error);
         let (code, _) = resp.error_parts().expect("parts");
-        assert_eq!(code, code::DEADLINE_EXCEEDED);
+        assert_eq!(code, ErrorCode::DeadlineExceeded as u16);
         assert_eq!(s.counters().deadline_exceeded(), 1);
     }
 
@@ -344,7 +344,7 @@ mod tests {
         let resp = s.submit(Op::Features as u8, 5, 0, trace(), |_| panic!("boom"));
         assert_eq!(resp.status, Status::Error);
         let (code, msg) = resp.error_parts().expect("parts");
-        assert_eq!(code, code::INTERNAL);
+        assert_eq!(code, ErrorCode::Internal as u16);
         assert!(msg.contains("panicked"));
         assert_eq!(s.inflight(), 0);
         assert_eq!(s.counters().panics(), 1);

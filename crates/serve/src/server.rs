@@ -8,11 +8,22 @@
 //! (or [`Server::stop`]) makes the accept loop close, idle connections
 //! drop out at the next poll, and in-flight requests finish and get their
 //! responses before the drain completes.
+//!
+//! Outside tests the module denies wildcard arms over enums, so dispatch
+//! names every [`Request`] variant: no `_ =>` arm can absorb a new op.
+
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )
+)]
 
 use crate::audit::{AccuracyStats, AuditRecord, AuditSink};
 use crate::names;
 use crate::protocol::{
-    self, code, FrameError, Op, Reply, Request, RequestFrame, ResponseFrame, Status,
+    self, ErrorCode, FrameError, Op, Reply, Request, RequestFrame, ResponseFrame, Status,
 };
 use crate::registry::{ModelRegistry, RegistryError, ServedModel};
 use crate::scheduler::{Scheduler, SchedulerConfig};
@@ -186,8 +197,8 @@ struct Shared {
     /// This daemon's telemetry: every `serve.*` series, and nothing any
     /// other daemon in the process records.
     metrics: MetricsRegistry,
-    /// Per-op series, one per [`ALL_OPS`] entry.
-    ops: [OpSeries; ALL_OPS.len()],
+    /// Per-op series, one per [`Op::ALL`] entry.
+    ops: [OpSeries; Op::ALL.len()],
 }
 
 impl Shared {
@@ -277,7 +288,7 @@ impl Server {
     /// A server with an empty model registry.
     pub fn new(config: ServerConfig) -> Self {
         let metrics = MetricsRegistry::new();
-        let ops = ALL_OPS.map(|op| OpSeries {
+        let ops = Op::ALL.map(|op| OpSeries {
             op,
             count: metrics.counter(&format!("serve.op.{op}.count", op = op.name())),
             latency_ns: metrics.histogram(&format!("serve.op.{op}.hdr_ns", op = op.name())),
@@ -560,7 +571,7 @@ fn handle_connection(shared: &Arc<Shared>, mut conn: Box<dyn Connection>) {
                 // Protocol violation: reply once with a frame error, then
                 // close — the stream position is no longer trustworthy.
                 shared.metrics.incr(names::CONN_FRAME_ERRORS);
-                let response = ResponseFrame::error(0, 0, code::BAD_FRAME, &e.to_string());
+                let response = ResponseFrame::error(0, 0, ErrorCode::BadFrame, &e.to_string());
                 let _ = protocol::write_response(&mut conn, &response);
                 break;
             }
@@ -580,7 +591,7 @@ fn dispatch(shared: &Arc<Shared>, frame: RequestFrame, streams: &mut ConnStreams
     let t0 = Instant::now();
     let response = dispatch_inner(shared, frame, trace, streams);
     let elapsed = t0.elapsed();
-    // Every op has a row: `all_ops_lists_every_op` pins ALL_OPS.
+    // Every op has a row: `ops` is built from `Op::ALL`.
     if let Some(series) = shared.ops.iter().find(|s| s.op == op) {
         series.latency_ns.record_duration(elapsed);
         series.count.incr();
@@ -591,10 +602,10 @@ fn dispatch(shared: &Arc<Shared>, frame: RequestFrame, streams: &mut ConnStreams
     response
 }
 
-fn registry_error_code(e: &RegistryError) -> u16 {
+fn registry_error_code(e: &RegistryError) -> ErrorCode {
     match e {
-        RegistryError::NoSuchModel(_) => code::NO_SUCH_MODEL,
-        RegistryError::Parse(_) | RegistryError::Rejected(_) => code::MODEL_REJECTED,
+        RegistryError::NoSuchModel(_) => ErrorCode::NoSuchModel,
+        RegistryError::Parse(_) | RegistryError::Rejected(_) => ErrorCode::ModelRejected,
     }
 }
 
@@ -610,21 +621,6 @@ fn predict_json(served: &ServedModel, est: &Estimate) -> String {
         features,
     )
 }
-
-/// Every op the per-op `Stats` array reports on.
-const ALL_OPS: [Op; 11] = [
-    Op::Ping,
-    Op::Features,
-    Op::Predict,
-    Op::Compress,
-    Op::Decompress,
-    Op::LoadModel,
-    Op::Stats,
-    Op::DecompressRange,
-    Op::StreamOpen,
-    Op::StreamFrame,
-    Op::StreamClose,
-];
 
 fn stats_json(shared: &Shared) -> String {
     let models = serde_json::to_string(&shared.registry.list()).unwrap_or_else(|_| "[]".to_owned());
@@ -687,7 +683,9 @@ fn dispatch_inner(
     let req_id = frame.req_id;
     let request = match Request::decode(op, &frame.payload) {
         Ok(r) => r,
-        Err(e) => return ResponseFrame::error(op_byte, req_id, code::BAD_REQUEST, &e.to_string()),
+        Err(e) => {
+            return ResponseFrame::error(op_byte, req_id, ErrorCode::BadRequest, &e.to_string())
+        }
     };
     // Control-plane ops answer even while draining; data-plane work that
     // arrives after the stop flag is refused explicitly rather than
@@ -703,7 +701,7 @@ fn dispatch_inner(
                 return ResponseFrame::error(
                     op_byte,
                     req_id,
-                    code::SHUTTING_DOWN,
+                    ErrorCode::ShuttingDown,
                     "server is draining",
                 );
             }
@@ -718,9 +716,12 @@ fn dispatch_inner(
                 }
             }
         }
-        _ if draining => {
-            ResponseFrame::error(op_byte, req_id, code::SHUTTING_DOWN, "server is draining")
-        }
+        _ if draining => ResponseFrame::error(
+            op_byte,
+            req_id,
+            ErrorCode::ShuttingDown,
+            "server is draining",
+        ),
         Request::Features { field } => {
             shared
                 .scheduler
@@ -730,9 +731,12 @@ fn dispatch_inner(
                         Ok(json) => {
                             ResponseFrame::ok(Op::Features, req_id, Reply::Json(json).encode())
                         }
-                        Err(e) => {
-                            ResponseFrame::error(op_byte, req_id, code::INTERNAL, &e.to_string())
-                        }
+                        Err(e) => ResponseFrame::error(
+                            op_byte,
+                            req_id,
+                            ErrorCode::Internal,
+                            &e.to_string(),
+                        ),
                     }
                 })
         }
@@ -768,7 +772,7 @@ fn dispatch_inner(
                             Reply::Json(predict_json(&served, &est)).encode(),
                         ),
                         Err(e) => {
-                            ResponseFrame::error(op_byte, req_id, code::ENGINE, &e.to_string())
+                            ResponseFrame::error(op_byte, req_id, ErrorCode::Engine, &e.to_string())
                         }
                     },
                 )
@@ -843,7 +847,7 @@ fn dispatch_inner(
                             )
                         }
                         Err(e) => {
-                            ResponseFrame::error(op_byte, req_id, code::ENGINE, &e.to_string())
+                            ResponseFrame::error(op_byte, req_id, ErrorCode::Engine, &e.to_string())
                         }
                     }
                 })
@@ -856,7 +860,7 @@ fn dispatch_inner(
                         return ResponseFrame::error(
                             op_byte,
                             req_id,
-                            code::ENGINE,
+                            ErrorCode::Engine,
                             "unrecognized compressor stream magic",
                         );
                     };
@@ -865,7 +869,7 @@ fn dispatch_inner(
                             ResponseFrame::ok(Op::Decompress, req_id, Reply::Field(field).encode())
                         }
                         Err(e) => {
-                            ResponseFrame::error(op_byte, req_id, code::ENGINE, &e.to_string())
+                            ResponseFrame::error(op_byte, req_id, ErrorCode::Engine, &e.to_string())
                         }
                     }
                 })
@@ -879,7 +883,7 @@ fn dispatch_inner(
                         return ResponseFrame::error(
                             op_byte,
                             req_id,
-                            code::ENGINE,
+                            ErrorCode::Engine,
                             "unrecognized compressor stream magic",
                         );
                     };
@@ -895,7 +899,7 @@ fn dispatch_inner(
                             )
                         }
                         Err(e) => {
-                            ResponseFrame::error(op_byte, req_id, code::ENGINE, &e.to_string())
+                            ResponseFrame::error(op_byte, req_id, ErrorCode::Engine, &e.to_string())
                         }
                     }
                 })
@@ -932,7 +936,12 @@ fn dispatch_inner(
             let encoder = match StreamEncoder::with_models(config, trained) {
                 Ok(enc) => enc,
                 Err(e) => {
-                    return ResponseFrame::error(op_byte, req_id, code::BAD_REQUEST, &e.to_string())
+                    return ResponseFrame::error(
+                        op_byte,
+                        req_id,
+                        ErrorCode::BadRequest,
+                        &e.to_string(),
+                    )
                 }
             };
             let header = encoder.header();
@@ -962,7 +971,7 @@ fn dispatch_inner(
                 return ResponseFrame::error(
                     op_byte,
                     req_id,
-                    code::NO_SUCH_STREAM,
+                    ErrorCode::NoSuchStream,
                     &format!("no open stream {stream_id} on this connection"),
                 );
             };
@@ -1036,7 +1045,7 @@ fn dispatch_inner(
                             )
                         }
                         Err(e) => {
-                            ResponseFrame::error(op_byte, req_id, code::ENGINE, &e.to_string())
+                            ResponseFrame::error(op_byte, req_id, ErrorCode::Engine, &e.to_string())
                         }
                     }
                 })
@@ -1050,7 +1059,7 @@ fn dispatch_inner(
                 return ResponseFrame::error(
                     op_byte,
                     req_id,
-                    code::NO_SUCH_STREAM,
+                    ErrorCode::NoSuchStream,
                     &format!("no open stream {stream_id} on this connection"),
                 );
             };
@@ -1088,19 +1097,5 @@ fn dispatch_inner(
                 .encode(),
             )
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn all_ops_lists_every_op() {
-        let listed = (0..=u8::MAX)
-            .filter_map(Op::from_u8)
-            .inspect(|op| assert!(ALL_OPS.contains(op), "{} has no series", op.name()))
-            .count();
-        assert_eq!(listed, ALL_OPS.len());
     }
 }

@@ -50,30 +50,58 @@ fn small_field(rng: &mut Rng) -> Field {
     })
 }
 
+fn random_bytes(rng: &mut Rng, max: usize) -> Vec<u8> {
+    (0..rng.below(max)).map(|_| rng.next() as u8).collect()
+}
+
+/// A valid request for a random op: every `Op::ALL` entry is reachable,
+/// and the exhaustive match makes a new op a compile error here.
 fn arbitrary_request(rng: &mut Rng) -> Request {
-    match rng.below(7) {
-        0 => Request::Ping,
-        1 => Request::Stats,
-        2 => Request::Features {
+    match Op::ALL[rng.below(Op::ALL.len())] {
+        Op::Ping => Request::Ping,
+        Op::Stats => Request::Stats,
+        Op::Features => Request::Features {
             field: small_field(rng),
         },
-        3 => Request::Predict {
+        Op::Predict => Request::Predict {
             model: format!("m{}", rng.below(100)),
             ratio: 2.0 + rng.below(60) as f64,
             field: small_field(rng),
         },
-        4 => Request::Compress {
+        Op::Compress => Request::Compress {
             model: format!("m{}@{}", rng.below(100), rng.below(9)),
             ratio: 2.0 + rng.below(60) as f64,
             field: small_field(rng),
         },
-        5 => Request::Decompress {
-            stream: (0..rng.below(64)).map(|_| rng.next() as u8).collect(),
+        Op::Decompress => Request::Decompress {
+            stream: random_bytes(rng, 64),
         },
-        _ => Request::LoadModel {
+        Op::DecompressRange => {
+            let start = rng.below(4096) as u64;
+            Request::DecompressRange {
+                start,
+                end: start + rng.below(4096) as u64,
+                stream: random_bytes(rng, 64),
+            }
+        }
+        Op::LoadModel => Request::LoadModel {
             id: format!("id{}", rng.below(100)),
             version: rng.below(5) as u32,
             json: "{\"k\":1}".to_owned(),
+        },
+        Op::StreamOpen => Request::StreamOpen {
+            target_ratio: 2.0 + rng.below(60) as f64,
+            window: rng.below(64) as u32,
+            models: (0..rng.below(3))
+                .map(|_| format!("m{}@{}", rng.below(100), rng.below(9)))
+                .collect(),
+        },
+        Op::StreamFrame => Request::StreamFrame {
+            stream_id: rng.below(16) as u32,
+            field: small_field(rng),
+        },
+        Op::StreamClose => Request::StreamClose {
+            stream_id: rng.below(16) as u32,
         },
     }
 }
@@ -230,19 +258,10 @@ fn garbage_bytes_never_panic_either_parser() {
 #[test]
 fn fuzzed_payload_decode_never_panics_for_any_op() {
     let mut rng = Rng(0xfeed_0006);
-    let ops = [
-        Op::Ping,
-        Op::Features,
-        Op::Predict,
-        Op::Compress,
-        Op::Decompress,
-        Op::LoadModel,
-        Op::Stats,
-    ];
-    for _ in 0..400 {
+    for case in 0..400 {
         let len = rng.below(160);
         let payload: Vec<u8> = (0..len).map(|_| rng.next() as u8).collect();
-        let op = ops[rng.below(ops.len())];
+        let op = Op::ALL[case % Op::ALL.len()];
         let seed = rng.0;
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             let _ = Request::decode(op, &payload);
@@ -261,26 +280,26 @@ fn fuzzed_payload_decode_never_panics_for_any_op() {
 fn valid_response_frames_round_trip() {
     let mut rng = Rng(0xfeed_0007);
     for case in 0..100 {
-        let reply = match rng.below(5) {
-            0 => Reply::Pong,
-            1 => Reply::Json("{\"ok\":true}".to_owned()),
-            2 => Reply::Range((0..rng.below(24)).map(|_| rng.next() as f32).collect()),
-            3 => Reply::Stream {
-                info: "{\"stream_id\":1}".to_owned(),
-                bytes: (0..rng.below(32)).map(|_| rng.next() as u8).collect(),
-            },
-            _ => Reply::Compress {
+        // The reply shape each op promises; together they build every
+        // `Reply` variant.
+        let op = Op::ALL[rng.below(Op::ALL.len())];
+        let reply = match op {
+            Op::Ping => Reply::Pong,
+            Op::Features | Op::Predict | Op::LoadModel | Op::Stats => {
+                Reply::Json("{\"ok\":true}".to_owned())
+            }
+            Op::Compress => Reply::Compress {
                 info: "{\"ratio\":30.0}".to_owned(),
-                stream: (0..rng.below(48)).map(|_| rng.next() as u8).collect(),
+                stream: random_bytes(&mut rng, 48),
             },
-        };
-        let op = match reply {
-            Reply::Pong => Op::Ping,
-            Reply::Json(_) => Op::Stats,
-            Reply::Compress { .. } => Op::Compress,
-            Reply::Field(_) => Op::Decompress,
-            Reply::Range(_) => Op::DecompressRange,
-            Reply::Stream { .. } => Op::StreamFrame,
+            Op::Decompress => Reply::Field(small_field(&mut rng)),
+            Op::DecompressRange => {
+                Reply::Range((0..rng.below(24)).map(|_| rng.next() as f32).collect())
+            }
+            Op::StreamOpen | Op::StreamFrame | Op::StreamClose => Reply::Stream {
+                info: "{\"stream_id\":1}".to_owned(),
+                bytes: random_bytes(&mut rng, 32),
+            },
         };
         let frame = ResponseFrame::ok(op, rng.next(), reply.encode());
         let mut bytes = Vec::new();

@@ -1,20 +1,17 @@
 //! fxrz-telemetry: a lightweight tracing + metrics layer for the FXRZ
 //! pipeline.
 //!
-//! Four pieces, all reachable from one global [`MetricsRegistry`]:
+//! Three pieces, all reachable from one global [`MetricsRegistry`]:
 //!
 //! * **Metrics** ([`metrics`]) — named [`Counter`]s, [`Gauge`]s and
 //!   fixed-precision [`HdrHistogram`]s (`< 0.8%` relative quantile
 //!   error, see [`hdr`]) backed by atomics; cheap enough for per-call
 //!   instrumentation of codec and compressor hot paths. Span durations
 //!   record into the same histogram type.
-//! * **Spans** ([`span`]) — RAII guards recording nested wall-clock
+//! * **Spans** ([`mod@span`]) — RAII guards recording nested wall-clock
 //!   timings. Nesting is tracked per thread, so
 //!   `span!("compress")` containing `span!("features")` records under the
 //!   path `compress/features`.
-//! * **Events** ([`event`]) — leveled log records with a pluggable sink
-//!   (stderr text or JSON lines). When no sink is attached the whole layer
-//!   reduces to one relaxed atomic load per call site.
 //! * **Snapshots** ([`metrics::MetricsSnapshot`]) — a serializable view of
 //!   everything recorded, with a human-readable `Display` report and a
 //!   JSON form used by `fxrz --metrics json`.
@@ -27,8 +24,8 @@
 //!   [`TaskScope`], so every span and audit record can be tied back to the
 //!   client request that caused it.
 //! * **Flight recorder** ([`recorder`]) — a fixed-capacity lock-free ring
-//!   of recent span/event records, dumped on drain or panic. Memory is
-//!   bounded by capacity, never by request count.
+//!   of recent span records, dumped on drain or panic. Memory is bounded
+//!   by capacity, never by request count.
 //!
 //! ```
 //! use fxrz_telemetry as telemetry;
@@ -43,7 +40,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod event;
 pub mod hdr;
 pub mod metrics;
 pub mod recorder;
@@ -51,17 +47,12 @@ pub mod report;
 pub mod span;
 pub mod trace;
 
-pub use event::{
-    clear_sink, enabled, set_max_level, set_sink, JsonLinesSink, Level, Record, Sink,
-    StderrTextSink,
-};
 pub use hdr::{HdrHistogram, HdrSnapshot};
 pub use metrics::{
     Counter, CounterSnapshot, Gauge, GaugeSnapshot, MetricsRegistry, MetricsSnapshot, SpanSnapshot,
 };
 pub use recorder::{
-    configure_recorder, flight_recorder, now_ns, render_records, FlightRecord, FlightRecorder,
-    RecordKind,
+    flight_recorder, now_ns, render_records, FlightRecord, FlightRecorder, RecordKind,
 };
 pub use span::{spanned, SpanGuard, TaskScope, TaskScopeGuard};
 pub use trace::{TraceContext, TraceIdGen};

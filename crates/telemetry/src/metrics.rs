@@ -127,7 +127,7 @@ impl MetricsRegistry {
         self.histogram(name).record_duration(d);
     }
 
-    /// Records a completed span occurrence (used by [`crate::span`]).
+    /// Records a completed span occurrence (used by [`mod@crate::span`]).
     pub fn record_span(&self, path: &str, d: Duration) {
         get_or_create(&self.spans, path).record_duration(d);
     }

@@ -1,5 +1,5 @@
 //! The flight recorder: a fixed-capacity, lock-free ring buffer of the
-//! most recent span and event records.
+//! most recent span records.
 //!
 //! Post-mortem observability for a long-running daemon: memory is bounded
 //! (capacity × [`SLOT_BYTES`] bytes, allocated once), writers never block
@@ -40,22 +40,18 @@ pub const DEFAULT_CAPACITY: usize = 2048;
 pub enum RecordKind {
     /// A completed span (has a duration).
     Span,
-    /// A dispatched event (duration 0).
-    Event,
 }
 
 impl RecordKind {
     fn to_byte(self) -> u64 {
         match self {
             RecordKind::Span => 1,
-            RecordKind::Event => 2,
         }
     }
 
     fn from_byte(b: u64) -> Option<Self> {
         match b {
             1 => Some(RecordKind::Span),
-            2 => Some(RecordKind::Event),
             _ => None,
         }
     }
@@ -64,7 +60,7 @@ impl RecordKind {
 /// One decoded flight-recorder record.
 #[derive(Clone, Debug)]
 pub struct FlightRecord {
-    /// Span or event.
+    /// What the record describes.
     pub kind: RecordKind,
     /// Owning request's trace id (0 = recorded outside any trace).
     pub trace_id: u64,
@@ -72,9 +68,9 @@ pub struct FlightRecord {
     pub span_id: u64,
     /// Nanoseconds since the process epoch (first recorder use).
     pub start_ns: u64,
-    /// Wall-clock duration in nanoseconds (0 for events).
+    /// Wall-clock duration in nanoseconds.
     pub dur_ns: u64,
-    /// Span path or event target, truncated to [`NAME_BYTES`].
+    /// Span path, truncated to [`NAME_BYTES`].
     pub name: String,
 }
 
@@ -180,17 +176,6 @@ impl FlightRecorder {
         );
     }
 
-    /// Convenience: an event record, pulling the trace from the thread.
-    pub fn record_event(&self, target: &str) {
-        self.record(
-            RecordKind::Event,
-            crate::trace::current(),
-            now_ns(),
-            0,
-            target,
-        );
-    }
-
     fn read_index(&self, index: u64) -> Option<FlightRecord> {
         let slot = &self.slots[(index % self.slots.len() as u64) as usize];
         let want = index * 2 + 2;
@@ -254,13 +239,7 @@ pub fn now_ns() -> u64 {
 
 static RECORDER: OnceLock<FlightRecorder> = OnceLock::new();
 
-/// Fixes the global recorder's capacity before its first use. Returns
-/// `false` when the recorder already exists (the earlier setting wins).
-pub fn configure_recorder(capacity: usize) -> bool {
-    RECORDER.set(FlightRecorder::new(capacity)).is_ok()
-}
-
-/// The process-wide flight recorder every span and event writes into.
+/// The process-wide flight recorder every span writes into.
 pub fn flight_recorder() -> &'static FlightRecorder {
     RECORDER.get_or_init(|| FlightRecorder::new(DEFAULT_CAPACITY))
 }
@@ -273,7 +252,6 @@ pub fn render_records(records: &[FlightRecord]) -> String {
     for r in records {
         let kind = match r.kind {
             RecordKind::Span => "span ",
-            RecordKind::Event => "event",
         };
         let _ = writeln!(
             out,
@@ -311,7 +289,7 @@ mod tests {
     fn overwrites_oldest_and_stays_bounded() {
         let rec = FlightRecorder::new(4);
         for i in 0..10u64 {
-            rec.record(RecordKind::Event, None, i, 0, "e");
+            rec.record(RecordKind::Span, None, i, 0, "e");
         }
         let dump = rec.dump();
         assert_eq!(dump.len(), 4);
@@ -334,9 +312,9 @@ mod tests {
     fn render_is_one_line_per_record() {
         let rec = FlightRecorder::new(4);
         rec.record(RecordKind::Span, None, 1_500, 42, "x");
-        rec.record_event("evt.target");
+        rec.record(RecordKind::Span, None, 1_600, 7, "span.target");
         let text = render_records(&rec.dump());
         assert_eq!(text.lines().count(), 2);
-        assert!(text.contains("evt.target"));
+        assert!(text.contains("span.target"));
     }
 }

@@ -74,7 +74,7 @@ fn concurrent_writers_never_surface_torn_records() {
 fn capacity_bounds_dump_size_regardless_of_volume() {
     let rec = FlightRecorder::new(32);
     for i in 0..10_000u64 {
-        rec.record(RecordKind::Event, ctx(i), i, 0, "evt");
+        rec.record(RecordKind::Span, ctx(i), i, 0, "evt");
     }
     let dump = rec.dump();
     assert!(dump.len() <= 32, "dump grew past capacity: {}", dump.len());

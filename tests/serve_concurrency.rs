@@ -7,6 +7,7 @@
 //! hang or fall over.
 
 use fxrz::prelude::*;
+use fxrz::serve::protocol::ErrorCode;
 use fxrz::serve::scheduler::SchedulerConfig;
 use fxrz::serve::ClientError;
 use fxrz_core::sampling::StridedSampler;
@@ -189,18 +190,18 @@ fn unknown_model_and_oversized_frames_are_refused() {
     let small = probe(5);
     match client.predict("ghost", 10.0, &small) {
         Err(ClientError::Server { code, .. }) => {
-            assert_eq!(code, fxrz::serve::protocol::code::NO_SUCH_MODEL)
+            assert_eq!(code, ErrorCode::NoSuchModel as u16)
         }
-        other => panic!("expected NO_SUCH_MODEL, got {other:?}"),
+        other => panic!("expected NoSuchModel, got {other:?}"),
     }
 
     // A payload past the server's max_frame must be rejected up front,
-    // not buffered: either the BAD_FRAME reply arrives, or the server
+    // not buffered: either the BadFrame reply arrives, or the server
     // already hung up on us mid-write. Success would mean the cap leaked.
     let big = gaussian_random_field(Dims::d3(32, 32, 32), GrfConfig::default().with_seed(6));
     match client.features(&big) {
         Err(ClientError::Server { code, .. }) => {
-            assert_eq!(code, fxrz::serve::protocol::code::BAD_FRAME)
+            assert_eq!(code, ErrorCode::BadFrame as u16)
         }
         Err(ClientError::Frame(_)) => {} // connection torn down before the reply
         other => panic!("expected an oversized-frame rejection, got {other:?}"),

@@ -83,7 +83,7 @@ fn stream_session_round_trip_with_audit() {
         Some((FRAMES * FRAME_LEN) as u64)
     );
 
-    // Closing twice is NO_SUCH_STREAM.
+    // Closing twice is NoSuchStream.
     match client.stream_close(stream_id) {
         Err(fxrz::serve::ClientError::Server { code, .. }) => assert_eq!(code, 9),
         other => panic!("double close should fail, got {other:?}"),
@@ -108,7 +108,7 @@ fn stream_session_round_trip_with_audit() {
     };
     assert_eq!(row("stream_open"), 1);
     assert!(row("stream_frame") >= FRAMES as u64);
-    assert_eq!(row("stream_close"), 2); // one ok, one NO_SUCH_STREAM
+    assert_eq!(row("stream_close"), 2); // one ok, one NoSuchStream
     drop(client);
 
     let report = handle.shutdown();
