@@ -1,12 +1,9 @@
 //! # fxrz-analysis (`fxrz-lint`) — workspace-aware static analysis
 //!
 //! A from-scratch, zero-dependency lint pass over the workspace's own
-//! Rust source. It machine-checks the contracts that depend on facts
-//! only this repository knows, which clippy cannot express:
+//! Rust source. It machine-checks the two contracts that depend on
+//! facts only this repository knows, which clippy cannot express:
 //!
-//! * **alloc_bounds** — wire-derived lengths in the serve protocol and
-//!   the archive, stream and slab decoders are capped before they size
-//!   an allocation, one call level deep;
 //! * **telemetry_names** — every metric and span name comes from its
 //!   crate's `names` module;
 //! * **lock_discipline** — no blocking work or second lock under a held
@@ -17,14 +14,15 @@
 //! the untrusted-input modules), the `unsafe` audit (workspace
 //! `[lints]`) and the serve protocol's op table (one `macro_rules!`
 //! row per op, `#[repr]` enums, clippy's wildcard-arm lints) are
-//! enforced by rustc and clippy instead.
+//! enforced by rustc and clippy instead. That no decoder of untrusted
+//! bytes panics or over-allocates is measured, not guessed:
+//! `tests/hostile_input.rs` runs every decoder through one mutation
+//! schedule under a counting allocator.
 //!
 //! Architecture: [`lexer`] tokenizes (comment- and string-aware),
-//! [`source`] adds per-file context (suppressions, test spans), an
-//! **index pass** ([`graph`]) builds the workspace symbol graph
-//! (functions and call edges) in one walk, each lint in
-//! [`lints`] checks the token stream and/or the graph, and [`report`]
-//! renders human or JSON output. Suppression is by comment —
+//! [`source`] adds per-file context (suppressions, test spans), each
+//! lint in [`lints`] walks the token streams, and [`report`] renders
+//! human or JSON output. Suppression is by comment —
 //! `// fxrz-lint: allow(<lint>): <justification>` on or directly above
 //! the offending line.
 //!
@@ -36,20 +34,18 @@
 #![warn(missing_docs)]
 
 pub mod cli;
-pub mod graph;
 pub mod lexer;
 pub mod lints;
 pub mod report;
 pub mod source;
 
-use graph::SymbolGraph;
 use source::SourceFile;
 use std::path::{Path, PathBuf};
 
 /// One lint violation.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Finding {
-    /// Lint name (`alloc_bounds`, `lock_discipline`, …).
+    /// Lint name (`telemetry_names` or `lock_discipline`).
     pub lint: &'static str,
     /// Workspace-relative file path.
     pub file: String,
@@ -66,15 +62,12 @@ pub trait Lint {
     /// One-line description for `--list` and the docs.
     fn description(&self) -> &'static str;
     /// Emits raw findings (suppression filtering happens in the runner).
-    /// `graph` is the shared index-pass output — per-file lints may
-    /// ignore it; workspace lints walk its symbols and call edges.
-    fn check(&self, ws: &Workspace, graph: &SymbolGraph, out: &mut Vec<Finding>);
+    fn check(&self, ws: &Workspace, out: &mut Vec<Finding>);
 }
 
 /// All registered lints, in reporting order.
 pub fn all_lints() -> Vec<Box<dyn Lint>> {
     vec![
-        Box::new(lints::alloc_bounds::AllocBounds),
         Box::new(lints::telemetry_names::TelemetryNames),
         Box::new(lints::lock_discipline::LockDiscipline),
     ]
@@ -155,10 +148,9 @@ pub struct AnalysisResult {
     pub suppressed: Vec<Finding>,
     /// Number of files scanned.
     pub files_scanned: usize,
-    /// Wall time per pass, in milliseconds: the `index` (symbol graph)
-    /// entry first, then one entry per lint in registration order.
+    /// Wall time per lint, in milliseconds, in registration order.
     pub timings_ms: Vec<(String, f64)>,
-    /// Total analysis wall time (index + all lints), in milliseconds.
+    /// Total analysis wall time, in milliseconds.
     pub total_ms: f64,
 }
 
@@ -177,12 +169,10 @@ pub fn analyze(root: &Path) -> Result<AnalysisResult, String> {
 pub fn analyze_workspace(ws: &Workspace) -> AnalysisResult {
     let t0 = std::time::Instant::now();
     let mut timings_ms = Vec::new();
-    let graph = SymbolGraph::build(ws);
-    timings_ms.push(("index".to_owned(), ms_since(t0)));
     let mut raw = Vec::new();
     for lint in all_lints() {
         let t = std::time::Instant::now();
-        lint.check(ws, &graph, &mut raw);
+        lint.check(ws, &mut raw);
         timings_ms.push((lint.name().to_owned(), ms_since(t)));
     }
     raw.sort_by(|a, b| (&a.file, a.line, a.lint).cmp(&(&b.file, b.line, b.lint)));
@@ -253,9 +243,8 @@ pub(crate) mod testutil {
     /// Runs one lint over a synthetic workspace, applying suppressions
     /// the way the real runner does.
     pub fn run_lint(lint: &dyn Lint, ws: &Workspace) -> (Vec<Finding>, Vec<Finding>) {
-        let graph = SymbolGraph::build(ws);
         let mut raw = Vec::new();
-        lint.check(ws, &graph, &mut raw);
+        lint.check(ws, &mut raw);
         let (suppressed, active) = split_suppressed(ws, raw);
         (active, suppressed)
     }

@@ -27,11 +27,11 @@
 //! which is deliberately coarse: false sharing of a name across crates
 //! would over-approximate, never under-approximate. Test code is exempt.
 
-use crate::graph::SymbolGraph;
 use crate::lexer::{TokKind, Token};
 use crate::source::{matching, SourceFile};
 use crate::{Finding, Lint, Workspace};
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Range;
 
 /// Pool/scheduler entry points that block on (or fan out to) workers.
 const POOL_CALLS: &[&str] = &["par_map", "par_reduce", "try_spawn", "submit"];
@@ -91,23 +91,54 @@ impl Lint for LockDiscipline {
         "no pool calls, blocking I/O or second locks under a held guard; no lock-order cycles"
     }
 
-    fn check(&self, ws: &Workspace, graph: &SymbolGraph, out: &mut Vec<Finding>) {
+    fn check(&self, ws: &Workspace, out: &mut Vec<Finding>) {
         let mut edges: Vec<Edge> = Vec::new();
-        for fndef in &graph.fns {
-            let f = &ws.files[fndef.file];
-            if !in_scope(f) {
-                continue;
+        for f in ws.files.iter().filter(|f| in_scope(f)) {
+            for body in fn_bodies(&f.tokens) {
+                check_body(self.name(), f, body, &mut edges, out);
             }
-            check_body(self.name(), f, fndef.body.clone(), &mut edges, out);
         }
         report_cycles(self.name(), &edges, out);
     }
 }
 
+/// Token ranges (between the braces) of every `fn` body, in file order.
+/// A fn nested in a body is part of that body; a bodiless declaration
+/// (`fn f(&self);`) is skipped.
+fn fn_bodies(t: &[Token]) -> Vec<Range<usize>> {
+    let mut bodies = Vec::new();
+    let mut i = 0;
+    while i + 1 < t.len() {
+        if !(t[i].is_ident("fn") && t[i + 1].kind == TokKind::Ident) {
+            i += 1;
+            continue;
+        }
+        let stop = |from: usize, at: &[char]| {
+            (from..t.len())
+                .find(|&j| at.iter().any(|&c| t[j].is_punct(c)))
+                .unwrap_or(t.len())
+        };
+        let params = stop(i + 2, &['(', '{', ';']);
+        if params >= t.len() || !t[params].is_punct('(') {
+            i = params + 1;
+            continue;
+        }
+        let open = stop(matching(t, params) + 1, &['{', ';']);
+        if open >= t.len() || !t[open].is_punct('{') {
+            i = open + 1;
+            continue;
+        }
+        let close = matching(t, open);
+        bodies.push(open + 1..close);
+        i = close + 1;
+    }
+    bodies
+}
+
 fn check_body(
     lint: &'static str,
     f: &SourceFile,
-    body: std::ops::Range<usize>,
+    body: Range<usize>,
     edges: &mut Vec<Edge>,
     out: &mut Vec<Finding>,
 ) {
@@ -427,6 +458,25 @@ mod tests {
             .filter(|f| f.message.contains("lock-order cycle"))
             .collect();
         assert_eq!(cycles.len(), 2, "{active:?}");
+    }
+
+    #[test]
+    fn bodiless_declarations_and_nested_fns_are_walked_once() {
+        // The trait method has no body; the nested fn's lock is seen as
+        // part of `outer`, whose guard is still live there.
+        let ws = workspace(
+            "crates/serve/src/server.rs",
+            "trait Sink { fn append(&self); }\n\
+             fn outer(m: &Mutex<S>) {\n\
+             \x20   let g = m.lock().unwrap();\n\
+             \x20   fn inner(n: &Mutex<S>) { let h = n.lock().unwrap(); }\n\
+             }\n",
+        );
+        let bodies = fn_bodies(&ws.files[0].tokens);
+        assert_eq!(bodies.len(), 1);
+        let (active, _) = run_lint(&LockDiscipline, &ws);
+        assert_eq!(active.len(), 1, "{active:?}");
+        assert!(active[0].message.contains("acquires lock `n`"));
     }
 
     #[test]

@@ -16,7 +16,6 @@
 //! `.span(…)`/`.record_span(…)` registry *lookups* are exempt: they
 //! address `/`-joined span paths, a different namespace.
 
-use crate::graph::SymbolGraph;
 use crate::lexer::{TokKind, Token};
 use crate::source::SourceFile;
 use crate::{Finding, Lint, Workspace};
@@ -49,7 +48,7 @@ impl Lint for TelemetryNames {
         "telemetry name literals must match [a-z0-9_.]+ and resolve against the names inventory"
     }
 
-    fn check(&self, ws: &Workspace, _graph: &SymbolGraph, out: &mut Vec<Finding>) {
+    fn check(&self, ws: &Workspace, out: &mut Vec<Finding>) {
         let mut inventory: Vec<String> = Vec::new();
         for f in &ws.files {
             collect_inventory(f, &mut inventory);

@@ -100,14 +100,17 @@ mod tests {
     fn res() -> AnalysisResult {
         AnalysisResult {
             findings: vec![Finding {
-                lint: "alloc_bounds",
+                lint: "lock_discipline",
                 file: "crates/serve/src/protocol.rs".into(),
                 line: 7,
                 message: "`len` on \"hot\" path".into(),
             }],
             suppressed: vec![],
             files_scanned: 3,
-            timings_ms: vec![("index".into(), 1.25), ("alloc_bounds".into(), 0.5)],
+            timings_ms: vec![
+                ("telemetry_names".into(), 1.25),
+                ("lock_discipline".into(), 0.5),
+            ],
             total_ms: 1.75,
         }
     }
@@ -115,7 +118,7 @@ mod tests {
     #[test]
     fn human_report_lists_findings_and_totals() {
         let text = human(&res());
-        assert!(text.contains("crates/serve/src/protocol.rs:7: [alloc_bounds]"));
+        assert!(text.contains("crates/serve/src/protocol.rs:7: [lock_discipline]"));
         assert!(text.contains("1 finding (0 suppressed) across 3 files"));
     }
 
@@ -125,7 +128,8 @@ mod tests {
         assert!(text.contains("\"schema\": \"fxrz-lint/3\""));
         assert!(text.contains("\\\"hot\\\""));
         assert!(text.contains("\"counts\": {\"active\": 1, \"suppressed\": 0}"));
-        assert!(text.contains("\"timings_ms\": {\"index\": 1.250, \"alloc_bounds\": 0.500}"));
+        assert!(text
+            .contains("\"timings_ms\": {\"telemetry_names\": 1.250, \"lock_discipline\": 0.500}"));
         assert!(text.contains("\"total_ms\": 1.750"));
     }
 }

@@ -201,10 +201,10 @@ mod tests {
 
     #[test]
     fn line_allow_covers_same_and_next_line() {
-        let f = file("// fxrz-lint: allow(alloc_bounds): capped by caller\nlet v = vec![0; n];\n");
-        assert!(f.allowed("alloc_bounds", 2));
-        assert!(!f.allowed("alloc_bounds", 3));
-        assert!(!f.allowed("lock_discipline", 2));
+        let f = file("// fxrz-lint: allow(lock_discipline): serializes the sink\nout.flush();\n");
+        assert!(f.allowed("lock_discipline", 2));
+        assert!(!f.allowed("lock_discipline", 3));
+        assert!(!f.allowed("telemetry_names", 2));
     }
 
     #[test]

@@ -34,12 +34,11 @@ fn repository_lints_clean() {
 }
 
 #[test]
-fn workspace_lints_include_the_graph_pass() {
-    // The two-pass analysis really ran: the index pass and every
-    // registered lint (including the workspace-graph ones) report a
-    // timing entry, and the whole run stays fast enough to gate CI.
+fn every_lint_runs_within_the_time_budget() {
+    // Every registered lint reports a timing entry, and the whole run
+    // stays fast enough to gate CI.
     let res = analyze(repo_root()).expect("workspace scan");
-    for pass in ["index", "lock_discipline", "alloc_bounds"] {
+    for pass in ["telemetry_names", "lock_discipline"] {
         assert!(
             res.timings_ms.iter().any(|(name, _)| name == pass),
             "missing timing entry for `{pass}`: {:?}",
@@ -48,7 +47,7 @@ fn workspace_lints_include_the_graph_pass() {
     }
     assert!(
         res.total_ms < 30_000.0,
-        "lint pass took {:.0}ms — the index pass must not make the gate slow",
+        "lint pass took {:.0}ms — the lints must not make the gate slow",
         res.total_ms
     );
 }
@@ -59,7 +58,7 @@ fn suppressions_stay_justified() {
     // count is pinned so new allows are a conscious, reviewed choice.
     let res = analyze(repo_root()).expect("workspace scan");
     assert!(
-        res.suppressed.len() <= 6,
+        res.suppressed.len() <= 4,
         "suppression budget exceeded ({} allows) — fix findings instead of \
          accumulating allows, or raise the budget in a reviewed change",
         res.suppressed.len()

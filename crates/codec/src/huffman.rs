@@ -480,9 +480,13 @@ fn decode_unmetered(buf: &[u8]) -> Result<Vec<u32>, CodecError> {
     let primary_bits = tables.primary_bits;
 
     let mut r = BitReader::new(&buf[pos..]);
-    // `count` comes from untrusted input: cap the pre-allocation so a
-    // corrupt stream yields CodecError instead of an allocation abort.
-    let mut out = Vec::with_capacity(count.min(1 << 20));
+    // `count` comes from untrusted input, but every code is at least one
+    // bit long (a one-symbol alphabet gets length 1): a count the
+    // remaining bits cannot hold is truncated before it sizes anything.
+    if count > r.bits_remaining() {
+        return Err(CodecError::Truncated);
+    }
+    let mut out = Vec::with_capacity(count);
 
     'symbols: for _ in 0..count {
         let avail = r.bits_remaining();

@@ -283,7 +283,7 @@ fn decompress_unmetered(buf: &[u8]) -> Result<Vec<u8>, CodecError> {
 
     loop {
         let lit_len = read_varint(buf, &mut pos).ok_or(CodecError::Truncated)? as usize;
-        if pos + lit_len > buf.len() {
+        if lit_len > buf.len() - pos {
             return Err(CodecError::Truncated);
         }
         out.extend_from_slice(&buf[pos..pos + lit_len]);
@@ -307,7 +307,7 @@ fn decompress_unmetered(buf: &[u8]) -> Result<Vec<u8>, CodecError> {
         if dist == 0 || dist > out.len() {
             return Err(CodecError::Corrupt("invalid match distance"));
         }
-        if out.len() + match_len > total {
+        if match_len > total - out.len() {
             return Err(CodecError::Corrupt("match overruns output"));
         }
         let start = out.len() - dist;

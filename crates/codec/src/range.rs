@@ -16,6 +16,14 @@ const ADAPT_SHIFT: u32 = 5;
 /// Renormalization threshold.
 const TOP: u32 = 1 << 24;
 
+/// The most adaptive binary decisions one byte of a range-coded stream
+/// can carry. A [`BitModel`] never gives either bit a probability above
+/// 2017/2048 (the `ADAPT_SHIFT` step rounds to zero that close to
+/// certainty), so every decision costs at least −log2(2017/2048) ≈ 0.022
+/// bits, and 8 / 0.022 ≈ 363.7 decisions fit in a byte. A decoder checks
+/// an untrusted count against this before sizing anything from it.
+pub const MAX_DECISIONS_PER_BYTE: usize = 364;
+
 /// One adaptive binary probability state.
 #[derive(Clone, Copy, Debug)]
 pub struct BitModel {
@@ -167,6 +175,16 @@ impl<'a> RangeDecoder<'a> {
             d.code = (d.code << 8) | u32::from(d.next_byte());
         }
         Ok(d)
+    }
+
+    /// Ends decoding. The decoder reads zeros past the end of its
+    /// buffer, and a stream the encoder finished is consumed exactly, so
+    /// any read past the end means the input was truncated.
+    pub fn finish(self) -> Result<(), CodecError> {
+        if self.pos > self.buf.len() {
+            return Err(CodecError::Truncated);
+        }
+        Ok(())
     }
 
     #[inline]
@@ -357,6 +375,48 @@ mod tests {
         // Adaptive probabilities floor out near p0 ≈ 2017/2048, i.e. about
         // 0.022 bits per coded bit: 50 000 × 8 × 0.022 ≈ 1.1 kB.
         assert!(buf.len() < 2_000, "len {}", buf.len());
+    }
+
+    #[test]
+    fn finish_accepts_whole_streams_and_rejects_prefixes() {
+        let pattern: Vec<bool> = (0..3000).map(|i| (i * 7) % 11 < 3).collect();
+        let mut enc = RangeEncoder::new();
+        let mut m = BitModel::new();
+        for &b in &pattern {
+            enc.encode_bit(&mut m, b);
+            enc.encode_direct(u64::from(b), 3);
+        }
+        let buf = enc.finish();
+        for cut in 5..=buf.len() {
+            let mut dec = RangeDecoder::new(&buf[..cut]).expect("init");
+            let mut m = BitModel::new();
+            for _ in &pattern {
+                dec.decode_bit(&mut m);
+                dec.decode_direct(3);
+            }
+            assert_eq!(dec.finish().is_ok(), cut == buf.len(), "cut {cut}");
+        }
+    }
+
+    #[test]
+    fn max_decisions_per_byte_bounds_the_densest_stream() {
+        // One model fed nothing but zeros saturates at p0 = 2017/2048:
+        // the cheapest decisions the coder can make.
+        let n = 1_000_000;
+        let mut enc = RangeEncoder::new();
+        let mut m = BitModel::new();
+        for _ in 0..n {
+            enc.encode_bit(&mut m, false);
+        }
+        let len = enc.finish().len();
+        assert!(
+            len * MAX_DECISIONS_PER_BYTE >= n,
+            "{n} decisions in {len} bytes"
+        );
+        assert!(
+            len * (MAX_DECISIONS_PER_BYTE - 2) < n,
+            "bound is loose: {len} bytes"
+        );
     }
 
     #[test]

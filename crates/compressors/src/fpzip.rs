@@ -18,7 +18,7 @@
 
 use crate::header::{self, magic};
 use crate::{lorenzo, CompressError, Compressor, ConfigSpace, ErrorConfig};
-use fxrz_codec::range::{BitModel, BitTree, RangeDecoder, RangeEncoder};
+use fxrz_codec::range::{BitModel, BitTree, RangeDecoder, RangeEncoder, MAX_DECISIONS_PER_BYTE};
 use fxrz_datagen::Field;
 
 /// Minimum accepted precision.
@@ -71,6 +71,11 @@ fn reconstruct(t: u32, prec: u32) -> u32 {
     }
 }
 
+/// Width of the residual magnitude class: classes 0..=33 are the bit
+/// length of `|residual|` (0 = zero residual). Every value costs these
+/// many range-coder decisions at least.
+const CLASS_BITS: u32 = 6;
+
 /// Residual codec: magnitude-class bit-tree + direct payload bits + sign.
 struct ResidualCoder {
     class_tree: BitTree,
@@ -80,8 +85,7 @@ struct ResidualCoder {
 impl ResidualCoder {
     fn new() -> Self {
         Self {
-            // classes 0..=33: bit length of |residual| (0 = zero residual)
-            class_tree: BitTree::new(6),
+            class_tree: BitTree::new(CLASS_BITS),
             sign: BitModel::new(),
         }
     }
@@ -175,7 +179,14 @@ impl Compressor for Fpzip {
             if !(MIN_PRECISION..=MAX_PRECISION).contains(&prec) {
                 return Err(CompressError::Header("stored precision out of range"));
             }
-            let mut dec = RangeDecoder::new(&rest[1..]).map_err(CompressError::Decode)?;
+            let coded = &rest[1..];
+            let decisions = dims.len().saturating_mul(CLASS_BITS as usize);
+            if decisions > MAX_DECISIONS_PER_BYTE.saturating_mul(coded.len()) {
+                return Err(CompressError::Header(
+                    "element count exceeds what the payload can encode",
+                ));
+            }
+            let mut dec = RangeDecoder::new(coded).map_err(CompressError::Decode)?;
             let mut coder = ResidualCoder::new();
 
             let mut trunc = vec![0i64; dims.len()];
@@ -184,6 +195,7 @@ impl Compressor for Fpzip {
                     .predict_int(&trunc, idx)
                     .wrapping_add(coder.decode(&mut dec));
             });
+            dec.finish().map_err(CompressError::Decode)?;
             let max_t = (1u64 << prec) - 1;
             let data: Vec<f32> = trunc
                 .iter()
@@ -299,11 +311,11 @@ mod tests {
     }
 
     #[test]
-    fn truncated_stream_never_panics() {
+    fn truncated_stream_is_an_error() {
         let f = gaussian_random_field(Dims::d2(8, 8), GrfConfig::default());
         let buf = Fpzip.compress(&f, &ErrorConfig::Precision(12)).expect("c");
         for cut in 0..buf.len() {
-            let _ = Fpzip.decompress(&buf[..cut]);
+            assert!(Fpzip.decompress(&buf[..cut]).is_err(), "cut {cut} decoded");
         }
     }
 

@@ -56,10 +56,10 @@ pub fn read(
     let mut pos = 1usize;
     let name_len =
         read_varint(buf, &mut pos).ok_or(CompressError::Header("missing name length"))? as usize;
-    if pos + name_len > buf.len() {
-        return Err(CompressError::Header("name overruns buffer"));
-    }
-    let name = std::str::from_utf8(&buf[pos..pos + name_len])
+    let name_bytes = buf
+        .get(pos..pos.saturating_add(name_len))
+        .ok_or(CompressError::Header("name overruns buffer"))?;
+    let name = std::str::from_utf8(name_bytes)
         .map_err(|_| CompressError::Header("name is not utf-8"))?
         .to_owned();
     pos += name_len;
@@ -75,7 +75,9 @@ pub fn read(
         }
         shape.push(n);
     }
-    // guard against axis-product overflow / absurd decode allocations
+    // Guards the axis product against overflow only: each decoder
+    // checks the count against what its payload can encode before
+    // sizing anything from it.
     let total = shape
         .iter()
         .try_fold(1usize, |acc, &n| acc.checked_mul(n))

@@ -4,7 +4,8 @@
 //! `compress`/`decompress` body through these helpers, which open a span
 //! named after the codec (so a pipeline-level `codec` span nests to
 //! `compress/codec/sz`) and record byte counters, wall-clock histograms
-//! and throughput under `compressor.<name>.<direction>.*`.
+//! and throughput under `compressor.<label>.<direction>.*`, where
+//! [`label`] is the codec name as a metric-name segment.
 
 #![expect(
     clippy::disallowed_types,
@@ -14,7 +15,19 @@
 
 use crate::CompressError;
 use fxrz_datagen::Field;
+use std::borrow::Cow;
 use std::time::Instant;
+
+/// A codec name (a [`crate::CODECS`] row's, or `zfp-rate`) as one
+/// segment of a metric name, which allows only `[a-z0-9_.]`: `-` becomes
+/// `_` (`sz-fse` → `sz_fse`).
+pub fn label(name: &str) -> Cow<'_, str> {
+    if name.contains('-') {
+        Cow::Owned(name.replace('-', "_"))
+    } else {
+        Cow::Borrowed(name)
+    }
+}
 
 fn record(
     name: &str,
@@ -23,6 +36,7 @@ fn record(
     bytes_out: Option<usize>,
     elapsed: std::time::Duration,
 ) {
+    let name = label(name);
     let registry = fxrz_telemetry::global();
     match bytes_out {
         Some(out) => {
@@ -110,5 +124,12 @@ mod tests {
             Some(1)
         );
         assert!(snap.span("test_inst").is_some());
+    }
+
+    #[test]
+    fn labels_are_metric_segments() {
+        assert_eq!(label("sz-fse"), "sz_fse");
+        assert_eq!(label("zfp-rate"), "zfp_rate");
+        assert!(matches!(label("sz2"), Cow::Borrowed("sz2")));
     }
 }

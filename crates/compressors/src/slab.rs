@@ -322,9 +322,12 @@ where
                 &decode_one,
             )
         });
+    // Sized only once every slab has decoded: the header's count alone
+    // never sizes the output.
+    let parts = decoded.into_iter().collect::<Result<Vec<_>, _>>()?;
     let mut data = Vec::with_capacity(dims.len());
-    for part in decoded {
-        data.extend_from_slice(&part?);
+    for part in parts {
+        data.extend_from_slice(&part);
     }
     Ok(Some(Field::new(name, dims, data)))
 }
@@ -388,10 +391,10 @@ where
                 &decode_one,
             )
         });
+    let parts = decoded.into_iter().collect::<Result<Vec<_>, _>>()?;
     let mut data = Vec::with_capacity(range.len());
     let mut elem = cover_start_elem;
-    for part in decoded {
-        let part = part?;
+    for part in parts {
         let lo = range.start.saturating_sub(elem).min(part.len());
         let hi = (range.end - elem).min(part.len());
         data.extend_from_slice(

@@ -370,23 +370,27 @@ fn layout(dims: Dims) -> BlockLayout {
     }
 }
 
-/// Iterates block origins for the blocked axes.
-fn block_origins(axes: &[usize]) -> Vec<Vec<usize>> {
-    let mut origins = vec![vec![]];
-    for &len in axes {
-        let mut next = Vec::new();
-        for o in &origins {
-            let mut start = 0;
-            while start < len {
-                let mut v = o.clone();
-                v.push(start);
-                next.push(v);
-                start += 4;
-            }
-        }
-        origins = next;
+/// Blocks along each blocked axis; entries past the last one stay 1.
+fn blocks_per_axis(axes: &[usize]) -> [usize; 3] {
+    let mut counts = [1; 3];
+    for (c, &len) in counts.iter_mut().zip(axes) {
+        *c = len.div_ceil(4);
     }
-    origins
+    counts
+}
+
+/// Block origins over the blocked axes, first axis slowest, computed as
+/// they are visited rather than collected.
+fn block_origins(axes: &[usize]) -> impl Iterator<Item = [usize; 3]> + '_ {
+    let counts = blocks_per_axis(axes);
+    (0..counts.iter().product::<usize>()).map(move |mut i| {
+        let mut origin = [0; 3];
+        for a in (0..axes.len()).rev() {
+            origin[a] = i % counts[a] * 4;
+            i /= counts[a];
+        }
+        origin
+    })
 }
 
 /// Gathers one `4^d` block (edge-clamped padding) into `out`.
@@ -588,7 +592,6 @@ impl Compressor for Zfp {
 
             let perm = sequency_perm(lay.d);
             let mut w = BitWriter::with_capacity(field.nbytes() / 8);
-            let origins = block_origins(&lay.axes);
             let mut vals = vec![0.0f64; size];
 
             // Mode byte + (for accuracy) tolerance exponent live in the header.
@@ -607,11 +610,11 @@ impl Compressor for Zfp {
 
             for outer in 0..lay.outer {
                 let base = outer * lay.outer_stride;
-                for origin in &origins {
+                for origin in block_origins(&lay.axes) {
                     gather(
                         field.data(),
                         base,
-                        origin,
+                        &origin,
                         &lay.axes,
                         &lay.strides,
                         &mut vals,
@@ -652,9 +655,22 @@ impl Compressor for Zfp {
             let payload = &rest[9..];
 
             let lay = layout(dims);
+            // Every block costs its flag bit, or in fixed-rate mode its
+            // whole budget, so a block count the payload cannot hold is
+            // rejected before the output is sized from the header.
+            let blocks =
+                lay.outer as u64 * blocks_per_axis(&lay.axes).iter().product::<usize>() as u64;
+            let min_bits = match mode_byte {
+                1 => u64::from_le_bytes(knob_bytes).max(1),
+                _ => 1,
+            };
+            if blocks.saturating_mul(min_bits) > 8 * payload.len() as u64 {
+                return Err(CompressError::Header(
+                    "zfp block count exceeds what the payload can encode",
+                ));
+            }
             let size = 1usize << (2 * lay.d);
             let perm = sequency_perm(lay.d);
-            let origins = block_origins(&lay.axes);
             let mut r = BitReader::new(payload);
             let mut data = vec![0.0f32; dims.len()];
             let mut block = vec![0.0f64; size];
@@ -668,7 +684,7 @@ impl Compressor for Zfp {
                     let e_tol = eb.log2().floor() as i32;
                     for outer in 0..lay.outer {
                         let base = outer * lay.outer_stride;
-                        for origin in &origins {
+                        for origin in block_origins(&lay.axes) {
                             self.decode_block(
                                 &mut r,
                                 lay.d,
@@ -677,7 +693,7 @@ impl Compressor for Zfp {
                                 None,
                                 &mut block,
                             )?;
-                            scatter(&mut data, base, origin, &lay.axes, &lay.strides, &block);
+                            scatter(&mut data, base, &origin, &lay.axes, &lay.strides, &block);
                         }
                     }
                 }
@@ -685,9 +701,9 @@ impl Compressor for Zfp {
                     let bits = u64::from_le_bytes(knob_bytes);
                     for outer in 0..lay.outer {
                         let base = outer * lay.outer_stride;
-                        for origin in &origins {
+                        for origin in block_origins(&lay.axes) {
                             self.decode_block(&mut r, lay.d, &perm, |_| 0, Some(bits), &mut block)?;
-                            scatter(&mut data, base, origin, &lay.axes, &lay.strides, &block);
+                            scatter(&mut data, base, &origin, &lay.axes, &lay.strides, &block);
                         }
                     }
                 }

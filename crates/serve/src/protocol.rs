@@ -16,10 +16,11 @@
 //! ```
 //!
 //! The payload length is an **untrusted** field: readers reject frames
-//! above a configurable cap *before* allocating, and every string / shape
-//! / data length inside a payload is validated against the actual payload
-//! size — a claimed length never drives an allocation larger than the
-//! bytes that were really received.
+//! above a configurable cap, and below it the payload buffer grows only
+//! with the bytes that actually arrive. Every string / shape / data
+//! length inside a payload is validated against the actual payload size,
+//! so a claimed length never drives an allocation larger than the bytes
+//! that were really received (`tests/hostile_input.rs` measures this).
 //!
 //! Hostile bytes must come back as typed errors, never panics: the
 //! module denies clippy's panicking constructs outside its tests. It
@@ -297,12 +298,15 @@ impl ResponseFrame {
     }
 }
 
-/// Reads exactly `n` bytes, or fails. Callers must cap `n` (both frame
-/// readers check the length prefix against `max_frame` first).
-fn read_exact_vec(r: &mut impl Read, n: usize) -> Result<Vec<u8>, FrameError> {
-    // fxrz-lint: allow(alloc_bounds): both callers cap n at max_frame first
-    let mut buf = vec![0u8; n];
-    r.read_exact(&mut buf)?;
+/// Reads a payload of exactly `n` bytes into a buffer that grows with
+/// the bytes that arrive, so a length prefix alone never sizes an
+/// allocation; fewer than `n` bytes is `UnexpectedEof`.
+fn read_payload(r: &mut impl Read, n: u32) -> Result<Vec<u8>, FrameError> {
+    let mut buf = Vec::new();
+    r.take(u64::from(n)).read_to_end(&mut buf)?;
+    if buf.len() != n as usize {
+        return Err(FrameError::Io(io::ErrorKind::UnexpectedEof.into()));
+    }
     Ok(buf)
 }
 
@@ -346,7 +350,7 @@ pub fn read_request(r: &mut impl Read, max_frame: u32) -> Result<Option<RequestF
             cap: max_frame,
         });
     }
-    let payload = read_exact_vec(r, len as usize)?;
+    let payload = read_payload(r, len)?;
     Ok(Some(RequestFrame {
         op,
         req_id,
@@ -437,7 +441,7 @@ pub fn read_response(r: &mut impl Read, max_frame: u32) -> Result<ResponseFrame,
             cap: max_frame,
         });
     }
-    let payload = read_exact_vec(r, len as usize)?;
+    let payload = read_payload(r, len)?;
     Ok(ResponseFrame {
         status,
         op,
@@ -575,7 +579,6 @@ fn get_field(c: &mut Cursor<'_>) -> Result<Field, FrameError> {
     if c.remaining() != need {
         return Err(FrameError::Malformed("data length does not match shape"));
     }
-    // fxrz-lint: allow(alloc_bounds): total*4 == remaining() verified above
     let mut data = Vec::with_capacity(total);
     for b in c.take(need)?.chunks_exact(4) {
         data.push(f32::from_le_bytes(le_array(b)?));

@@ -27,6 +27,7 @@ use crate::protocol::{
 };
 use crate::registry::{ModelRegistry, RegistryError, ServedModel};
 use crate::scheduler::{Scheduler, SchedulerConfig};
+use fxrz_compressors::Compressor;
 use fxrz_core::infer::Estimate;
 use fxrz_core::sampling::StridedSampler;
 use fxrz_stream::{StreamConfig, StreamEncoder};
@@ -672,6 +673,27 @@ fn stats_json(shared: &Shared) -> String {
     )
 }
 
+/// The compressor for `stream`, unless its header declares more elements
+/// than a `Compress` request could carry (`max_frame / 4`): such a
+/// stream is refused before any decoding, so no request makes the
+/// daemon build a field larger than it would accept.
+fn decoder_for(stream: &[u8], max_frame: u32) -> Result<Box<dyn Compressor>, String> {
+    let codec = stream
+        .first()
+        .and_then(|&magic| fxrz_compressors::codec_for_magic(magic))
+        .ok_or("unrecognized compressor stream magic")?;
+    let (_, dims, _) = fxrz_compressors::header::read(stream, codec.magic, codec.name)
+        .map_err(|e| e.to_string())?;
+    let cap = max_frame as usize / 4;
+    if dims.len() > cap {
+        return Err(format!(
+            "stream declares {} elements; this daemon decodes at most {cap}",
+            dims.len()
+        ));
+    }
+    Ok((codec.make)())
+}
+
 fn dispatch_inner(
     shared: &Arc<Shared>,
     frame: RequestFrame,
@@ -853,16 +875,15 @@ fn dispatch_inner(
                 })
         }
         Request::Decompress { stream } => {
+            let max_frame = shared.config.max_frame;
             shared
                 .scheduler
                 .submit(op_byte, req_id, frame.deadline_ms, trace, move |_ctx| {
-                    let Some(comp) = fxrz_compressors::detect(&stream) else {
-                        return ResponseFrame::error(
-                            op_byte,
-                            req_id,
-                            ErrorCode::Engine,
-                            "unrecognized compressor stream magic",
-                        );
+                    let comp = match decoder_for(&stream, max_frame) {
+                        Ok(comp) => comp,
+                        Err(e) => {
+                            return ResponseFrame::error(op_byte, req_id, ErrorCode::Engine, &e)
+                        }
                     };
                     match comp.decompress(&stream) {
                         Ok(field) => {
@@ -879,13 +900,12 @@ fn dispatch_inner(
             shared
                 .scheduler
                 .submit(op_byte, req_id, frame.deadline_ms, trace, move |_ctx| {
-                    let Some(comp) = fxrz_compressors::detect(&stream) else {
-                        return ResponseFrame::error(
-                            op_byte,
-                            req_id,
-                            ErrorCode::Engine,
-                            "unrecognized compressor stream magic",
-                        );
+                    let max_frame = range_shared.config.max_frame;
+                    let comp = match decoder_for(&stream, max_frame) {
+                        Ok(comp) => comp,
+                        Err(e) => {
+                            return ResponseFrame::error(op_byte, req_id, ErrorCode::Engine, &e)
+                        }
                     };
                     let telemetry = &range_shared.metrics;
                     telemetry.incr(names::SLAB_RANGE_REQUESTS);

@@ -254,7 +254,7 @@ impl StreamEncoder {
             }
             rows.push(Row {
                 name: name.clone(),
-                label: name.replace('-', "_"),
+                label: fxrz_compressors::instrument::label(name).into_owned(),
                 tag,
                 comp,
                 model: None,

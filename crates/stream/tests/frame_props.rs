@@ -1,43 +1,29 @@
 //! Seeded property suite for the `FXRZS1` frame container and the
-//! streaming encoder/decoder: roundtrips across signal shapes,
-//! truncation / bit-flip / forged-header fuzz (typed errors, never
-//! panics), thread-count-independent decode, and controller
-//! convergence on a drifting signal.
+//! streaming encoder/decoder: roundtrips across signal shapes, typed
+//! errors for forged header fields, thread-count-independent decode,
+//! and controller convergence on a drifting signal. Hostile input
+//! (truncations, bit flips, forged fields) is `tests/hostile_input.rs`'s
+//! job.
 
 use fxrz_codec::bitstream::varint_len;
 use fxrz_stream::{frame, StreamConfig, StreamDecoder, StreamEncoder, StreamError};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
-/// Deterministic LCG so every fuzz case is reproducible from the seed.
-struct Lcg(u64);
-
-impl Lcg {
-    fn new(seed: u64) -> Self {
-        Self(seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(1))
-    }
-    fn next_u64(&mut self) -> u64 {
-        self.0 = self
-            .0
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        self.0
-    }
-    fn next_f32(&mut self) -> f32 {
-        ((self.next_u64() >> 40) as f32 / (1u64 << 24) as f32) - 0.5
-    }
-    fn below(&mut self, n: usize) -> usize {
-        (self.next_u64() % n.max(1) as u64) as usize
-    }
+/// Uniform noise in `[-0.5, 0.5)`.
+fn noise(rng: &mut StdRng) -> f32 {
+    rng.gen::<f32>() - 0.5
 }
 
 /// Frame generators for the four signal shapes.
-fn shape_frame(shape: &str, frame_idx: usize, len: usize, rng: &mut Lcg) -> Vec<f32> {
+fn shape_frame(shape: &str, frame_idx: usize, len: usize, rng: &mut StdRng) -> Vec<f32> {
     (0..len)
         .map(|i| {
             let t = (frame_idx * len + i) as f32;
             match shape {
                 "constant" => 3.25,
                 "trended" => t * 0.001 + (t * 0.01).sin(),
-                "noisy" => rng.next_f32() * 4.0,
+                "noisy" => noise(rng) * 4.0,
                 "special" => {
                     if i % 37 == 5 {
                         f32::NAN
@@ -71,7 +57,7 @@ fn encode(frames: &[Vec<f32>], target: f64) -> Vec<u8> {
 #[test]
 fn roundtrip_across_signal_shapes() {
     for shape in ["constant", "trended", "noisy", "special"] {
-        let mut rng = Lcg::new(7);
+        let mut rng = StdRng::seed_from_u64(7);
         let frames: Vec<Vec<f32>> = (0..6)
             .map(|f| shape_frame(shape, f, 512, &mut rng))
             .collect();
@@ -102,54 +88,8 @@ fn roundtrip_across_signal_shapes() {
 }
 
 #[test]
-fn every_truncation_yields_typed_error_never_panic() {
-    let mut rng = Lcg::new(11);
-    let frames: Vec<Vec<f32>> = (0..4)
-        .map(|f| shape_frame("trended", f, 128, &mut rng))
-        .collect();
-    let stream = encode(&frames, 6.0);
-    // Inline decode (threads=1) so a hypothetical panic surfaces on
-    // this thread where catch_unwind can see it.
-    fxrz_parallel::with_threads(1, || {
-        for cut in 0..stream.len() {
-            let prefix = stream[..cut].to_vec();
-            let result = std::panic::catch_unwind(move || StreamDecoder::decode(&prefix).is_err());
-            assert!(
-                result.expect("truncation must not panic"),
-                "cut {cut} decoded"
-            );
-        }
-    });
-}
-
-#[test]
-fn three_hundred_bit_flips_never_panic() {
-    let mut rng = Lcg::new(13);
-    let frames: Vec<Vec<f32>> = (0..4)
-        .map(|f| shape_frame("noisy", f, 128, &mut rng))
-        .collect();
-    let stream = encode(&frames, 6.0);
-    fxrz_parallel::with_threads(1, || {
-        for _ in 0..300 {
-            let mut mutated = stream.clone();
-            let pos = rng.below(mutated.len());
-            let bit = rng.below(8) as u32;
-            mutated[pos] ^= 1 << bit;
-            // A flip may land in a payload (checksum catches it), a
-            // header (typed structural error), or a don't-care f64 bit
-            // (stream still decodes); the only forbidden outcome is a
-            // panic.
-            let outcome = std::panic::catch_unwind(move || {
-                let _ = StreamDecoder::decode(&mutated);
-            });
-            assert!(outcome.is_ok(), "bit flip at {pos}:{bit} panicked");
-        }
-    });
-}
-
-#[test]
 fn forged_headers_yield_typed_errors() {
-    let mut rng = Lcg::new(17);
+    let mut rng = StdRng::seed_from_u64(17);
     let frames: Vec<Vec<f32>> = (0..2)
         .map(|f| shape_frame("trended", f, 64, &mut rng))
         .collect();
@@ -217,7 +157,7 @@ fn codec_scratch_is_reused_across_the_encode_loop() {
         .snapshot()
         .counter(fxrz_codec::names::SCRATCH_REUSE)
         .unwrap_or(0);
-    let mut rng = Lcg::new(41);
+    let mut rng = StdRng::seed_from_u64(41);
     let mut enc = StreamEncoder::new(StreamConfig::new(8.0)).expect("encoder");
     for f in 0..6 {
         let chunk = shape_frame("noisy", f, 256, &mut rng);
@@ -236,7 +176,7 @@ fn codec_scratch_is_reused_across_the_encode_loop() {
 
 #[test]
 fn decode_is_bit_identical_across_thread_counts() {
-    let mut rng = Lcg::new(23);
+    let mut rng = StdRng::seed_from_u64(23);
     let frames: Vec<Vec<f32>> = (0..24)
         .map(|f| {
             shape_frame(
@@ -274,7 +214,7 @@ fn controller_converges_on_drifting_signal() {
     // Amplitude and noise both drift over 96 frames; the cumulative
     // achieved ratio must land within 10% of the global target and the
     // selector must have used at least two codec rows.
-    let mut rng = Lcg::new(31);
+    let mut rng = StdRng::seed_from_u64(31);
     let target = 12.0;
     let frames = 96usize;
     let mut enc = StreamEncoder::new(StreamConfig::new(target)).expect("encoder");
@@ -283,7 +223,7 @@ fn controller_converges_on_drifting_signal() {
         let chunk: Vec<f32> = (0..1024)
             .map(|i| {
                 let t = (f * 1024 + i) as f32 * 0.0007;
-                (1.0 + 3.0 * drift) * t.sin() + drift * 0.8 * rng.next_f32()
+                (1.0 + 3.0 * drift) * t.sin() + drift * 0.8 * noise(&mut rng)
             })
             .collect();
         enc.push(&chunk).expect("push");

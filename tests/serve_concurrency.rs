@@ -9,7 +9,8 @@
 use fxrz::prelude::*;
 use fxrz::serve::protocol::ErrorCode;
 use fxrz::serve::scheduler::SchedulerConfig;
-use fxrz::serve::ClientError;
+use fxrz::serve::{ClientError, Request};
+use fxrz_compressors::header::{self, magic};
 use fxrz_core::sampling::StridedSampler;
 use fxrz_core::train::{TrainedModel, TrainerConfig};
 use fxrz_datagen::grf::{gaussian_random_field, GrfConfig};
@@ -207,5 +208,58 @@ fn unknown_model_and_oversized_frames_are_refused() {
         other => panic!("expected an oversized-frame rejection, got {other:?}"),
     }
 
+    handle.shutdown();
+}
+
+#[test]
+fn fields_larger_than_the_daemon_accepts_are_refused_before_decoding() {
+    // max_frame 64 KiB: a Compress carries at most 16384 samples, so a
+    // Decompress may not build more.
+    let server = Server::new(ServerConfig {
+        max_frame: 1 << 16,
+        ..ServerConfig::default()
+    });
+    let handle = server.serve_tcp("127.0.0.1:0").expect("bind tcp");
+    let addr = handle.local_addr().expect("addr").to_string();
+    let mut client = Client::connect_tcp(&addr).expect("connect");
+
+    // The payload of a real 8³ fpzip stream under a header declaring
+    // 2^34 elements: decoding it once aborted the daemon on a 128 GiB
+    // allocation.
+    let field = gaussian_random_field(Dims::d3(8, 8, 8), GrfConfig::default().with_seed(9));
+    let stream = Fpzip
+        .compress(&field, &ErrorConfig::Precision(16))
+        .expect("compress");
+    let (name, _, off) = header::read(&stream, magic::FPZIP, "fpzip").expect("header");
+    let mut forged = Vec::new();
+    header::write(&mut forged, magic::FPZIP, &name, Dims::d2(16, 1 << 30));
+    forged.extend_from_slice(&stream[off..]);
+    // A valid zfp stream of 32³ zeros: a few bytes, but twice the cap.
+    let zeros = Field::new("zeros", Dims::d3(32, 32, 32), vec![0.0; 32 * 32 * 32]);
+    let valid = Zfp::default()
+        .compress(&zeros, &ErrorConfig::Abs(1e-3))
+        .expect("compress");
+
+    for stream in [forged, valid] {
+        for request in [
+            Request::Decompress {
+                stream: stream.clone(),
+            },
+            Request::DecompressRange {
+                start: 0,
+                end: 16,
+                stream: stream.clone(),
+            },
+        ] {
+            match client.call(&request) {
+                Err(ClientError::Server { code, message }) => {
+                    assert_eq!(code, ErrorCode::Engine as u16);
+                    assert!(message.contains("declares"), "{message}");
+                }
+                other => panic!("expected a refusal, got {other:?}"),
+            }
+        }
+    }
+    client.ping().expect("the daemon still answers");
     handle.shutdown();
 }

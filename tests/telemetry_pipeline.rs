@@ -177,3 +177,30 @@ fn rate_curve_probing_reuses_codec_scratch() {
         "25-point rate curve produced no scratch reuse ({before} -> {after})"
     );
 }
+
+#[test]
+fn every_series_name_is_lowercase_dotted() {
+    // Compress and decompress through every codec row, so every
+    // per-codec series exists, then check every name the registry holds.
+    let field = nyx::baryon_density(Dims::d3(8, 8, 8), NyxConfig::default().with_seed(3));
+    for codec in fxrz::compressors::CODECS {
+        let comp = (codec.make)();
+        let cfg = comp.config_space().at(0.5, 1.0);
+        let bytes = comp.compress(&field, &cfg).expect("compress");
+        comp.decompress(&bytes).expect("decompress");
+    }
+    let snap = fxrz::telemetry::global().snapshot();
+    let names = snap
+        .counters
+        .iter()
+        .map(|c| &c.name)
+        .chain(snap.gauges.iter().map(|g| &g.name))
+        .chain(snap.histograms.iter().map(|h| &h.name));
+    let bad: Vec<&String> = names
+        .filter(|n| {
+            !n.bytes()
+                .all(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'_' || b == b'.')
+        })
+        .collect();
+    assert!(bad.is_empty(), "series names outside [a-z0-9_.]+: {bad:?}");
+}
