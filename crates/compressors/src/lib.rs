@@ -17,7 +17,7 @@
 //!   floats under a *precision* (bit-count) control, via an adaptive range
 //!   coder.
 //! * [`mgard`] — multilevel (multigrid) decomposition with per-level
-//!   quantization and an RLE + Huffman + LZ77 back end.
+//!   quantization and a zero-run RLE + LZ77 back end.
 //!
 //! All seven registry rows implement [`Compressor`], take an
 //! [`ErrorConfig`], emit self-describing buffers, and guarantee their

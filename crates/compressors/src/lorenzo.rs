@@ -1,18 +1,26 @@
-//! The row-plan Lorenzo kernel shared by `sz`, `sz-fse` and `fpzip`.
+//! Row plans: the Lorenzo kernel shared by `sz`, `sz-fse`, `sz2` and
+//! `fpzip`, and the strided-row iterator every plan walks with.
 //!
 //! The Lorenzo corner stencil predicts a point from the `2^d − 1`
 //! already-visited corners of its unit cube (inclusion–exclusion over the
 //! non-empty subsets, or *masks*, of the axes; a corner off the grid
 //! contributes nothing). Which corners exist depends only on which of
 //! the point's coordinates are zero, and along a row of the fastest axis
-//! that changes once: at the row's first point. So [`walk`] computes the
-//! stencil's `(offset, sign)` terms twice per row — for the first point
-//! and for the rest — instead of deriving coordinates and testing masks
-//! at every point.
+//! that changes once: at the row's first point. So [`stencils`] builds
+//! the stencil's `(offset, sign)` terms once per field for each of the
+//! `2^d` nonzero-coordinate masks, and [`row_stencils`] picks two per row
+//! — for the first point and for the rest — instead of deriving
+//! coordinates and testing masks at every point.
 //!
 //! The terms keep ascending mask order, so the `f64` summation order of
-//! [`Stencil::predict`] is exactly that of [`crate::sz::lorenzo_predict`]
-//! and both give the same bits.
+//! [`Stencil::predict`] is exactly that of the test-only per-point
+//! reference `sz::lorenzo_predict`, and both give the same bits, up to a
+//! NaN's sign and payload, which LLVM leaves unspecified.
+//!
+//! [`rows`] is the one odometer of the row plans (`mgard`'s levels,
+//! `sz2`'s blocks, `szi`'s sweeps and [`walk`]): it hands out the rows
+//! of a strided sub-grid, and each plan derives whatever depends only on
+//! the slower axes once per row.
 
 use fxrz_datagen::dims::MAX_NDIM;
 use fxrz_datagen::Dims;
@@ -30,7 +38,7 @@ pub(crate) struct Stencil {
 impl Stencil {
     /// The terms of a point whose coordinate along axis `a` is nonzero
     /// exactly when bit `a` of `nonzero` is set.
-    fn new(strides: &[usize], nonzero: u32) -> Self {
+    pub(crate) fn new(strides: &[usize], nonzero: u32) -> Self {
         let mut stencil = Self {
             terms: [(0, 0); MAX_TERMS],
             len: 0,
@@ -56,8 +64,8 @@ impl Stencil {
         &self.terms[..self.len]
     }
 
-    /// The `f64` prediction of point `idx` from `recon`; bit-identical to
-    /// [`crate::sz::lorenzo_predict`].
+    /// The `f64` prediction of point `idx` from `recon`; the same bits as
+    /// the per-point reference `sz::lorenzo_predict`, NaN bits aside.
     #[inline]
     pub(crate) fn predict(&self, recon: &[f32], idx: usize) -> f64 {
         let mut pred = 0.0f64;
@@ -81,42 +89,104 @@ impl Stencil {
 }
 
 /// Visits every point of `dims` once, in raster order, with its stencil:
-/// `point(idx, stencil)`. Two stencils are built per row of the fastest
-/// axis.
+/// `point(idx, stencil)`.
 #[inline]
 pub(crate) fn walk(dims: Dims, mut point: impl FnMut(usize, &Stencil)) {
+    let stencils = stencils(dims);
+    let row_len = dims.axis(dims.ndim() - 1);
+    let shape = extent(dims);
+    rows(
+        dims,
+        [0; MAX_NDIM],
+        [1; MAX_NDIM],
+        shape,
+        |start, coords| {
+            let (first, rest) = row_stencils(&stencils, dims, coords);
+            point(start, first);
+            for idx in start + 1..start + row_len {
+                point(idx, rest);
+            }
+        },
+    );
+}
+
+/// The stencil of every nonzero-coordinate mask of `dims`: entry
+/// `nonzero` is [`Stencil::new`]`(strides, nonzero)`.
+pub(crate) fn stencils(dims: Dims) -> Vec<Stencil> {
+    let strides = dims.strides();
+    (0..1u32 << dims.ndim())
+        .map(|nonzero| Stencil::new(&strides[..dims.ndim()], nonzero))
+        .collect()
+}
+
+/// The stencils from `stencils` of a row's first point, whose global
+/// coordinates are `coords`, and of the rest of the row. Only the first
+/// point can sit at fastest coordinate 0, which drops the corners behind
+/// it along the fastest axis.
+pub(crate) fn row_stencils<'s>(
+    stencils: &'s [Stencil],
+    dims: Dims,
+    coords: &[usize; MAX_NDIM],
+) -> (&'s Stencil, &'s Stencil) {
+    let fast = dims.ndim() - 1;
+    let slower = (0..fast)
+        .filter(|&a| coords[a] != 0)
+        .fold(0usize, |bits, a| bits | 1 << a);
+    let rest = slower | 1 << fast;
+    let first = if coords[fast] == 0 { slower } else { rest };
+    (&stencils[first], &stencils[rest])
+}
+
+/// The shape of `dims` padded to [`MAX_NDIM`] axes.
+pub(crate) fn extent(dims: Dims) -> [usize; MAX_NDIM] {
+    let mut shape = [1; MAX_NDIM];
+    shape[..dims.ndim()].copy_from_slice(dims.shape());
+    shape
+}
+
+/// Visits the rows of the fastest axis of a strided sub-grid of `dims`,
+/// in raster order. Along axis `a` the sub-grid holds the coordinates
+/// `starts[a] + i·steps[a]` for `i < counts[a]`; `row(start, coords)`
+/// gets the linear index and the coordinates of the row's first node and
+/// walks the fastest axis itself. An empty sub-grid visits nothing.
+pub(crate) fn rows(
+    dims: Dims,
+    starts: [usize; MAX_NDIM],
+    steps: [usize; MAX_NDIM],
+    counts: [usize; MAX_NDIM],
+    mut row: impl FnMut(usize, &[usize; MAX_NDIM]),
+) {
     let ndim = dims.ndim();
-    let all_strides = dims.strides();
-    let strides = &all_strides[..ndim];
-    let shape = dims.shape();
-    let row_len = shape[ndim - 1];
-    let fastest = 1u32 << (ndim - 1);
-    // Coordinates of the slower axes, advanced row by row.
-    let mut outer = [0usize; MAX_NDIM];
-    for start in (0..dims.len()).step_by(row_len) {
-        let nonzero = (0..ndim - 1)
-            .filter(|&a| outer[a] != 0)
-            .fold(0u32, |bits, a| bits | 1 << a);
-        point(start, &Stencil::new(strides, nonzero));
-        let rest = Stencil::new(strides, nonzero | fastest);
-        for idx in start + 1..start + row_len {
-            point(idx, &rest);
-        }
-        for a in (0..ndim - 1).rev() {
-            outer[a] += 1;
-            if outer[a] < shape[a] {
+    if counts[..ndim].contains(&0) {
+        return;
+    }
+    let strides = dims.strides();
+    let mut coords = starts;
+    loop {
+        let start = (0..ndim).map(|a| coords[a] * strides[a]).sum();
+        row(start, &coords);
+        // Advance the slower axes, last one fastest.
+        let mut a = ndim - 1;
+        loop {
+            if a == 0 {
+                return;
+            }
+            a -= 1;
+            coords[a] += steps[a];
+            if coords[a] < starts[a] + counts[a] * steps[a] {
                 break;
             }
-            outer[a] = 0;
+            coords[a] = starts[a];
         }
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::sz::lorenzo_predict;
-    use fxrz_telemetry::trace::splitmix64;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     /// The per-point mask loop over wrapping `i64`: the reference the
     /// integer plan must match.
@@ -147,32 +217,22 @@ mod tests {
         pred
     }
 
-    struct Rng(u64);
-
-    impl Rng {
-        fn next(&mut self) -> u64 {
-            self.0 = splitmix64(self.0);
-            self.0
-        }
-
-        fn below(&mut self, n: u64) -> u64 {
-            self.next() % n
-        }
-    }
-
-    /// 1-D..4-D, non-cubic, with size-1 axes in every position.
-    fn random_dims(rng: &mut Rng) -> Dims {
-        let ndim = 1 + rng.below(4) as usize;
+    /// 1-D..4-D, non-cubic, with size-1 axes in every position and
+    /// other axes up to `max_len` long.
+    pub(crate) fn random_dims(rng: &mut StdRng, max_len: usize) -> Dims {
+        let ndim = rng.gen_range(1..=4usize);
         let shape: Vec<usize> = (0..ndim)
-            .map(|_| match rng.below(4) {
+            .map(|_| match rng.gen_range(0..4) {
                 0 => 1,
-                _ => 1 + rng.below(9) as usize,
+                _ => rng.gen_range(1..=max_len),
             })
             .collect();
         Dims::new(&shape)
     }
 
-    fn random_f32(rng: &mut Rng) -> f32 {
+    /// Smooth values mixed with NaN, ±Inf, ±0.0, ±1e30 and random bit
+    /// patterns.
+    pub(crate) fn random_f32(rng: &mut StdRng) -> f32 {
         const SPECIAL: [f32; 7] = [
             f32::NAN,
             f32::INFINITY,
@@ -182,27 +242,41 @@ mod tests {
             1e30,
             -1e30,
         ];
-        match rng.below(4) {
-            0 => SPECIAL[rng.below(SPECIAL.len() as u64) as usize],
-            1 => f32::from_bits(rng.next() as u32),
-            _ => (rng.next() % 2001) as f32 * 0.01 - 10.0,
+        match rng.gen_range(0..4) {
+            0 => SPECIAL[rng.gen_range(0..SPECIAL.len())],
+            1 => f32::from_bits(rng.gen()),
+            _ => rng.gen_range(0..2001) as f32 * 0.01 - 10.0,
         }
     }
 
-    fn random_i64(rng: &mut Rng) -> i64 {
+    /// The bits of a prediction, every NaN mapped to the one canonical
+    /// NaN. LLVM leaves the sign and payload of a NaN result unspecified,
+    /// so a plan and its per-point reference may differ in NaN bits alone
+    /// (a release build flips the sign of some). No stream byte depends
+    /// on them: every walk stores a value with a non-finite prediction
+    /// verbatim.
+    pub(crate) fn pred_bits(pred: f64) -> u64 {
+        if pred.is_nan() {
+            f64::NAN.to_bits()
+        } else {
+            pred.to_bits()
+        }
+    }
+
+    fn random_i64(rng: &mut StdRng) -> i64 {
         const SPECIAL: [i64; 5] = [i64::MIN, i64::MAX, -1, 0, 1];
-        match rng.below(4) {
-            0 => SPECIAL[rng.below(SPECIAL.len() as u64) as usize],
-            1 => rng.next() as i64,
-            _ => (rng.next() % 65_536) as i64 - 32_768,
+        match rng.gen_range(0..4) {
+            0 => SPECIAL[rng.gen_range(0..SPECIAL.len())],
+            1 => rng.gen(),
+            _ => rng.gen_range(-32_768i64..32_768),
         }
     }
 
     #[test]
     fn row_plan_matches_the_mask_loop_bit_for_bit() {
-        let mut rng = Rng(0x4C4F_5245_4E5A);
+        let mut rng = StdRng::seed_from_u64(0x4C4F_5245_4E5A);
         for case in 0..400 {
-            let dims = random_dims(&mut rng);
+            let dims = random_dims(&mut rng, 9);
             let ndim = dims.ndim();
             let floats: Vec<f32> = (0..dims.len()).map(|_| random_f32(&mut rng)).collect();
             let ints: Vec<i64> = (0..dims.len()).map(|_| random_i64(&mut rng)).collect();
@@ -214,8 +288,8 @@ mod tests {
                 let want = lorenzo_predict(&floats, dims, idx, &coords[..ndim]);
                 let got = stencil.predict(&floats, idx);
                 assert_eq!(
-                    got.to_bits(),
-                    want.to_bits(),
+                    pred_bits(got),
+                    pred_bits(want),
                     "case {case} {dims} point {idx}: f64 {got} vs {want}"
                 );
                 let want = mask_loop_int(&ints, dims, idx, &coords[..ndim]);

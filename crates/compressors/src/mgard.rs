@@ -13,10 +13,12 @@
 //! data) quantized residuals, then the LZ77 dictionary stage.
 
 use crate::header::{self, magic};
+use crate::lorenzo::{extent, rows};
 use crate::sz::{abs_eb, open_payload, HALF};
 use crate::{CompressError, Compressor, ConfigSpace, ErrorConfig};
 use fxrz_codec::bitstream::{read_varint, unzigzag, write_varint, zigzag};
 use fxrz_codec::{lz77, rle};
+use fxrz_datagen::dims::MAX_NDIM;
 use fxrz_datagen::{Dims, Field};
 
 /// Symbol for a zero residual (RLE-friendly).
@@ -42,97 +44,116 @@ pub(crate) fn num_levels(dims: Dims) -> u32 {
     l
 }
 
-/// Visits the nodes owned by level `k` (i.e. `G_k \ G_{k+1}`, or all of
-/// `G_L` when `k == levels`) in raster order, invoking `f(linear_index,
-/// coords)`.
-#[allow(clippy::needless_range_loop)] // several fixed arrays indexed in lockstep
-fn for_level_nodes(dims: Dims, k: u32, levels: u32, mut f: impl FnMut(usize, &[usize; 4])) {
-    let ndim = dims.ndim();
-    let step = 1usize << k;
-    // odometer over the level-k grid
-    let counts: [usize; 4] = {
-        let mut c = [1usize; 4];
-        for a in 0..ndim {
-            c[a] = dims.axis(a).div_ceil(step);
+/// The coarsest grid `G_levels` (every coordinate a multiple of
+/// `2^levels`) in raster order; shared with [`crate::szinterp`].
+pub(crate) fn coarsest(dims: Dims, levels: u32, mut node: impl FnMut(usize)) {
+    let step = 1usize << levels;
+    let shape = extent(dims);
+    let len = shape[dims.ndim() - 1];
+    let counts = shape.map(|n| n.div_ceil(step));
+    rows(dims, [0; MAX_NDIM], [step; MAX_NDIM], counts, |start, _| {
+        for x in (0..len).step_by(step) {
+            node(start + x);
         }
-        c
-    };
-    let mut it = [0usize; 4];
-    loop {
-        // absolute coords
-        let mut coords = [0usize; 4];
-        for a in 0..ndim {
-            coords[a] = it[a] * step;
-        }
-        let owned = if k == levels {
-            true
-        } else {
-            // owned by level k iff not all level-k coords are even
-            it[..ndim].iter().any(|&c| c % 2 == 1)
+    });
+}
+
+/// The interpolation corners shared by a class of level-`k` nodes: the
+/// node at `idx` averages `recon[idx - lo + add]` over `adds`. Bit `b` of
+/// a corner's index picks the hi neighbour along the `b`-th odd axis in
+/// ascending order, the corner order of the per-point reference.
+struct Corners {
+    lo: usize,
+    adds: [usize; 1 << MAX_NDIM],
+    len: usize,
+    /// `1 / len`. `len` is a power of two, so multiplying by this exact
+    /// reciprocal rounds the same quotient as dividing by `len`.
+    scale: f64,
+}
+
+impl Corners {
+    /// The corners over the odd axes `axes`, ascending: `(d, hi)` is the
+    /// distance `d` to the lo neighbour and the step `hi` on from it to
+    /// the hi one (`2d`, or 0 where the hi neighbour is off the grid and
+    /// falls back to lo).
+    fn new(axes: &[(usize, usize)]) -> Self {
+        let len = 1 << axes.len();
+        let mut corners = Self {
+            lo: axes.iter().map(|&(d, _)| d).sum(),
+            adds: [0; 1 << MAX_NDIM],
+            len,
+            scale: 1.0 / len as f64,
         };
-        if owned {
-            let idx = dims.linear(&coords[..ndim]);
-            f(idx, &coords);
+        for (corner, add) in corners.adds[..corners.len].iter_mut().enumerate() {
+            *add = (axes.iter().enumerate())
+                .filter(|&(bit, _)| corner >> bit & 1 == 1)
+                .map(|(_, &(_, hi))| hi)
+                .sum();
         }
-        // increment odometer (fastest axis last)
-        let mut a = ndim;
-        loop {
-            if a == 0 {
-                return;
-            }
-            a -= 1;
-            it[a] += 1;
-            if it[a] < counts[a] {
-                break;
-            }
-            it[a] = 0;
-            if a == 0 {
-                return;
-            }
+        corners
+    }
+
+    /// The multilinear prediction of the node at `idx` from `recon`: the
+    /// corners summed in order, then divided by their count.
+    #[inline]
+    fn predict(&self, recon: &[f32], idx: usize) -> f64 {
+        let base = idx - self.lo;
+        let mut sum = 0.0f64;
+        for &add in &self.adds[..self.len] {
+            sum += recon[base + add] as f64;
         }
+        sum * self.scale
     }
 }
 
-/// Multilinear prediction of a level-`k` node from its level-(k+1)
-/// neighbours in `recon`. For the coarsest level, returns the previous
-/// reconstructed coarse node (delta coding) via `prev`.
-#[allow(clippy::needless_range_loop)] // coordinate arrays indexed in lockstep
-fn interp_predict(recon: &[f32], dims: Dims, coords: &[usize; 4], k: u32) -> f64 {
-    let ndim = dims.ndim();
+/// Visits the nodes owned by level `k < levels` (`G_k \ G_{k+1}`) in
+/// raster order with their corners: `node(idx, corners)`. Along a row of
+/// the fastest axis the odd slower axes are fixed, so a row builds three
+/// corner lists: for its even nodes (owned only when a slower axis is
+/// odd), for its odd nodes, and for an odd last node, whose hi corner
+/// along the fastest axis falls back to lo. Every corner is a coarser
+/// node, so a walk may write each node as soon as it is visited.
+fn level_walk(dims: Dims, k: u32, mut node: impl FnMut(usize, &Corners)) {
+    let fast = dims.ndim() - 1;
     let step = 1usize << k;
-    // Axes with an odd level-k coordinate need interpolation.
-    let mut odd_axes = [0usize; 4];
-    let mut n_odd = 0usize;
-    for a in 0..ndim {
-        if (coords[a] / step) % 2 == 1 {
-            odd_axes[n_odd] = a;
-            n_odd += 1;
-        }
-    }
-    debug_assert!(n_odd > 0, "coarse-owned node passed to interp_predict");
-
-    // Average over all corner combinations (lo/hi per odd axis); a hi
-    // corner outside the grid degrades to the lo corner (constant
-    // extrapolation at the boundary).
-    let mut sum = 0.0f64;
-    let n_corners = 1usize << n_odd;
-    for corner in 0..n_corners {
-        let mut c = *coords;
-        for (bit, &a) in odd_axes[..n_odd].iter().enumerate() {
-            if corner & (1 << bit) != 0 {
-                let hi = coords[a] + step;
-                c[a] = if hi < dims.axis(a) {
-                    hi
+    let strides = dims.strides();
+    let shape = extent(dims);
+    let len = shape[fast];
+    let counts = shape.map(|n| n.div_ceil(step));
+    rows(
+        dims,
+        [0; MAX_NDIM],
+        [step; MAX_NDIM],
+        counts,
+        |start, coords| {
+            let mut axes = [(0, 0); MAX_NDIM];
+            let mut n_odd = 0;
+            for a in (0..fast).filter(|&a| coords[a] & step != 0) {
+                let d = step * strides[a];
+                let hi = if coords[a] + step < shape[a] {
+                    2 * d
                 } else {
-                    coords[a] - step
+                    0
                 };
-            } else {
-                c[a] = coords[a] - step;
+                axes[n_odd] = (d, hi);
+                n_odd += 1;
             }
-        }
-        sum += recon[dims.linear(&c[..ndim])] as f64;
-    }
-    sum / n_corners as f64
+            let even = (n_odd > 0).then(|| Corners::new(&axes[..n_odd]));
+            axes[n_odd] = (step, 2 * step);
+            let odd = Corners::new(&axes[..=n_odd]);
+            axes[n_odd] = (step, 0);
+            let last = Corners::new(&axes[..=n_odd]);
+            for x in (0..len).step_by(2 * step) {
+                if let Some(even) = &even {
+                    node(start + x, even);
+                }
+                let x = x + step;
+                if x < len {
+                    node(start + x, if x + step < len { &odd } else { &last });
+                }
+            }
+        },
+    );
 }
 
 impl Compressor for Mgard {
@@ -152,60 +173,36 @@ impl Compressor for Mgard {
             let mut recon = vec![0.0f32; dims.len()];
             let mut syms: Vec<u32> = Vec::with_capacity(dims.len());
             let mut unpred: Vec<u8> = Vec::new();
-
-            // level = levels (coarsest, delta-coded), then levels-1 .. 0
-            let mut prev_coarse = 0.0f64;
-            let quantize = |val: f32,
-                            pred: f64,
-                            recon_slot: &mut f32,
-                            syms: &mut Vec<u32>,
-                            unpred: &mut Vec<u8>| {
+            // Returns the value the decoder reconstructs.
+            let mut quantize = |val: f32, pred: f64| -> f32 {
                 let q = ((val as f64 - pred) / bin).round();
                 if q.abs() < (HALF - 1) as f64 && val.is_finite() {
                     let qi = q as i64;
                     let rec = (pred + qi as f64 * bin) as f32;
                     if ((rec as f64) - (val as f64)).abs() <= eb && rec.is_finite() {
-                        *recon_slot = rec;
                         syms.push(if qi == 0 {
                             SYM_ZERO
                         } else {
                             (zigzag(qi) as u32) + SYM_BASE - 1
                         });
-                        return;
+                        return rec;
                     }
                 }
-                *recon_slot = val;
                 syms.push(SYM_UNPRED);
                 unpred.extend_from_slice(&val.to_le_bytes());
+                val
             };
 
-            // coarsest level
-            {
-                let recon_tmp = &mut recon;
-                for_level_nodes(dims, levels, levels, |idx, _| {
-                    let val = data[idx];
-                    let mut slot = 0.0f32;
-                    quantize(val, prev_coarse, &mut slot, &mut syms, &mut unpred);
-                    recon_tmp[idx] = slot;
-                    prev_coarse = slot as f64;
-                });
-            }
-            // finer levels
+            // The coarsest level is delta-coded, then levels-1 .. 0.
+            let mut prev_coarse = 0.0f64;
+            coarsest(dims, levels, |idx| {
+                recon[idx] = quantize(data[idx], prev_coarse);
+                prev_coarse = recon[idx] as f64;
+            });
             for k in (0..levels).rev() {
-                // Split borrows: prediction reads `recon`, result written back.
-                let mut updates: Vec<(usize, f32)> = Vec::new();
-                for_level_nodes(dims, k, levels, |idx, coords| {
-                    let pred = interp_predict(&recon, dims, coords, k);
-                    let mut slot = 0.0f32;
-                    quantize(data[idx], pred, &mut slot, &mut syms, &mut unpred);
-                    updates.push((idx, slot));
-                    // Note: nodes within one level never predict each other,
-                    // so deferring the write is safe — but finer raster order
-                    // nodes of the same level don't interact anyway; write now.
+                level_walk(dims, k, |idx, corners| {
+                    recon[idx] = quantize(data[idx], corners.predict(&recon, idx));
                 });
-                for (idx, v) in updates {
-                    recon[idx] = v;
-                }
             }
 
             let rle_bytes = rle::encode(&syms);
@@ -242,67 +239,42 @@ impl Compressor for Mgard {
             let levels = num_levels(dims);
             let mut recon = vec![0.0f32; dims.len()];
             let mut cursor = 0usize;
-            let mut next_value = |pred: f64, unpred: &mut &[u8]| -> Result<f32, CompressError> {
+            // An unpredictable symbol found no verbatim value left.
+            let mut short = false;
+            let mut next_value = |pred: f64| -> f32 {
                 let sym = syms[cursor];
                 cursor += 1;
                 match sym {
-                    SYM_ZERO => Ok(pred as f32),
-                    SYM_UNPRED => {
-                        if unpred.len() < 4 {
-                            return Err(CompressError::Header("missing unpredictable value"));
+                    SYM_ZERO => pred as f32,
+                    SYM_UNPRED => match unpred.split_first_chunk::<4>() {
+                        Some((head, tail)) => {
+                            unpred = tail;
+                            f32::from_le_bytes(*head)
                         }
-                        let (head, tail) = unpred.split_at(4);
-                        *unpred = tail;
-                        Ok(f32::from_le_bytes(head.try_into().expect("checked length")))
-                    }
+                        None => {
+                            short = true;
+                            0.0
+                        }
+                    },
                     s => {
                         let q = unzigzag((s - (SYM_BASE - 1)) as u64);
-                        Ok((pred + q as f64 * bin) as f32)
+                        (pred + q as f64 * bin) as f32
                     }
                 }
             };
 
-            // coarsest
             let mut prev_coarse = 0.0f64;
-            let mut err: Option<CompressError> = None;
-            {
-                let recon_ref = &mut recon;
-                for_level_nodes(dims, levels, levels, |idx, _| {
-                    if err.is_some() {
-                        return;
-                    }
-                    match next_value(prev_coarse, &mut unpred) {
-                        Ok(v) => {
-                            recon_ref[idx] = v;
-                            prev_coarse = v as f64;
-                        }
-                        Err(e) => err = Some(e),
-                    }
-                });
-            }
-            if let Some(e) = err {
-                return Err(e);
-            }
-            // finer levels
+            coarsest(dims, levels, |idx| {
+                recon[idx] = next_value(prev_coarse);
+                prev_coarse = recon[idx] as f64;
+            });
             for k in (0..levels).rev() {
-                let mut updates: Vec<(usize, f32)> = Vec::new();
-                let mut lvl_err: Option<CompressError> = None;
-                for_level_nodes(dims, k, levels, |idx, coords| {
-                    if lvl_err.is_some() {
-                        return;
-                    }
-                    let pred = interp_predict(&recon, dims, coords, k);
-                    match next_value(pred, &mut unpred) {
-                        Ok(v) => updates.push((idx, v)),
-                        Err(e) => lvl_err = Some(e),
-                    }
+                level_walk(dims, k, |idx, corners| {
+                    recon[idx] = next_value(corners.predict(&recon, idx));
                 });
-                if let Some(e) = lvl_err {
-                    return Err(e);
-                }
-                for (idx, v) in updates {
-                    recon[idx] = v;
-                }
+            }
+            if short {
+                return Err(CompressError::Header("missing unpredictable value"));
             }
             Ok(Field::new(name, dims, recon))
         })
@@ -319,7 +291,130 @@ impl Compressor for Mgard {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lorenzo::tests::{pred_bits, random_dims, random_f32};
     use fxrz_datagen::grf::{gaussian_random_field, GrfConfig};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// The per-point reference of [`coarsest`] and [`level_walk`]: visits
+    /// the nodes owned by level `k` (i.e. `G_k \ G_{k+1}`, or all of `G_L`
+    /// when `k == levels`) in raster order, invoking `f(linear_index,
+    /// coords)`.
+    #[allow(clippy::needless_range_loop)] // several fixed arrays indexed in lockstep
+    fn for_level_nodes(dims: Dims, k: u32, levels: u32, mut f: impl FnMut(usize, &[usize; 4])) {
+        let ndim = dims.ndim();
+        let step = 1usize << k;
+        // odometer over the level-k grid
+        let counts: [usize; 4] = {
+            let mut c = [1usize; 4];
+            for a in 0..ndim {
+                c[a] = dims.axis(a).div_ceil(step);
+            }
+            c
+        };
+        let mut it = [0usize; 4];
+        loop {
+            // absolute coords
+            let mut coords = [0usize; 4];
+            for a in 0..ndim {
+                coords[a] = it[a] * step;
+            }
+            let owned = if k == levels {
+                true
+            } else {
+                // owned by level k iff not all level-k coords are even
+                it[..ndim].iter().any(|&c| c % 2 == 1)
+            };
+            if owned {
+                let idx = dims.linear(&coords[..ndim]);
+                f(idx, &coords);
+            }
+            // increment odometer (fastest axis last)
+            let mut a = ndim;
+            loop {
+                if a == 0 {
+                    return;
+                }
+                a -= 1;
+                it[a] += 1;
+                if it[a] < counts[a] {
+                    break;
+                }
+                it[a] = 0;
+                if a == 0 {
+                    return;
+                }
+            }
+        }
+    }
+
+    /// The per-point reference of [`Corners::predict`]: multilinear
+    /// prediction of a level-`k` node from its level-(k+1) neighbours in
+    /// `recon`.
+    #[allow(clippy::needless_range_loop)] // coordinate arrays indexed in lockstep
+    fn interp_predict(recon: &[f32], dims: Dims, coords: &[usize; 4], k: u32) -> f64 {
+        let ndim = dims.ndim();
+        let step = 1usize << k;
+        // Axes with an odd level-k coordinate need interpolation.
+        let mut odd_axes = [0usize; 4];
+        let mut n_odd = 0usize;
+        for a in 0..ndim {
+            if (coords[a] / step) % 2 == 1 {
+                odd_axes[n_odd] = a;
+                n_odd += 1;
+            }
+        }
+        debug_assert!(n_odd > 0, "coarse-owned node passed to interp_predict");
+
+        // Average over all corner combinations (lo/hi per odd axis); a hi
+        // corner outside the grid degrades to the lo corner (constant
+        // extrapolation at the boundary).
+        let mut sum = 0.0f64;
+        let n_corners = 1usize << n_odd;
+        for corner in 0..n_corners {
+            let mut c = *coords;
+            for (bit, &a) in odd_axes[..n_odd].iter().enumerate() {
+                if corner & (1 << bit) != 0 {
+                    let hi = coords[a] + step;
+                    c[a] = if hi < dims.axis(a) {
+                        hi
+                    } else {
+                        coords[a] - step
+                    };
+                } else {
+                    c[a] = coords[a] - step;
+                }
+            }
+            sum += recon[dims.linear(&c[..ndim])] as f64;
+        }
+        sum / n_corners as f64
+    }
+
+    #[test]
+    fn level_plan_matches_the_per_point_walk_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(0x4D_4741_5244);
+        for case in 0..300 {
+            let dims = random_dims(&mut rng, 12);
+            let vals: Vec<f32> = (0..dims.len()).map(|_| random_f32(&mut rng)).collect();
+            let levels = num_levels(dims);
+            let mut want = Vec::new();
+            for_level_nodes(dims, levels, levels, |idx, _| want.push(idx));
+            let mut got = Vec::new();
+            coarsest(dims, levels, |idx| got.push(idx));
+            assert_eq!(got, want, "case {case} {dims}: coarsest nodes");
+            for k in (0..levels).rev() {
+                let mut want = Vec::new();
+                for_level_nodes(dims, k, levels, |idx, coords| {
+                    want.push((idx, pred_bits(interp_predict(&vals, dims, coords, k))));
+                });
+                let mut got = Vec::new();
+                level_walk(dims, k, |idx, corners| {
+                    got.push((idx, pred_bits(corners.predict(&vals, idx))));
+                });
+                assert_eq!(got, want, "case {case} {dims} level {k}");
+            }
+        }
+    }
 
     fn smooth_field() -> Field {
         gaussian_random_field(Dims::d3(16, 16, 16), GrfConfig::default().with_seed(23))
@@ -349,10 +444,9 @@ mod tests {
         let dims = Dims::d2(7, 9);
         let levels = num_levels(dims);
         let mut seen = vec![0u32; dims.len()];
-        for k in (0..=levels).rev() {
-            for_level_nodes(dims, k, levels, |idx, _| {
-                seen[idx] += 1;
-            });
+        coarsest(dims, levels, |idx| seen[idx] += 1);
+        for k in (0..levels).rev() {
+            level_walk(dims, k, |idx, _| seen[idx] += 1);
         }
         assert!(
             seen.iter().all(|&c| c == 1),

@@ -95,8 +95,10 @@ pub(crate) fn open_payload(
 }
 
 /// Computes the Lorenzo prediction for the point at `coords` from the
-/// reconstruction buffer, treating out-of-grid neighbours as `0.0`.
-#[inline]
+/// reconstruction buffer, treating out-of-grid neighbours as `0.0`: the
+/// per-point reference the row plans of [`crate::lorenzo`] are checked
+/// against.
+#[cfg(test)]
 pub(crate) fn lorenzo_predict(recon: &[f32], dims: Dims, idx: usize, coords: &[usize]) -> f64 {
     let ndim = dims.ndim();
     let strides = dims.strides();
@@ -277,8 +279,7 @@ sz_row!(Sz, "sz", Sz, EntropyMode::Auto);
 sz_row!(SzFse, "sz-fse", Sz, EntropyMode::Fse);
 
 /// The Lorenzo walk of `sz` and `sz-fse`: raster order, every point
-/// predicted by the row-plan kernel ([`crate::lorenzo`]), bit for bit
-/// what [`lorenzo_predict`] gives.
+/// predicted by the row-plan kernel ([`crate::lorenzo`]).
 fn lorenzo_walk(dims: Dims, mut point: impl FnMut(usize, f64) -> f32) -> Vec<f32> {
     let mut recon = vec![0.0f32; dims.len()];
     lorenzo::walk(dims, |idx, stencil| {

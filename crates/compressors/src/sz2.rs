@@ -18,16 +18,29 @@
 //! `varint(block count) | mode bytes | varint(coefficient bytes) |
 //! coefficient varints` — sits between the stored error bound and the
 //! entropy section.
+//!
+//! The walk is a row plan: the `2^d` Lorenzo stencils (one per
+//! nonzero-coordinate mask) are built once per field, and a block row
+//! picks two of them, for its first point and for the rest. A regression
+//! row sums the slower axes' terms once and adds the fastest axis's term
+//! per point, in the per-point sum's order, so every prediction keeps
+//! its bits.
 
 use crate::entropy::EntropyMode;
 use crate::header::magic;
-use crate::sz::{lorenzo_predict, sz_row, Dequantizer, Quantizer, Walk};
+use crate::lorenzo::{extent, row_stencils, rows, stencils, Stencil};
+use crate::sz::{sz_row, Dequantizer, Quantizer, Walk};
 use crate::CompressError;
 use fxrz_codec::bitstream::{read_varint, unzigzag, write_varint, zigzag};
+use fxrz_datagen::dims::MAX_NDIM;
 use fxrz_datagen::Dims;
 
 /// Block edge length (SZ 2 uses 6).
 const BLOCK: usize = 6;
+
+/// Regression coefficients `a0, a1 … a_ndim`; the tail past `ndim + 1`
+/// stays 0.
+type Coefs = [f32; MAX_NDIM + 1];
 
 /// The SZ2-style hybrid compressor.
 #[derive(Clone, Copy, Debug, Default)]
@@ -36,91 +49,111 @@ pub struct Sz2;
 sz_row!(Sz2, "sz2", Sz2, EntropyMode::Auto);
 
 /// One block's geometry: origin and per-axis extent.
-struct BlockIter {
-    origins: Vec<Vec<usize>>,
+#[derive(Clone, Copy)]
+struct Block {
+    origin: [usize; MAX_NDIM],
+    lens: [usize; MAX_NDIM],
 }
 
-impl BlockIter {
-    fn new(dims: Dims) -> Self {
-        let mut origins = vec![vec![]];
-        for a in 0..dims.ndim() {
-            let len = dims.axis(a);
-            let mut next = Vec::new();
-            for o in &origins {
-                let mut start = 0usize;
-                while start < len {
-                    let mut v = o.clone();
-                    v.push(start);
-                    next.push(v);
-                    start += BLOCK;
-                }
-            }
-            origins = next;
-        }
-        Self { origins }
+impl Block {
+    /// Visits the block's rows of the fastest axis in raster order:
+    /// `row(start, coords)` with the linear index and global coordinates
+    /// of each row's first point.
+    fn rows(&self, dims: Dims, row: impl FnMut(usize, &[usize; MAX_NDIM])) {
+        rows(dims, self.origin, [1; MAX_NDIM], self.lens, row);
     }
 }
 
-/// Visits the points of the block at `origin` in raster order, yielding
-/// `(linear_index, global_coords, local_coords)`.
-fn for_block_points(dims: Dims, origin: &[usize], mut f: impl FnMut(usize, &[usize], &[usize])) {
-    let ndim = dims.ndim();
-    let lens: Vec<usize> = (0..ndim)
-        .map(|a| (dims.axis(a) - origin[a]).min(BLOCK))
-        .collect();
-    let strides = dims.strides();
-    let mut it = vec![0usize; ndim];
-    let mut coords = vec![0usize; ndim];
-    loop {
-        let mut idx = 0usize;
-        for a in 0..ndim {
-            coords[a] = origin[a] + it[a];
-            idx += coords[a] * strides[a];
+/// Visits the blocks of `dims` in raster order, stopping at the first
+/// error.
+fn for_blocks(
+    dims: Dims,
+    mut block: impl FnMut(&Block) -> Result<(), CompressError>,
+) -> Result<(), CompressError> {
+    let fast = dims.ndim() - 1;
+    let shape = extent(dims);
+    let counts = shape.map(|n| n.div_ceil(BLOCK));
+    let mut result = Ok(());
+    rows(
+        dims,
+        [0; MAX_NDIM],
+        [BLOCK; MAX_NDIM],
+        counts,
+        |_, coords| {
+            let mut origin = *coords;
+            for x in (0..shape[fast]).step_by(BLOCK) {
+                if result.is_err() {
+                    return;
+                }
+                origin[fast] = x;
+                let lens = std::array::from_fn(|a| (shape[a] - origin[a]).min(BLOCK));
+                result = block(&Block { origin, lens });
+            }
+        },
+    );
+    result
+}
+
+/// The regression prediction along one block row: the intercept plus the
+/// slower axes' terms, summed once, and the fastest axis's slope, whose
+/// term each point adds last — the per-point sum's order.
+struct RegressionRow {
+    partial: f64,
+    slope: f64,
+}
+
+impl RegressionRow {
+    /// The row of `block` whose first point has global coordinates
+    /// `coords`.
+    fn new(coefs: &Coefs, block: &Block, coords: &[usize; MAX_NDIM], fast: usize) -> Self {
+        let mut partial = coefs[0] as f64;
+        for a in 0..fast {
+            partial += coefs[a + 1] as f64 * (coords[a] - block.origin[a]) as f64;
         }
-        f(idx, &coords, &it);
-        let mut a = ndim;
-        loop {
-            if a == 0 {
-                return;
-            }
-            a -= 1;
-            it[a] += 1;
-            if it[a] < lens[a] {
-                break;
-            }
-            it[a] = 0;
-            if a == 0 {
-                return;
-            }
+        Self {
+            partial,
+            slope: coefs[fast + 1] as f64,
         }
+    }
+
+    /// The prediction of the row's point `j` (its local fastest
+    /// coordinate).
+    #[inline]
+    fn predict(&self, j: usize) -> f64 {
+        self.partial + self.slope * j as f64
     }
 }
 
 /// Least-squares linear fit `v ≈ a0 + Σ aᵢ·localᵢ` over one block of the
 /// original data. Separable on a regular grid: per-axis slopes come from
 /// `cov(localᵢ, v) / var(localᵢ)`.
-fn fit_regression(data: &[f32], dims: Dims, origin: &[usize]) -> Vec<f32> {
+fn fit_regression(data: &[f32], dims: Dims, block: &Block) -> Coefs {
     let ndim = dims.ndim();
+    let fast = ndim - 1;
     let mut n = 0usize;
     let mut sum_v = 0.0f64;
-    let mut sum_x = vec![0.0f64; ndim];
-    let mut sum_xx = vec![0.0f64; ndim];
-    let mut sum_xv = vec![0.0f64; ndim];
-    for_block_points(dims, origin, |idx, _, local| {
-        let v = data[idx] as f64;
-        if !v.is_finite() {
-            return;
-        }
-        n += 1;
-        sum_v += v;
-        for a in 0..ndim {
-            let x = local[a] as f64;
-            sum_x[a] += x;
-            sum_xx[a] += x * x;
-            sum_xv[a] += x * v;
+    let mut sum_x = [0.0f64; MAX_NDIM];
+    let mut sum_xx = [0.0f64; MAX_NDIM];
+    let mut sum_xv = [0.0f64; MAX_NDIM];
+    block.rows(dims, |start, coords| {
+        let mut local: [usize; MAX_NDIM] = std::array::from_fn(|a| coords[a] - block.origin[a]);
+        for j in 0..block.lens[fast] {
+            let v = data[start + j] as f64;
+            if !v.is_finite() {
+                continue;
+            }
+            local[fast] = j;
+            n += 1;
+            sum_v += v;
+            for a in 0..ndim {
+                let x = local[a] as f64;
+                sum_x[a] += x;
+                sum_xx[a] += x * x;
+                sum_xv[a] += x * v;
+            }
         }
     });
-    let mut coefs = vec![0.0f32; ndim + 1];
+    let mut coefs = [0.0f32; MAX_NDIM + 1];
     if n == 0 {
         return coefs;
     }
@@ -145,24 +178,21 @@ fn fit_regression(data: &[f32], dims: Dims, origin: &[usize]) -> Vec<f32> {
 /// Coefficient quantization steps: the intercept may shift the prediction
 /// by its own error, each slope by up to `BLOCK` times its error — budget
 /// half the bound across them so coefficient rounding never dominates.
-fn coef_steps(eb: f64, ndim: usize) -> Vec<f64> {
+fn coef_steps(eb: f64, ndim: usize) -> impl Iterator<Item = f64> {
     let budget = eb * 0.5;
-    let mut steps = vec![budget / 2.0]; // intercept
-    for _ in 0..ndim {
-        steps.push(budget / (2.0 * ndim as f64 * BLOCK as f64));
-    }
-    steps
+    let slope = budget / (2.0 * ndim as f64 * BLOCK as f64);
+    std::iter::once(budget / 2.0).chain(std::iter::repeat_n(slope, ndim))
 }
 
 /// Quantizes the fitted coefficients (real SZ 2 ships quantized, entropy-
-/// coded coefficients rather than raw floats). Returns `(ints, dequantized)`
-/// — prediction must use the dequantized values on both sides.
-fn quantize_coefs(coefs: &[f32], eb: f64, ndim: usize) -> (Vec<i64>, Vec<f32>) {
-    let steps = coef_steps(eb, ndim);
-    let mut ints = Vec::with_capacity(coefs.len());
-    let mut deq = Vec::with_capacity(coefs.len());
-    for (c, s) in coefs.iter().zip(&steps) {
-        let q = (*c as f64 / s).round();
+/// coded coefficients rather than raw floats). Returns `(ints,
+/// dequantized)` over the first `ndim + 1` entries — prediction must use
+/// the dequantized values on both sides.
+fn quantize_coefs(coefs: &Coefs, eb: f64, ndim: usize) -> ([i64; MAX_NDIM + 1], Coefs) {
+    let mut ints = [0i64; MAX_NDIM + 1];
+    let mut deq = [0.0f32; MAX_NDIM + 1];
+    for (a, s) in coef_steps(eb, ndim).enumerate() {
+        let q = (coefs[a] as f64 / s).round();
         // clamp pathological magnitudes; the residual/unpredictable path
         // still guarantees the bound when the prediction is poor
         let qi = if q.is_finite() {
@@ -170,29 +200,20 @@ fn quantize_coefs(coefs: &[f32], eb: f64, ndim: usize) -> (Vec<i64>, Vec<f32>) {
         } else {
             0
         };
-        ints.push(qi);
-        deq.push((qi as f64 * s) as f32);
+        ints[a] = qi;
+        deq[a] = (qi as f64 * s) as f32;
     }
     (ints, deq)
 }
 
-/// Dequantizes coefficient ints read from the stream.
-fn dequantize_coefs(ints: &[i64], eb: f64, ndim: usize) -> Vec<f32> {
-    let steps = coef_steps(eb, ndim);
-    ints.iter()
-        .zip(&steps)
-        .map(|(&q, s)| (q as f64 * s) as f32)
-        .collect()
-}
-
-/// Regression prediction from stored coefficients.
-#[inline]
-fn regression_predict(coefs: &[f32], local: &[usize]) -> f64 {
-    let mut p = coefs[0] as f64;
-    for (a, &x) in local.iter().enumerate() {
-        p += coefs[a + 1] as f64 * x as f64;
+/// Dequantizes the first `ndim + 1` coefficient ints read from the
+/// stream.
+fn dequantize_coefs(ints: &[i64; MAX_NDIM + 1], eb: f64, ndim: usize) -> Coefs {
+    let mut coefs = [0.0f32; MAX_NDIM + 1];
+    for (a, s) in coef_steps(eb, ndim).enumerate() {
+        coefs[a] = (ints[a] as f64 * s) as f32;
     }
-    p
+    coefs
 }
 
 /// Estimated entropy cost (bits) of one residual after quantization:
@@ -214,31 +235,37 @@ fn residual_bits(res: f64, eb: f64) -> f64 {
 fn predictor_costs(
     data: &[f32],
     dims: Dims,
-    origin: &[usize],
-    coefs: &[f32],
+    stencils: &[Stencil],
+    block: &Block,
+    coefs: &Coefs,
     coef_ints: &[i64],
     eb: f64,
 ) -> (f64, f64) {
+    let fast = dims.ndim() - 1;
+    // The open-loop (original data) Lorenzo residual amplifies pointwise
+    // noise by the stencil's sqrt(2^d); the closed loop (reconstruction
+    // feedback) smooths that noise away, so divide it back out to
+    // approximate the residuals the encoder will actually see. This
+    // biases ties toward Lorenzo, which has no coefficient overhead.
+    let damp = (2f64.powi(dims.ndim() as i32)).sqrt();
     let mut reg = 0.0f64;
     let mut lor = 0.0f64;
-    for_block_points(dims, origin, |idx, coords, local| {
-        let v = data[idx] as f64;
-        if !v.is_finite() {
-            return;
-        }
-        reg += residual_bits(v - regression_predict(coefs, local), eb);
-        let p = lorenzo_predict(data, dims, idx, coords);
-        if p.is_finite() {
-            // The open-loop (original data) Lorenzo residual amplifies
-            // pointwise noise by the stencil's sqrt(2^d); the closed loop
-            // (reconstruction feedback) smooths that noise away, so divide
-            // it back out to approximate the residuals the encoder will
-            // actually see. This biases ties toward Lorenzo, which has no
-            // coefficient overhead.
-            let damp = (2f64.powi(dims.ndim() as i32)).sqrt();
-            lor += residual_bits((v - p) / damp, eb);
-        } else {
-            lor += 34.0; // unpredictable fallback: 4 raw bytes + marker
+    block.rows(dims, |start, coords| {
+        let regression = RegressionRow::new(coefs, block, coords, fast);
+        let (first, rest) = row_stencils(stencils, dims, coords);
+        for j in 0..block.lens[fast] {
+            let idx = start + j;
+            let v = data[idx] as f64;
+            if !v.is_finite() {
+                continue;
+            }
+            reg += residual_bits(v - regression.predict(j), eb);
+            let p = if j == 0 { first } else { rest }.predict(data, idx);
+            if p.is_finite() {
+                lor += residual_bits((v - p) / damp, eb);
+            } else {
+                lor += 34.0; // unpredictable fallback: 4 raw bytes + marker
+            }
         }
     });
     // coefficient overhead: LEB128 varint of each zigzagged int
@@ -255,23 +282,36 @@ fn predictor_costs(
 
 /// Blocks in raster order, raster order within each block; `block`
 /// yields a block's dequantized regression coefficients, or `None` for a
-/// Lorenzo block, before its points are visited.
+/// Lorenzo block, before its points are visited. `stencils` are
+/// [`stencils`]`(dims)`.
 fn walk(
     dims: Dims,
-    mut block: impl FnMut(&[usize]) -> Result<Option<Vec<f32>>, CompressError>,
+    stencils: &[Stencil],
+    mut block: impl FnMut(&Block) -> Result<Option<Coefs>, CompressError>,
     mut point: impl FnMut(usize, f64) -> f32,
 ) -> Result<Vec<f32>, CompressError> {
+    let fast = dims.ndim() - 1;
     let mut recon = vec![0.0f32; dims.len()];
-    for origin in &BlockIter::new(dims).origins {
-        let coefs = block(origin)?;
-        for_block_points(dims, origin, |idx, coords, local| {
-            let pred = match &coefs {
-                Some(c) => regression_predict(c, local),
-                None => lorenzo_predict(&recon, dims, idx, coords),
-            };
-            recon[idx] = point(idx, pred);
+    for_blocks(dims, |b| {
+        let coefs = block(b)?;
+        let row_len = b.lens[fast];
+        b.rows(dims, |start, coords| match &coefs {
+            Some(c) => {
+                let regression = RegressionRow::new(c, b, coords, fast);
+                for j in 0..row_len {
+                    recon[start + j] = point(start + j, regression.predict(j));
+                }
+            }
+            None => {
+                let (first, rest) = row_stencils(stencils, dims, coords);
+                recon[start] = point(start, first.predict(&recon, start));
+                for idx in start + 1..start + row_len {
+                    recon[idx] = point(idx, rest.predict(&recon, idx));
+                }
+            }
         });
-    }
+        Ok(())
+    })?;
     Ok(recon)
 }
 
@@ -283,24 +323,29 @@ impl Walk for Sz2 {
     fn encode(data: &[f32], dims: Dims, q: &mut Quantizer) -> Result<Vec<u8>, CompressError> {
         let eb = q.eb();
         let ndim = dims.ndim();
+        let stencils = stencils(dims);
         let mut modes: Vec<u8> = Vec::new();
         let mut coef_bytes: Vec<u8> = Vec::new();
-        let choose = |origin: &[usize]| {
-            let fitted = fit_regression(data, dims, origin);
+        let choose = |block: &Block| {
+            let fitted = fit_regression(data, dims, block);
             let (ints, coefs) = quantize_coefs(&fitted, eb, ndim);
-            let (reg_cost, lor_cost) = predictor_costs(data, dims, origin, &coefs, &ints, eb);
+            let ints = &ints[..=ndim];
+            let (reg_cost, lor_cost) =
+                predictor_costs(data, dims, &stencils, block, &coefs, ints, eb);
             // SZ2's per-block predictor selection on estimated coded bits
             // (the regression cost already carries its coefficient bytes)
             let use_reg = reg_cost < lor_cost;
             modes.push(u8::from(use_reg));
             if use_reg {
-                for q in ints {
+                for &q in ints {
                     write_varint(&mut coef_bytes, zigzag(q));
                 }
             }
             Ok(use_reg.then_some(coefs))
         };
-        walk(dims, choose, |idx, pred| q.quantize(data[idx], pred))?;
+        walk(dims, &stencils, choose, |idx, pred| {
+            q.quantize(data[idx], pred)
+        })?;
 
         let mut side = Vec::with_capacity(modes.len() + coef_bytes.len() + 16);
         write_varint(&mut side, modes.len() as u64);
@@ -335,19 +380,19 @@ impl Walk for Sz2 {
         let ndim = dims.ndim();
         let mut modes = modes.iter();
         let mut coef_pos = 0usize;
-        let read = |_: &[usize]| {
+        let read = |_: &Block| {
             if modes.next() == Some(&0) {
                 return Ok(None);
             }
-            let mut ints = Vec::with_capacity(ndim + 1);
-            for _ in 0..=ndim {
+            let mut ints = [0i64; MAX_NDIM + 1];
+            for q in &mut ints[..=ndim] {
                 let v = read_varint(&coef_bytes, &mut coef_pos)
                     .ok_or(CompressError::Header("missing block coefficients"))?;
-                ints.push(unzigzag(v));
+                *q = unzigzag(v);
             }
             Ok(Some(dequantize_coefs(&ints, eb, ndim)))
         };
-        walk(dims, read, |_, pred| d.next_value(pred))
+        walk(dims, &stencils(dims), read, |_, pred| d.next_value(pred))
     }
 }
 
@@ -363,9 +408,202 @@ fn take(payload: &[u8], pos: &mut usize, len: u64) -> Option<Vec<u8>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lorenzo::tests::{pred_bits, random_dims, random_f32};
+    use crate::sz::lorenzo_predict;
     use crate::{Compressor, ErrorConfig};
     use fxrz_datagen::grf::{gaussian_random_field, GrfConfig};
     use fxrz_datagen::Field;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The per-point reference of [`for_blocks`]: every block origin.
+    struct BlockIter {
+        origins: Vec<Vec<usize>>,
+    }
+
+    impl BlockIter {
+        fn new(dims: Dims) -> Self {
+            let mut origins = vec![vec![]];
+            for a in 0..dims.ndim() {
+                let len = dims.axis(a);
+                let mut next = Vec::new();
+                for o in &origins {
+                    let mut start = 0usize;
+                    while start < len {
+                        let mut v = o.clone();
+                        v.push(start);
+                        next.push(v);
+                        start += BLOCK;
+                    }
+                }
+                origins = next;
+            }
+            Self { origins }
+        }
+    }
+
+    /// The per-point reference of [`Block::rows`]: visits the points of
+    /// the block at `origin` in raster order, yielding `(linear_index,
+    /// global_coords, local_coords)`.
+    fn for_block_points(
+        dims: Dims,
+        origin: &[usize],
+        mut f: impl FnMut(usize, &[usize], &[usize]),
+    ) {
+        let ndim = dims.ndim();
+        let lens: Vec<usize> = (0..ndim)
+            .map(|a| (dims.axis(a) - origin[a]).min(BLOCK))
+            .collect();
+        let strides = dims.strides();
+        let mut it = vec![0usize; ndim];
+        let mut coords = vec![0usize; ndim];
+        loop {
+            let mut idx = 0usize;
+            for a in 0..ndim {
+                coords[a] = origin[a] + it[a];
+                idx += coords[a] * strides[a];
+            }
+            f(idx, &coords, &it);
+            let mut a = ndim;
+            loop {
+                if a == 0 {
+                    return;
+                }
+                a -= 1;
+                it[a] += 1;
+                if it[a] < lens[a] {
+                    break;
+                }
+                it[a] = 0;
+                if a == 0 {
+                    return;
+                }
+            }
+        }
+    }
+
+    /// The per-point reference of [`RegressionRow::predict`].
+    fn regression_predict(coefs: &[f32], local: &[usize]) -> f64 {
+        let mut p = coefs[0] as f64;
+        for (a, &x) in local.iter().enumerate() {
+            p += coefs[a + 1] as f64 * x as f64;
+        }
+        p
+    }
+
+    /// The per-point reference of [`predictor_costs`].
+    fn reference_costs(
+        data: &[f32],
+        dims: Dims,
+        origin: &[usize],
+        coefs: &[f32],
+        coef_ints: &[i64],
+        eb: f64,
+    ) -> (f64, f64) {
+        let mut reg = 0.0f64;
+        let mut lor = 0.0f64;
+        for_block_points(dims, origin, |idx, coords, local| {
+            let v = data[idx] as f64;
+            if !v.is_finite() {
+                return;
+            }
+            reg += residual_bits(v - regression_predict(coefs, local), eb);
+            let p = lorenzo_predict(data, dims, idx, coords);
+            if p.is_finite() {
+                let damp = (2f64.powi(dims.ndim() as i32)).sqrt();
+                lor += residual_bits((v - p) / damp, eb);
+            } else {
+                lor += 34.0; // unpredictable fallback: 4 raw bytes + marker
+            }
+        });
+        // coefficient overhead: LEB128 varint of each zigzagged int
+        let coef_bits: u32 = coef_ints
+            .iter()
+            .map(|&q| {
+                let z = zigzag(q);
+                let significant = 64 - z.leading_zeros();
+                significant.div_ceil(7).max(1) * 8
+            })
+            .sum();
+        (reg + coef_bits as f64, lor)
+    }
+
+    /// The per-point reference of [`walk`]: every prediction in visit
+    /// order, for blocks whose modes and coefficients come from `choices`
+    /// and points that reconstruct as `vals`.
+    fn reference_walk(dims: Dims, choices: &[Option<Coefs>], vals: &[f32]) -> Vec<(usize, u64)> {
+        let mut recon = vec![0.0f32; dims.len()];
+        let mut seen = Vec::new();
+        for (origin, coefs) in BlockIter::new(dims).origins.iter().zip(choices) {
+            for_block_points(dims, origin, |idx, coords, local| {
+                let pred = match coefs {
+                    Some(c) => regression_predict(c, local),
+                    None => lorenzo_predict(&recon, dims, idx, coords),
+                };
+                seen.push((idx, pred_bits(pred)));
+                recon[idx] = vals[idx];
+            });
+        }
+        seen
+    }
+
+    /// Every block of `dims`, in walk order.
+    fn blocks(dims: Dims) -> Vec<Block> {
+        let mut blocks = Vec::new();
+        for_blocks(dims, |b| {
+            blocks.push(*b);
+            Ok(())
+        })
+        .expect("infallible");
+        blocks
+    }
+
+    #[test]
+    fn block_plan_matches_the_per_point_walk_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(0x535A_3242);
+        for case in 0..300 {
+            let dims = random_dims(&mut rng, 14);
+            let ndim = dims.ndim();
+            let vals: Vec<f32> = (0..dims.len()).map(|_| random_f32(&mut rng)).collect();
+            let eb = [1e-6, 1e-2, 1.0, 10.0][rng.gen_range(0..4usize)];
+            let stencils = stencils(dims);
+            let blocks = blocks(dims);
+            let origins: Vec<Vec<usize>> =
+                blocks.iter().map(|b| b.origin[..ndim].to_vec()).collect();
+            assert_eq!(origins, BlockIter::new(dims).origins, "case {case} {dims}");
+            let mut choices = Vec::new();
+            for (b, origin) in blocks.iter().zip(&origins) {
+                let mut coefs = [0.0f32; MAX_NDIM + 1];
+                coefs[..=ndim].fill_with(|| random_f32(&mut rng));
+                let ints: Vec<i64> = (0..=ndim).map(|_| rng.gen()).collect();
+                let got = predictor_costs(&vals, dims, &stencils, b, &coefs, &ints, eb);
+                let want = reference_costs(&vals, dims, origin, &coefs[..=ndim], &ints, eb);
+                assert_eq!(
+                    (got.0.to_bits(), got.1.to_bits()),
+                    (want.0.to_bits(), want.1.to_bits()),
+                    "case {case} {dims} block {origin:?}: costs {got:?} vs {want:?}"
+                );
+                choices.push(rng.gen_bool(0.5).then_some(coefs));
+            }
+            let mut choice = choices.iter();
+            let mut got = Vec::new();
+            walk(
+                dims,
+                &stencils,
+                |_| Ok(*choice.next().expect("one choice per block")),
+                |idx, pred| {
+                    got.push((idx, pred_bits(pred)));
+                    vals[idx]
+                },
+            )
+            .expect("infallible");
+            assert_eq!(
+                got,
+                reference_walk(dims, &choices, &vals),
+                "case {case} {dims}"
+            );
+        }
+    }
 
     fn check_roundtrip(field: &Field, eb: f64) -> f64 {
         let c = Sz2;
@@ -390,7 +628,7 @@ mod tests {
         let f = Field::from_fn("plane", Dims::d2(12, 12), |c| {
             3.0 + 2.0 * c[0] as f32 - 0.5 * c[1] as f32
         });
-        let coefs = fit_regression(f.data(), f.dims(), &[0, 0]);
+        let coefs = fit_regression(f.data(), f.dims(), &blocks(f.dims())[0]);
         assert!((coefs[0] - 3.0).abs() < 1e-4, "{coefs:?}");
         assert!((coefs[1] - 2.0).abs() < 1e-4, "{coefs:?}");
         assert!((coefs[2] + 0.5).abs() < 1e-4, "{coefs:?}");
@@ -469,14 +707,16 @@ mod tests {
                 ((c[0] as f32) * 0.6).sin() * ((c[1] as f32) * 0.7).cos() * 10.0
             }
         });
-        let blocks = BlockIter::new(f.dims());
         let eb = 0.05;
+        let ndim = f.dims().ndim();
+        let stencils = stencils(f.dims());
         let mut reg_blocks = 0;
         let mut lor_blocks = 0;
-        for origin in &blocks.origins {
-            let fitted = fit_regression(f.data(), f.dims(), origin);
-            let (ints, coefs) = quantize_coefs(&fitted, eb, f.dims().ndim());
-            let (r, l) = predictor_costs(f.data(), f.dims(), origin, &coefs, &ints, eb);
+        for b in &blocks(f.dims()) {
+            let fitted = fit_regression(f.data(), f.dims(), b);
+            let (ints, coefs) = quantize_coefs(&fitted, eb, ndim);
+            let ints = &ints[..=ndim];
+            let (r, l) = predictor_costs(f.data(), f.dims(), &stencils, b, &coefs, ints, eb);
             if r < l {
                 reg_blocks += 1;
             } else {
@@ -505,10 +745,14 @@ mod tests {
     #[test]
     fn block_points_partition_grid() {
         for dims in [Dims::d2(13, 7), Dims::d3(6, 6, 6), Dims::d1(19)] {
-            let blocks = BlockIter::new(dims);
+            let row_len = |b: &Block| b.lens[dims.ndim() - 1];
             let mut seen = vec![0u32; dims.len()];
-            for origin in &blocks.origins {
-                for_block_points(dims, origin, |idx, _, _| seen[idx] += 1);
+            for b in &blocks(dims) {
+                b.rows(dims, |start, _| {
+                    for count in &mut seen[start..start + row_len(b)] {
+                        *count += 1;
+                    }
+                });
             }
             assert!(seen.iter().all(|&c| c == 1), "{dims}");
         }
