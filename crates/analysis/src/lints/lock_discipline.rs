@@ -2,17 +2,18 @@
 //! no lock-order cycles.
 //!
 //! Scope: the serving layer (`crates/serve/src/*`, `crates/stream/src/*`)
-//! — the code that holds `Mutex`/`RwLock` guards while running on shared
-//! scheduler workers. Within each function the lint tracks guard
-//! lifetimes: a binding whose initializer chain ends in `.lock()` /
+//! — the code that holds `Mutex`/`RwLock` guards while requests run
+//! concurrently under the scheduler. Within each function the lint tracks
+//! guard lifetimes: a binding whose initializer chain ends in `.lock()` /
 //! argless `.read()` / argless `.write()` (optionally followed by an
 //! unwrap-family adapter) is a live guard from its `let` until its block
 //! closes or an explicit `drop(guard)`. While any guard is live, the
 //! lint flags:
 //!
 //! * calls into the worker pool or scheduler (`par_map`, `par_reduce`,
-//!   `try_spawn`, `.submit(…)`) — a pool worker blocking on another
-//!   pool job is the classic self-deadlock;
+//!   `.submit(…)`, which waits for an executor) — a thread holding a
+//!   lock while it waits on other threads' work is the classic
+//!   self-deadlock;
 //! * blocking I/O (`.flush()`, `.write_all(…)`, `.read_exact(…)`,
 //!   `write!`/`writeln!`, `.append(…)`, `.read(buf)`/`.write(buf)` with
 //!   arguments, …) — I/O latency extends the critical section for every
@@ -23,7 +24,7 @@
 //! Every `held → acquired` pair is also recorded as a lock-order edge;
 //! cycles in the workspace-wide edge graph are reported as potential
 //! deadlocks at each participating site. Lock identity is the last
-//! receiver field/binding name (`audit_shared.audit.read()` → `audit`),
+//! receiver field/binding name (`shared.audit.read()` → `audit`),
 //! which is deliberately coarse: false sharing of a name across crates
 //! would over-approximate, never under-approximate. Test code is exempt.
 
@@ -34,7 +35,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
 
 /// Pool/scheduler entry points that block on (or fan out to) workers.
-const POOL_CALLS: &[&str] = &["par_map", "par_reduce", "try_spawn", "submit"];
+const POOL_CALLS: &[&str] = &["par_map", "par_reduce", "submit"];
 
 /// Method calls that are definitely blocking I/O.
 const IO_METHODS: &[&str] = &[

@@ -203,31 +203,6 @@ impl Pool {
         self.threads
     }
 
-    /// Submits a standalone job to the pool's work queue and returns
-    /// `true`, or returns `false` without enqueueing when the pool has no
-    /// spawned workers (`threads == 1`) — the caller must then run the job
-    /// itself. Used by the serve scheduler so request execution lands on
-    /// pool workers (where nested `par_map`s run inline, keeping results
-    /// bit-identical to direct library calls) whenever workers exist.
-    ///
-    /// The job runs exactly once if `true` is returned; jobs must not
-    /// panic — the pool does not catch panics from standalone jobs, so a
-    /// panicking job kills its worker thread. Wrap fallible work in
-    /// `catch_unwind` before submitting.
-    pub fn try_spawn<F>(&self, job: F) -> Result<(), F>
-    where
-        F: FnOnce() + Send + 'static,
-    {
-        if self.workers.is_empty() {
-            return Err(job);
-        }
-        assert!(
-            self.injector.send(Box::new(job)).is_ok(),
-            "pool queue closed"
-        );
-        Ok(())
-    }
-
     /// Maps `f` over `0..len` in chunks of `chunk_size`, returning the
     /// per-chunk results in chunk order.
     ///
@@ -408,19 +383,6 @@ where
     global().par_reduce(len, chunk_size, map, init, fold)
 }
 
-/// [`Pool::try_spawn`] on the global pool: enqueues `job` on a pool
-/// worker, or hands it back when the pool is single-threaded so the
-/// caller can run it inline.
-///
-/// # Errors
-/// Returns `Err(job)` when the global pool has no spawned workers.
-pub fn try_spawn<F>(job: F) -> Result<(), F>
-where
-    F: FnOnce() + Send + 'static,
-{
-    global().try_spawn(job)
-}
-
 /// Effective thread count of the global pool (after any scoped override).
 pub fn current_threads() -> usize {
     THREAD_OVERRIDE
@@ -431,7 +393,8 @@ pub fn current_threads() -> usize {
 /// Runs `f` with the calling thread's parallelism overridden to
 /// `threads`. `with_threads(1, ..)` forces every `par_map` under `f`
 /// through the inline sequential path — the reference the determinism
-/// tests compare the parallel path against.
+/// tests compare the parallel path against, and the path every request
+/// the serve daemon runs takes.
 pub fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
     struct Restore(Option<usize>);
     impl Drop for Restore {
@@ -556,35 +519,6 @@ mod tests {
         let _ = pool.par_map(64, 1, |r| r.start * 2);
         let snap = fxrz_telemetry::global().snapshot();
         assert!(snap.counter("parallel.pool.par_maps").unwrap_or(0) > before);
-    }
-
-    #[test]
-    fn try_spawn_runs_job_on_a_worker() {
-        let pool = Pool::new(2);
-        let (tx, rx) = std::sync::mpsc::channel();
-        pool.try_spawn(move || {
-            tx.send(std::thread::current().id()).expect("send");
-        })
-        .ok()
-        .expect("pool has workers");
-        let worker_id = rx
-            .recv_timeout(std::time::Duration::from_secs(5))
-            .expect("job ran");
-        assert_ne!(worker_id, std::thread::current().id());
-    }
-
-    #[test]
-    fn try_spawn_hands_back_job_without_workers() {
-        let pool = Pool::new(1);
-        let ran = std::sync::atomic::AtomicBool::new(false);
-        match pool.try_spawn(|| {}) {
-            Ok(()) => panic!("single-thread pool must refuse spawns"),
-            Err(job) => {
-                ran.store(true, Ordering::Relaxed);
-                job();
-            }
-        }
-        assert!(ran.load(Ordering::Relaxed));
     }
 
     #[test]

@@ -12,9 +12,10 @@
 //!   on load, hot-swappable via the `LoadModel` op (in-flight requests
 //!   finish on the model they resolved);
 //! * [`scheduler`] — bounded admission with per-request deadlines and an
-//!   explicit `Busy` reply past the bound; execution lands on the shared
-//!   `fxrz-parallel` pool, keeping served results **bit-identical** to
-//!   direct library calls at any thread count;
+//!   explicit `Busy` reply past the bound; each admitted request runs on
+//!   its connection thread once one of `--threads` executors is free,
+//!   with nested `par_map`s inline, keeping served results
+//!   **bit-identical** to direct library calls at any thread count;
 //! * [`server`] — accept loops, per-connection framing, and a graceful
 //!   SIGTERM drain (stop accepting → finish in-flight → report);
 //! * [`audit`] — per-request accuracy audit records (trace id, model,
@@ -23,10 +24,9 @@
 //! * [`client`] — a blocking client used by `fxrz client` and the tests.
 //!
 //! Every request is dispatched under a deterministic request-scoped
-//! [`fxrz_telemetry::TraceContext`] that follows the job across the
-//! scheduler and pool threads, ties flight-recorder spans to the
-//! request, and appears as `trace_id` in compress replies and audit
-//! records.
+//! [`fxrz_telemetry::TraceContext`] that follows the job through the
+//! scheduler, ties flight-recorder spans to the request, and appears as
+//! `trace_id` in compress replies and audit records.
 //!
 //! ```no_run
 //! use fxrz_serve::{Client, Server, ServerConfig};

@@ -40,12 +40,12 @@ pub const SCHED_SHED: &str = "serve.sched.shed";
 pub const SCHED_ADMITTED: &str = "serve.sched.admitted";
 /// Requests dropped after exceeding their deadline in queue.
 pub const SCHED_DEADLINE_EXCEEDED: &str = "serve.sched.deadline_exceeded";
-/// Worker panics caught by the scheduler.
+/// Job panics caught by the scheduler.
 pub const SCHED_PANICS: &str = "serve.sched.panics";
-/// Current scheduler queue depth.
+/// Admitted requests waiting for an executor.
 pub const QUEUE_DEPTH: &str = "serve.queue.depth";
 
-/// Nanoseconds a request waited in queue before execution began.
+/// Nanoseconds a request waited for an executor.
 pub const SCHED_QUEUE_NS: &str = "serve.sched.queue_ns";
 
 /// Audit records appended to the JSONL sink.
@@ -71,10 +71,6 @@ pub const STREAM_CLOSED: &str = "serve.stream.closed";
 /// Stream sessions dropped because the connection went away before
 /// `StreamClose`.
 pub const STREAM_ABANDONED: &str = "serve.stream.abandoned";
-/// Nanoseconds the per-session lock is held while encoding one
-/// `StreamFrame` (HDR). Pinned well below audit-sink latency by
-/// `tests/serve_lock_scope.rs` — audit I/O must stay outside the guard.
-pub const STREAM_LOCK_NS: &str = "serve.stream.lock_ns";
 
 /// Span around one client connection.
 pub const SPAN_CONN: &str = "serve.conn";

@@ -2,12 +2,13 @@
 //! dispatch, and the graceful-shutdown drain.
 //!
 //! One thread per connection reads frames sequentially (the protocol is
-//! strict request/response), dispatches each through the shared
-//! [`Scheduler`], and writes the reply back. Sockets run with short read
-//! timeouts so every blocking point also polls the stop flag: a SIGTERM
-//! (or [`Server::stop`]) makes the accept loop close, idle connections
-//! drop out at the next poll, and in-flight requests finish and get their
-//! responses before the drain completes.
+//! strict request/response), runs each request itself once the shared
+//! [`Scheduler`] grants it an executor, and writes the reply back. A
+//! connection's stream sessions therefore live on its thread, unlocked.
+//! Sockets run with short read timeouts so every blocking point also
+//! polls the stop flag: a SIGTERM (or [`Server::stop`]) makes the accept
+//! loop close, idle connections drop out at the next poll, and in-flight
+//! requests finish and get their responses before the drain completes.
 //!
 //! Outside tests the module denies wildcard arms over enums, so dispatch
 //! names every [`Request`] variant: no `_ =>` arm can absorb a new op.
@@ -35,7 +36,7 @@ use fxrz_telemetry::{Counter, HdrHistogram, MetricsRegistry, TraceContext, Trace
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
 
 /// Process-level stop plumbing: SIGTERM / SIGINT → one atomic flag every
@@ -498,10 +499,9 @@ impl Read for PatientReader<'_> {
     }
 }
 
-/// One open `FXRZS1` encoder session. Sessions are per-connection (the
+/// One open `FXRZS1` encoder session. Sessions are per-connection: the
 /// protocol is strict request/response, so a stream's frames arrive in
-/// order on one socket); the mutex exists because frame jobs execute on
-/// scheduler pool threads while open/close run on the connection thread.
+/// order on one socket, and every frame runs on that socket's thread.
 struct StreamSession {
     encoder: StreamEncoder,
 }
@@ -510,7 +510,7 @@ struct StreamSession {
 /// stateful ops. Dropped (and counted) with the connection.
 struct ConnStreams {
     next_id: u32,
-    sessions: Vec<(u32, Arc<Mutex<StreamSession>>)>,
+    sessions: Vec<(u32, StreamSession)>,
     abandoned: Arc<Counter>,
 }
 
@@ -523,11 +523,11 @@ impl ConnStreams {
         }
     }
 
-    fn get(&self, id: u32) -> Option<Arc<Mutex<StreamSession>>> {
+    fn get_mut(&mut self, id: u32) -> Option<&mut StreamSession> {
         self.sessions
-            .iter()
+            .iter_mut()
             .find(|(sid, _)| *sid == id)
-            .map(|(_, s)| Arc::clone(s))
+            .map(|(_, s)| s)
     }
 }
 
@@ -539,7 +539,7 @@ impl Drop for ConnStreams {
     }
 }
 
-fn handle_connection(shared: &Arc<Shared>, mut conn: Box<dyn Connection>) {
+fn handle_connection(shared: &Shared, mut conn: Box<dyn Connection>) {
     let _guard = ConnGuard(shared);
     let _span = fxrz_telemetry::span!(names::SPAN_CONN);
     if conn.set_read_timeout(Some(POLL_INTERVAL)).is_err() {
@@ -582,10 +582,8 @@ fn handle_connection(shared: &Arc<Shared>, mut conn: Box<dyn Connection>) {
 
 /// Executes one request frame and produces its response, recording
 /// per-op telemetry. Each request gets a fresh deterministic
-/// [`TraceContext`] attached to the connection thread for its duration;
-/// the scheduler re-attaches it on whichever pool thread executes the
-/// job.
-fn dispatch(shared: &Arc<Shared>, frame: RequestFrame, streams: &mut ConnStreams) -> ResponseFrame {
+/// [`TraceContext`] attached to the connection thread for its duration.
+fn dispatch(shared: &Shared, frame: RequestFrame, streams: &mut ConnStreams) -> ResponseFrame {
     let op = frame.op;
     let trace = shared.trace_ids.next();
     let _trace_guard = fxrz_telemetry::trace::attach(trace);
@@ -654,14 +652,15 @@ fn stats_json(shared: &Shared) -> String {
         .collect();
     format!(
         "{{\"models\":{models},\"inflight\":{},\"queue_bound\":{},\"uptime_ms\":{},\
-         \"scheduler\":{{\"inflight\":{},\"queue_bound\":{},\"queue_depth\":{},\
-         \"shed\":{},\"admitted\":{},\"deadline_exceeded\":{},\"panics\":{}}},\
+         \"scheduler\":{{\"inflight\":{},\"queue_bound\":{},\"executors\":{},\
+         \"queue_depth\":{},\"shed\":{},\"admitted\":{},\"deadline_exceeded\":{},\"panics\":{}}},\
          \"ops\":[{}],\"accuracy\":{},\"metrics\":{}}}",
         shared.scheduler.inflight(),
         shared.config.scheduler.queue_bound,
         shared.started.elapsed().as_millis(),
         shared.scheduler.inflight(),
         shared.scheduler.queue_bound(),
+        shared.scheduler.executors(),
         snapshot.gauge(names::QUEUE_DEPTH).unwrap_or(0),
         sched.shed(),
         sched.admitted(),
@@ -695,7 +694,7 @@ fn decoder_for(stream: &[u8], max_frame: u32) -> Result<Box<dyn Compressor>, Str
 }
 
 fn dispatch_inner(
-    shared: &Arc<Shared>,
+    shared: &Shared,
     frame: RequestFrame,
     trace: TraceContext,
     streams: &mut ConnStreams,
@@ -815,7 +814,6 @@ fn dispatch_inner(
                     )
                 }
             };
-            let audit_shared = Arc::clone(shared);
             shared
                 .scheduler
                 .submit(op_byte, req_id, frame.deadline_ms, trace, move |ctx| {
@@ -830,7 +828,7 @@ fn dispatch_inner(
                             } else {
                                 0.0
                             };
-                            let in_tolerance = rel_err <= audit_shared.config.cr_tolerance;
+                            let in_tolerance = rel_err <= shared.config.cr_tolerance;
                             let record = AuditRecord {
                                 trace_id: ctx.trace.trace_id,
                                 req_id,
@@ -848,7 +846,7 @@ fn dispatch_inner(
                                 compressed_bytes: out.bytes.len() as u64,
                                 features: out.estimate.features,
                             };
-                            audit_shared.audit(&record);
+                            shared.audit(&record);
                             let info = format!(
                                 "{{\"model\":\"{}\",\"measured_ratio\":{},\"config\":\"{}\",\"analysis_ms\":{},\"compress_ms\":{},\"trace_id\":{}}}",
                                 served.reference(),
@@ -875,11 +873,10 @@ fn dispatch_inner(
                 })
         }
         Request::Decompress { stream } => {
-            let max_frame = shared.config.max_frame;
             shared
                 .scheduler
                 .submit(op_byte, req_id, frame.deadline_ms, trace, move |_ctx| {
-                    let comp = match decoder_for(&stream, max_frame) {
+                    let comp = match decoder_for(&stream, shared.config.max_frame) {
                         Ok(comp) => comp,
                         Err(e) => {
                             return ResponseFrame::error(op_byte, req_id, ErrorCode::Engine, &e)
@@ -896,18 +893,16 @@ fn dispatch_inner(
                 })
         }
         Request::DecompressRange { start, end, stream } => {
-            let range_shared = Arc::clone(shared);
             shared
                 .scheduler
                 .submit(op_byte, req_id, frame.deadline_ms, trace, move |_ctx| {
-                    let max_frame = range_shared.config.max_frame;
-                    let comp = match decoder_for(&stream, max_frame) {
+                    let comp = match decoder_for(&stream, shared.config.max_frame) {
                         Ok(comp) => comp,
                         Err(e) => {
                             return ResponseFrame::error(op_byte, req_id, ErrorCode::Engine, &e)
                         }
                     };
-                    let telemetry = &range_shared.metrics;
+                    let telemetry = &shared.metrics;
                     telemetry.incr(names::SLAB_RANGE_REQUESTS);
                     match comp.decompress_range(&stream, start as usize..end as usize) {
                         Ok(values) => {
@@ -967,9 +962,7 @@ fn dispatch_inner(
             let header = encoder.header();
             let id = streams.next_id;
             streams.next_id += 1;
-            streams
-                .sessions
-                .push((id, Arc::new(Mutex::new(StreamSession { encoder }))));
+            streams.sessions.push((id, StreamSession { encoder }));
             shared.metrics.incr(names::STREAM_OPENED);
             let info = format!(
                 "{{\"stream_id\":{id},\"target_ratio\":{target_ratio},\"models\":{},\"trace_id\":{}}}",
@@ -987,7 +980,7 @@ fn dispatch_inner(
             )
         }
         Request::StreamFrame { stream_id, field } => {
-            let Some(session) = streams.get(stream_id) else {
+            let Some(session) = streams.get_mut(stream_id) else {
                 return ResponseFrame::error(
                     op_byte,
                     req_id,
@@ -995,32 +988,17 @@ fn dispatch_inner(
                     &format!("no open stream {stream_id} on this connection"),
                 );
             };
-            let audit_shared = Arc::clone(shared);
             shared
                 .scheduler
                 .submit(op_byte, req_id, frame.deadline_ms, trace, move |ctx| {
                     let t0 = Instant::now();
-                    // The session guard covers only the frame compression;
-                    // audit serialization and `--audit-log` I/O below run
-                    // after it drops, so a slow sink never extends the
-                    // per-session critical section.
-                    let (outcome, lock_ns) = {
-                        let mut session = session.lock().unwrap_or_else(|e| e.into_inner());
-                        let held = Instant::now();
-                        let outcome = session.encoder.push(field.data());
-                        (
-                            outcome,
-                            u64::try_from(held.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                        )
-                    };
-                    audit_shared.metrics.observe(names::STREAM_LOCK_NS, lock_ns);
-                    match outcome {
+                    match session.encoder.push(field.data()) {
                         Ok(outcome) => {
                             let exec_ns =
                                 u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
                             let rel_err = (outcome.achieved_ratio - outcome.target_ratio).abs()
                                 / outcome.target_ratio;
-                            let in_tolerance = rel_err <= audit_shared.config.cr_tolerance;
+                            let in_tolerance = rel_err <= shared.config.cr_tolerance;
                             let record = AuditRecord {
                                 trace_id: ctx.trace.trace_id,
                                 req_id,
@@ -1038,8 +1016,8 @@ fn dispatch_inner(
                                 compressed_bytes: outcome.bytes.len() as u64,
                                 features: outcome.features,
                             };
-                            audit_shared.audit(&record);
-                            audit_shared.metrics.incr(names::STREAM_FRAMES);
+                            shared.audit(&record);
+                            shared.metrics.incr(names::STREAM_FRAMES);
                             let info = format!(
                                 "{{\"stream_id\":{stream_id},\"frame\":{},\"codec\":\"{}\",\"eb\":{:e},\
                                  \"frame_target\":{},\"achieved\":{},\"cumulative\":{},\
@@ -1084,7 +1062,6 @@ fn dispatch_inner(
                 );
             };
             let (_, session) = streams.sessions.remove(at);
-            let session = session.lock().unwrap_or_else(|e| e.into_inner());
             let trailer = session.encoder.finish();
             let summary = session.encoder.summary();
             shared.metrics.incr(names::STREAM_CLOSED);

@@ -1,5 +1,5 @@
 //! Two daemons in one process: each one's `Stats` describes only the
-//! requests it served.
+//! requests it served, and its scheduler's executors and queue.
 //!
 //! Every `serve.*` series lives in the registry its `Server` owns, so a
 //! sibling daemon's traffic must never show up in another's op counts,
@@ -86,6 +86,13 @@ fn each_daemon_counts_only_its_own_requests() {
         assert_eq!(hdr("serve.sched.queue_ns"), Some(decodes));
         assert_eq!(metrics.counter("serve.sched.shed"), Some(0));
         assert_eq!(metrics.counter("serve.sched.deadline_exceeded"), Some(0));
+        // One executor per pool thread, and nothing waits for one at rest.
+        let sched = doc.get("scheduler").expect("stats carries scheduler");
+        assert_eq!(
+            sched.get("executors").and_then(Value::as_u64),
+            Some(fxrz_parallel::current_threads() as u64)
+        );
+        assert_eq!(sched.get("queue_depth").and_then(Value::as_u64), Some(0));
         // The load connection and the stats connection.
         assert_eq!(metrics.counter("serve.conn.accepted"), Some(2));
     }

@@ -35,7 +35,7 @@ fn usage(msg: &str) -> ExitCode {
         eprintln!("error: {msg}\n");
     }
     eprintln!(
-        "usage:\n  fxrz gen --app <nyx|hurricane|rtm|qmcpack> --dims ZxYxX [--seed N] [--timestep N] --out FILE\n  fxrz train --compressor <sz|zfp|mgard|fpzip|szi|sz2|sz-fse> --dims ZxYxX --model FILE <f32-files…>\n  fxrz compress --model FILE --ratio R --dims ZxYxX --input FILE --output FILE\n  fxrz decompress --input FILE --output FILE\n  fxrz search --compressor NAME --ratio R --dims ZxYxX --input FILE [--iters N]\n  fxrz info --input FILE\n  fxrz pack --model FILE --ratio R --dims ZxYxX --output ARCHIVE <f32-files…>\n  fxrz ls --input ARCHIVE\n  fxrz unpack --input ARCHIVE --field NAME --output FILE\n  fxrz stats --input ARCHIVE\n  fxrz stream compress --ratio R [--frame N] [--window N] [--tolerance F]\n              [--models a.json,b.json] [--input FILE|-] --output FILE\n  fxrz stream decompress --input FILE --output FILE\n  fxrz stream inspect --input FILE\n  fxrz lint [--root DIR] [--format human|json] [--list]\n  fxrz serve [--listen HOST:PORT] [--socket PATH] [--queue N] [--deadline-ms N]\n             [--drain-ms N] [--max-frame BYTES] [--audit-log FILE]\n             [--trace-seed N] [--cr-tolerance F] [id=]model.json …\n  fxrz top (--connect HOST:PORT | --socket PATH) [--interval-ms N] [--once]\n  fxrz client (--connect HOST:PORT | --socket PATH) [--deadline-ms N] <action>\n      actions: ping | stats\n               features   --dims ZxYxX --input FILE\n               predict    --model REF --ratio R --dims ZxYxX --input FILE\n               compress   --model REF --ratio R --dims ZxYxX --input FILE --output FILE\n               decompress --input FILE --output FILE\n               decompress-range --input FILE --start N --end N --output FILE\n               stream     --ratio R [--frame N] [--window N] [--models id1,id2]\n                          [--input FILE|-] --output FILE\n               load-model --id NAME [--version N] --model FILE\nglobal flags:\n  --metrics <text|json>   dump the telemetry snapshot on exit\n  --metrics-out FILE      write the snapshot to FILE instead of stderr\n  --threads N             worker-pool size for parallel kernels\n                          (default: FXRZ_THREADS env, then all cores)"
+        "usage:\n  fxrz gen --app <nyx|hurricane|rtm|qmcpack> --dims ZxYxX [--seed N] [--timestep N] --out FILE\n  fxrz train --compressor <sz|zfp|mgard|fpzip|szi|sz2|sz-fse> --dims ZxYxX --model FILE <f32-files…>\n  fxrz compress --model FILE --ratio R --dims ZxYxX --input FILE --output FILE\n  fxrz decompress --input FILE --output FILE\n  fxrz search --compressor NAME --ratio R --dims ZxYxX --input FILE [--iters N]\n  fxrz info --input FILE\n  fxrz pack --model FILE --ratio R --dims ZxYxX --output ARCHIVE <f32-files…>\n  fxrz ls --input ARCHIVE\n  fxrz unpack --input ARCHIVE --field NAME --output FILE\n  fxrz stats --input ARCHIVE\n  fxrz stream compress --ratio R [--frame N] [--window N] [--tolerance F]\n              [--models a.json,b.json] [--input FILE|-] --output FILE\n  fxrz stream decompress --input FILE --output FILE\n  fxrz stream inspect --input FILE\n  fxrz lint [--root DIR] [--format human|json] [--list]\n  fxrz serve [--listen HOST:PORT] [--socket PATH] [--queue N] [--deadline-ms N]\n             [--drain-ms N] [--max-frame BYTES] [--audit-log FILE]\n             [--trace-seed N] [--cr-tolerance F] [id=]model.json …\n  fxrz top (--connect HOST:PORT | --socket PATH) [--interval-ms N] [--once]\n  fxrz client (--connect HOST:PORT | --socket PATH) [--deadline-ms N] <action>\n      actions: ping | stats\n               features   --dims ZxYxX --input FILE\n               predict    --model REF --ratio R --dims ZxYxX --input FILE\n               compress   --model REF --ratio R --dims ZxYxX --input FILE --output FILE\n               decompress --input FILE --output FILE\n               decompress-range --input FILE --start N --end N --output FILE\n               stream     --ratio R [--frame N] [--window N] [--models id1,id2]\n                          [--input FILE|-] --output FILE\n               load-model --id NAME [--version N] --model FILE\nglobal flags:\n  --metrics <text|json>   dump the telemetry snapshot on exit\n  --metrics-out FILE      write the snapshot to FILE instead of stderr\n  --threads N             worker-pool size for parallel kernels, and how many\n                          requests `fxrz serve` runs at once\n                          (default: FXRZ_THREADS env, then all cores)"
     );
     ExitCode::FAILURE
 }
@@ -220,14 +220,16 @@ fn run_top(flags: &HashMap<String, String>) -> Result<(), String> {
         let stats = serde_json::parse_value(&json).map_err(|e| e.to_string())?;
         let uptime_ms = jf64(&stats, "uptime_ms");
         let sched = jget(&stats, "scheduler");
-        let (admitted, shed, queue_depth, inflight) = sched.map_or((0.0, 0.0, 0.0, 0.0), |s| {
-            (
-                jf64(s, "admitted"),
-                jf64(s, "shed"),
-                jf64(s, "queue_depth"),
-                jf64(s, "inflight"),
-            )
-        });
+        let (admitted, shed, queued, inflight, executors) =
+            sched.map_or((0.0, 0.0, 0.0, 0.0, 0.0), |s| {
+                (
+                    jf64(s, "admitted"),
+                    jf64(s, "shed"),
+                    jf64(s, "queue_depth"),
+                    jf64(s, "inflight"),
+                    jf64(s, "executors"),
+                )
+            });
         let mut counts: HashMap<String, f64> = HashMap::new();
         let mut rows = Vec::new();
         if let Some(ops) = jget(&stats, "ops").and_then(serde_json::Value::as_array) {
@@ -295,10 +297,11 @@ fn run_top(flags: &HashMap<String, String>) -> Result<(), String> {
             print!("\x1b[2J\x1b[H");
         }
         println!(
-            "fxrz top — uptime {:.1}s  inflight {}  queue_depth {}  shed_rate {:.1}%  (shed {} / admitted {})",
+            "fxrz top — uptime {:.1}s  running {}/{}  queued {}  shed_rate {:.1}%  (shed {} / admitted {})",
             uptime_ms / 1e3,
-            inflight as u64,
-            queue_depth as u64,
+            (inflight - queued).max(0.0) as u64,
+            executors as u64,
+            queued as u64,
             shed_rate * 100.0,
             shed as u64,
             admitted as u64,
