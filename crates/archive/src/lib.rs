@@ -402,8 +402,9 @@ impl<'a> Archive<'a> {
     }
 
     /// Decompresses only `range` (row-major element indices) of one
-    /// field, touching just the slabs that cover it. Monolithic blobs
-    /// fall back to full decode + slice.
+    /// field through its codec's `decompress_range`: SZ-family blobs
+    /// touch just the slabs that cover it, and stop decoding where the
+    /// range ends.
     ///
     /// # Errors
     /// Fails on missing names, corrupt blobs, or an out-of-bounds range.

@@ -79,14 +79,17 @@ pub fn encode_with(scratch: &mut CodecScratch, symbols: &[u32]) -> Option<Vec<u8
 /// count at a conservative default. Callers that know the expected count
 /// should use [`decode_limited`].
 pub fn decode(buf: &[u8]) -> Result<Vec<u32>, CodecError> {
-    decode_limited(buf, DEFAULT_DECODE_LIMIT)
+    decode_limited(buf, DEFAULT_DECODE_LIMIT, usize::MAX)
 }
 
-/// Like [`decode`], but errors with [`CodecError::Corrupt`] when the
-/// stream claims more than `max_symbols` symbols — the allocation guard
-/// for untrusted streams whose symbol count is known out of band.
-pub fn decode_limited(buf: &[u8], max_symbols: usize) -> Result<Vec<u32>, CodecError> {
-    let out = decode_limited_unmetered(buf, max_symbols);
+/// Decodes the first `stop` symbols of a buffer produced by [`encode`]
+/// (all of them when it holds fewer), and errors with
+/// [`CodecError::Corrupt`] when the stream claims more than
+/// `max_symbols` — the allocation guard for untrusted streams whose
+/// symbol count is known out of band. Only a decode that reaches the
+/// last symbol checks the final states and the bit budget.
+pub fn decode_limited(buf: &[u8], max_symbols: usize, stop: usize) -> Result<Vec<u32>, CodecError> {
+    let out = decode_limited_unmetered(buf, max_symbols, stop);
     let registry = fxrz_telemetry::global();
     registry.incr(names::FSE_DECODE_CALLS);
     registry.add(names::FSE_DECODE_BYTES_IN, buf.len() as u64);
@@ -532,7 +535,11 @@ impl<'a> TailReader<'a> {
     }
 }
 
-fn decode_limited_unmetered(buf: &[u8], max_symbols: usize) -> Result<Vec<u32>, CodecError> {
+fn decode_limited_unmetered(
+    buf: &[u8],
+    max_symbols: usize,
+    stop: usize,
+) -> Result<Vec<u32>, CodecError> {
     let mut pos = 0usize;
     let count = read_varint(buf, &mut pos).ok_or(CodecError::Truncated)? as usize;
     if count > max_symbols {
@@ -550,7 +557,7 @@ fn decode_limited_unmetered(buf: &[u8], max_symbols: usize) -> Result<Vec<u32>, 
         if sym > u64::from(u32::MAX) {
             return Err(CodecError::Corrupt("symbol exceeds u32"));
         }
-        return Ok(vec![sym as u32; count]);
+        return Ok(vec![sym as u32; count.min(stop)]);
     }
     // Each dictionary entry costs at least two input bytes (delta + norm).
     if n_dict > buf.len() / 2 + 1 {
@@ -633,8 +640,9 @@ fn decode_limited_unmetered(buf: &[u8], max_symbols: usize) -> Result<Vec<u32>, 
     let mut s0 = tr.read(log).ok_or(CodecError::Truncated)? as usize;
     let mut s1 = tr.read(log).ok_or(CodecError::Truncated)? as usize;
 
-    let mut out: Vec<u32> = Vec::with_capacity(count);
-    let mut remaining = count;
+    let take = count.min(stop);
+    let mut out: Vec<u32> = Vec::with_capacity(take);
+    let mut remaining = take;
     while remaining >= 2 {
         let e0 = dtable[s0];
         let e1 = dtable[s1];
@@ -669,6 +677,9 @@ fn decode_limited_unmetered(buf: &[u8], max_symbols: usize) -> Result<Vec<u32>, 
         s0 = ((e0 & 0xFFFF)
             + tr.read((e0 >> 16) as u32 & 0x3F)
                 .ok_or(CodecError::Truncated)?) as usize;
+    }
+    if take < count {
+        return Ok(out); // the checks below need the whole stream
     }
     // The encoder started both chains at state `t` (index 0) and the bit
     // budget must come out exact; anything else is corruption.
@@ -787,7 +798,7 @@ mod tests {
         write_varint(&mut buf, 1); // n_dict
         write_varint(&mut buf, 7); // the constant symbol
         assert!(matches!(decode(&buf), Err(CodecError::Corrupt(_))));
-        assert!(decode_limited(&buf, 10).is_err());
+        assert!(decode_limited(&buf, 10, usize::MAX).is_err());
     }
 
     #[test]
@@ -808,9 +819,26 @@ mod tests {
     fn decode_limited_rejects_oversized_claims() {
         let syms: Vec<u32> = (0..100u32).map(|i| i % 5).collect();
         let enc = encode(&syms).expect("encode");
-        assert_eq!(decode_limited(&enc, 100).expect("fits"), syms);
+        assert_eq!(decode_limited(&enc, 100, usize::MAX).expect("fits"), syms);
         assert!(matches!(
-            decode_limited(&enc, 99),
+            decode_limited(&enc, 99, usize::MAX),
+            Err(CodecError::Corrupt(_))
+        ));
+    }
+
+    #[test]
+    fn limited_decode_returns_the_first_stop_symbols() {
+        let syms: Vec<u32> = (0..3001u32).map(|i| (i * i) % 97).collect();
+        let enc = encode(&syms).expect("encode");
+        for stop in [0, 1, 2, 3, 1500, 3000, 3001, usize::MAX] {
+            let got = decode_limited(&enc, syms.len(), stop).expect("prefix");
+            assert_eq!(got, syms[..stop.min(syms.len())], "stop {stop}");
+        }
+        let constant = encode(&[9; 50]).expect("encode");
+        assert_eq!(decode_limited(&constant, 50, 7).expect("prefix"), [9; 7]);
+        // The claimed count is checked before any symbol is decoded.
+        assert!(matches!(
+            decode_limited(&enc, syms.len() - 1, 1),
             Err(CodecError::Corrupt(_))
         ));
     }

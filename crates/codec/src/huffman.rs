@@ -310,7 +310,16 @@ pub fn encode_with(scratch: &mut CodecScratch, symbols: &[u32]) -> Vec<u8> {
 
 /// Decodes a buffer produced by [`encode`].
 pub fn decode(buf: &[u8]) -> Result<Vec<u32>, CodecError> {
-    let out = decode_unmetered(buf);
+    decode_limited(buf, usize::MAX, usize::MAX)
+}
+
+/// Decodes the first `stop` symbols of a buffer produced by [`encode`]
+/// (all of them when it holds fewer), and errors with
+/// [`CodecError::Corrupt`] when the stream claims more than
+/// `max_symbols`: the guard for streams whose symbol count is known out
+/// of band. [`decode`] is this loop run to the stream's end.
+pub fn decode_limited(buf: &[u8], max_symbols: usize, stop: usize) -> Result<Vec<u32>, CodecError> {
+    let out = decode_unmetered(buf, max_symbols, stop);
     let registry = fxrz_telemetry::global();
     registry.incr(names::HUFFMAN_DECODE_CALLS);
     registry.add(names::HUFFMAN_DECODE_BYTES_IN, buf.len() as u64);
@@ -449,9 +458,12 @@ fn build_decode_tables(lens: &[u32]) -> Result<DecodeTables, CodecError> {
     })
 }
 
-fn decode_unmetered(buf: &[u8]) -> Result<Vec<u32>, CodecError> {
+fn decode_unmetered(buf: &[u8], max_symbols: usize, stop: usize) -> Result<Vec<u32>, CodecError> {
     let mut pos = 0usize;
     let count = read_varint(buf, &mut pos).ok_or(CodecError::Truncated)? as usize;
+    if count > max_symbols {
+        return Err(CodecError::Corrupt("symbol count exceeds caller limit"));
+    }
     let n_dict = read_varint(buf, &mut pos).ok_or(CodecError::Truncated)? as usize;
     // untrusted count: each dictionary entry costs >= 2 input bytes, so a
     // count beyond that is corrupt; also bounds the pre-allocation
@@ -486,9 +498,9 @@ fn decode_unmetered(buf: &[u8]) -> Result<Vec<u32>, CodecError> {
     if count > r.bits_remaining() {
         return Err(CodecError::Truncated);
     }
-    let mut out = Vec::with_capacity(count);
+    let mut out = Vec::with_capacity(count.min(stop));
 
-    'symbols: for _ in 0..count {
+    'symbols: for _ in 0..count.min(stop) {
         let avail = r.bits_remaining();
         let e = tables.primary[r.peek_bits(primary_bits) as usize];
         if e != 0 && e & ESCAPE == 0 {
@@ -628,6 +640,21 @@ mod tests {
             let _ = decode(&enc[..cut]);
         }
         assert!(decode(&enc[..enc.len() - 1]).is_err() || enc.len() < 2);
+    }
+
+    #[test]
+    fn limited_decode_returns_the_first_stop_symbols() {
+        let syms: Vec<u32> = (0..3000u32).map(|i| (i * i) % 97).collect();
+        let enc = encode(&syms);
+        for stop in [0, 1, 2, 1500, 2999, 3000, usize::MAX] {
+            let got = decode_limited(&enc, syms.len(), stop).expect("prefix");
+            assert_eq!(got, syms[..stop.min(syms.len())], "stop {stop}");
+        }
+        // The claimed count is checked before any symbol is decoded.
+        assert!(matches!(
+            decode_limited(&enc, syms.len() - 1, 1),
+            Err(CodecError::Corrupt(_))
+        ));
     }
 
     #[test]

@@ -143,15 +143,20 @@ pub fn encode_codes(
     }
 }
 
-/// Decodes the entropy section at `payload[*pos..]`, advancing `pos`
-/// past it. `expected` is the out-of-band symbol count (the field's
-/// element count from the archive header); it bounds every allocation
-/// and the decoded stream must match it exactly.
+/// Decodes the first `stop` codes of the entropy section at
+/// `payload[*pos..]` (all of them once `stop >= expected`), advancing
+/// `pos` past the whole section. `expected` is the out-of-band symbol
+/// count (the field's element count from the archive header); it bounds
+/// every allocation, and a whole decode must yield exactly that many
+/// codes. A prefix decode checks every block it decodes and steps over
+/// the later ones by their length fields, reading none of their bytes.
 pub fn decode_codes(
     payload: &[u8],
     pos: &mut usize,
     expected: usize,
+    stop: usize,
 ) -> Result<Vec<u32>, CompressError> {
+    let stop = stop.min(expected);
     let lead = read_varint(payload, pos)
         .ok_or(CompressError::Header("missing entropy section length"))? as usize;
     if lead != 0 {
@@ -160,9 +165,9 @@ pub fn decode_codes(
             .checked_add(lead)
             .filter(|&e| e <= payload.len())
             .ok_or(CompressError::Header("huffman block overruns payload"))?;
-        let codes = huffman::decode(&payload[*pos..end])?;
+        let codes = huffman::decode_limited(&payload[*pos..end], expected, stop)?;
         *pos = end;
-        if codes.len() != expected {
+        if codes.len() != stop {
             return Err(CompressError::Header("code count mismatch"));
         }
         return Ok(codes);
@@ -178,12 +183,17 @@ pub fn decode_codes(
     if n_blocks > expected {
         return Err(CompressError::Header("more entropy blocks than symbols"));
     }
-    let mut out: Vec<u32> = Vec::with_capacity(expected.min(1 << 20));
+    let mut out: Vec<u32> = Vec::with_capacity(stop.min(1 << 20));
     for _ in 0..n_blocks {
         let tag = *payload
             .get(*pos)
             .ok_or(CompressError::Header("missing entropy backend tag"))?;
         *pos += 1;
+        let decode: fn(&[u8], usize, usize) -> Result<Vec<u32>, _> = match tag {
+            TAG_HUFFMAN => huffman::decode_limited,
+            TAG_FSE => fse::decode_limited,
+            _ => return Err(CompressError::Header("unknown entropy backend tag")),
+        };
         let len = read_varint(payload, pos)
             .ok_or(CompressError::Header("missing entropy block length"))?
             as usize;
@@ -191,20 +201,16 @@ pub fn decode_codes(
             .checked_add(len)
             .filter(|&e| e <= payload.len())
             .ok_or(CompressError::Header("entropy block overruns payload"))?;
-        let remaining = expected - out.len();
-        let block = &payload[*pos..end];
-        let syms = match tag {
-            TAG_HUFFMAN => huffman::decode(block)?,
-            TAG_FSE => fse::decode_limited(block, remaining)?,
-            _ => return Err(CompressError::Header("unknown entropy backend tag")),
-        };
-        if syms.is_empty() || syms.len() > remaining {
-            return Err(CompressError::Header("entropy block symbol count mismatch"));
+        if out.len() < stop {
+            let syms = decode(&payload[*pos..end], expected - out.len(), stop - out.len())?;
+            if syms.is_empty() {
+                return Err(CompressError::Header("entropy block symbol count mismatch"));
+            }
+            out.extend_from_slice(&syms);
         }
-        out.extend_from_slice(&syms);
         *pos = end;
     }
-    if out.len() != expected {
+    if out.len() != stop {
         return Err(CompressError::Header("code count mismatch"));
     }
     Ok(out)
@@ -219,7 +225,7 @@ mod tests {
         let mut out = Vec::new();
         with_scratch(|s| encode_codes(s, codes, mode, &mut out));
         let mut pos = 0;
-        let back = decode_codes(&out, &mut pos, codes.len()).expect("decode");
+        let back = decode_codes(&out, &mut pos, codes.len(), codes.len()).expect("decode");
         assert_eq!(back, codes);
         assert_eq!(pos, out.len(), "decode must consume the whole section");
         out
@@ -264,6 +270,31 @@ mod tests {
     }
 
     #[test]
+    fn prefix_decode_steps_over_later_blocks() {
+        let codes: Vec<u32> = (0..BLOCK_SYMBOLS + 77).map(|i| (i % 300) as u32).collect();
+        let n = codes.len();
+        for mode in [EntropyMode::Auto, EntropyMode::Huffman, EntropyMode::Fse] {
+            let mut out = Vec::new();
+            with_scratch(|s| encode_codes(s, &codes, mode, &mut out));
+            for stop in [0, 1, 4097, BLOCK_SYMBOLS, BLOCK_SYMBOLS + 1, n, usize::MAX] {
+                let mut pos = 0;
+                let got = decode_codes(&out, &mut pos, n, stop).expect("prefix");
+                assert_eq!(got, codes[..stop.min(n)], "{mode:?} stop {stop}");
+                assert_eq!(pos, out.len(), "{mode:?}: the section's end is reached");
+            }
+        }
+        // Damage confined to a block the prefix never decodes goes
+        // unreported: zeroing the last block's terminator byte fails only
+        // the decode that reaches it.
+        let mut out = Vec::new();
+        with_scratch(|s| encode_codes(s, &codes, EntropyMode::Fse, &mut out));
+        *out.last_mut().expect("nonempty") = 0;
+        assert!(decode_codes(&out, &mut 0, n, n).is_err());
+        let got = decode_codes(&out, &mut 0, n, 100).expect("block 0 only");
+        assert_eq!(got, codes[..100]);
+    }
+
+    #[test]
     fn empty_stream_roundtrips() {
         for mode in [EntropyMode::Auto, EntropyMode::Huffman, EntropyMode::Fse] {
             roundtrip(&[], mode);
@@ -280,7 +311,7 @@ mod tests {
         out[3] = 0x7F;
         let mut pos = 0;
         assert!(matches!(
-            decode_codes(&out, &mut pos, codes.len()),
+            decode_codes(&out, &mut pos, codes.len(), codes.len()),
             Err(CompressError::Header("unknown entropy backend tag"))
         ));
     }
@@ -292,7 +323,7 @@ mod tests {
             let mut out = Vec::new();
             with_scratch(|s| encode_codes(s, &codes, mode, &mut out));
             let mut pos = 0;
-            assert!(decode_codes(&out, &mut pos, 99).is_err());
+            assert!(decode_codes(&out, &mut pos, 99, 99).is_err());
         }
     }
 
@@ -304,7 +335,7 @@ mod tests {
         for cut in 0..out.len() {
             let mut pos = 0;
             assert!(
-                decode_codes(&out[..cut], &mut pos, codes.len()).is_err(),
+                decode_codes(&out[..cut], &mut pos, codes.len(), codes.len()).is_err(),
                 "cut {cut} decoded"
             );
         }

@@ -155,7 +155,7 @@ impl Compressor for Fpzip {
             // regrowth of the output buffer on typical fields.
             let mut enc = RangeEncoder::with_capacity(field.nbytes() / 4 + 64);
             let mut coder = ResidualCoder::new();
-            lorenzo::walk(dims, |idx, stencil| {
+            lorenzo::walk(dims, dims.len(), |idx, stencil| {
                 let pred = stencil.predict_int(&trunc, idx);
                 coder.encode(&mut enc, trunc[idx].wrapping_sub(pred));
             });
@@ -169,7 +169,7 @@ impl Compressor for Fpzip {
     }
 
     fn decompress(&self, bytes: &[u8]) -> Result<Field, CompressError> {
-        crate::instrument::decompress(self.name(), bytes.len(), || {
+        crate::instrument::decompress(self.name(), bytes.len(), Field::nbytes, || {
             let (name, dims, off) = header::read(bytes, magic::FPZIP, "fpzip")?;
             let rest = &bytes[off..];
             let &prec_byte = rest
@@ -190,7 +190,7 @@ impl Compressor for Fpzip {
             let mut coder = ResidualCoder::new();
 
             let mut trunc = vec![0i64; dims.len()];
-            lorenzo::walk(dims, |idx, stencil| {
+            lorenzo::walk(dims, dims.len(), |idx, stencil| {
                 trunc[idx] = stencil
                     .predict_int(&trunc, idx)
                     .wrapping_add(coder.decode(&mut dec));

@@ -14,7 +14,6 @@
 )]
 
 use crate::CompressError;
-use fxrz_datagen::Field;
 use std::borrow::Cow;
 use std::time::Instant;
 
@@ -82,10 +81,15 @@ where
     out
 }
 
-/// Times and counts one decompression call.
-pub fn decompress<F>(name: &str, bytes_in: usize, f: F) -> Result<Field, CompressError>
+/// Times and counts one decompression call, whose output `nbytes` sizes.
+pub fn decompress<T, F>(
+    name: &str,
+    bytes_in: usize,
+    nbytes: fn(&T) -> usize,
+    f: F,
+) -> Result<T, CompressError>
 where
-    F: FnOnce() -> Result<Field, CompressError>,
+    F: FnOnce() -> Result<T, CompressError>,
 {
     let span = fxrz_telemetry::span::enter(name);
     let t0 = Instant::now();
@@ -96,7 +100,7 @@ where
         name,
         "decompress",
         bytes_in,
-        out.as_ref().ok().map(Field::nbytes),
+        out.as_ref().ok().map(nbytes),
         elapsed,
     );
     out

@@ -192,9 +192,10 @@ pub trait Compressor: Send + Sync {
     /// Reconstructs only the elements in `range` (row-major indices).
     ///
     /// The default decodes the whole field and slices — correct for any
-    /// stream. Compressors whose wire format is seekable (the SZ-family
-    /// slab container, [`slab`]) override this to decode only the slabs
-    /// covering the range.
+    /// stream. The SZ-family rows override it: they decode only the
+    /// slabs of the [`slab`] container that cover the range, and `sz`
+    /// and `sz-fse` stop each stream's decode at the row holding the
+    /// range's last element.
     fn decompress_range(
         &self,
         bytes: &[u8],

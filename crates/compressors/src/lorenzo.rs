@@ -88,26 +88,47 @@ impl Stencil {
     }
 }
 
-/// Visits every point of `dims` once, in raster order, with its stencil:
-/// `point(idx, stencil)`.
-#[inline]
-pub(crate) fn walk(dims: Dims, mut point: impl FnMut(usize, &Stencil)) {
-    let stencils = stencils(dims);
+/// The points of `dims` that [`walk`] visits to cover its first `len`:
+/// every row up to the one holding point `len − 1`.
+pub(crate) fn rows_cover(dims: Dims, len: usize) -> usize {
     let row_len = dims.axis(dims.ndim() - 1);
+    len.min(dims.len()).div_ceil(row_len) * row_len
+}
+
+/// Visits the points of `dims` in raster order with their stencils,
+/// `point(idx, stencil)`, and stops after the row that holds point
+/// `len − 1` ([`rows_cover`] points); `dims.len()` visits every point.
+#[inline]
+pub(crate) fn walk(dims: Dims, len: usize, mut point: impl FnMut(usize, &Stencil)) {
+    let stencils = stencils(dims);
+    let fast = dims.ndim() - 1;
+    let row_len = dims.axis(fast);
     let shape = extent(dims);
-    rows(
-        dims,
-        [0; MAX_NDIM],
-        [1; MAX_NDIM],
-        shape,
-        |start, coords| {
-            let (first, rest) = row_stencils(&stencils, dims, coords);
-            point(start, first);
-            for idx in start + 1..start + row_len {
-                point(idx, rest);
-            }
-        },
-    );
+    let mut visit = |start: usize, coords: &[usize; MAX_NDIM]| {
+        let (first, rest) = row_stencils(&stencils, dims, coords);
+        point(start, first);
+        for idx in start + 1..start + row_len {
+            point(idx, rest);
+        }
+    };
+    // The first `left` rows, in raster order, are at most `fast` + 1
+    // sub-grids: along each slower axis `a` in turn, the whole steps of
+    // `a` that fit, then one step of `a` holding the remainder.
+    let mut left = rows_cover(dims, len) / row_len;
+    let mut starts = [0; MAX_NDIM];
+    let mut counts = shape;
+    for a in 0..fast {
+        let per_step: usize = shape[a + 1..fast].iter().product();
+        counts[a] = left / per_step;
+        rows(dims, starts, [1; MAX_NDIM], counts, &mut visit);
+        left %= per_step;
+        starts[a] += counts[a];
+        counts[a] = 1;
+    }
+    // A 1-D field is one row, which the loop above never reaches.
+    if left > 0 {
+        rows(dims, starts, [1; MAX_NDIM], counts, &mut visit);
+    }
 }
 
 /// The stencil of every nonzero-coordinate mask of `dims`: entry
@@ -281,7 +302,7 @@ pub(crate) mod tests {
             let floats: Vec<f32> = (0..dims.len()).map(|_| random_f32(&mut rng)).collect();
             let ints: Vec<i64> = (0..dims.len()).map(|_| random_i64(&mut rng)).collect();
             let mut next = 0usize;
-            walk(dims, |idx, stencil| {
+            walk(dims, dims.len(), |idx, stencil| {
                 assert_eq!(idx, next, "case {case} {dims}: walk left raster order");
                 next += 1;
                 let coords = dims.coords(idx);
@@ -297,6 +318,24 @@ pub(crate) mod tests {
                 assert_eq!(got, want, "case {case} {dims} point {idx}: i64");
             });
             assert_eq!(next, dims.len(), "case {case} {dims}: points missed");
+        }
+    }
+
+    #[test]
+    fn prefix_walk_stops_after_the_row_holding_the_last_point() {
+        let mut rng = StdRng::seed_from_u64(0x5052_4546);
+        for case in 0..400 {
+            let dims = random_dims(&mut rng, 9);
+            let row_len = dims.axis(dims.ndim() - 1);
+            let len = rng.gen_range(0..=dims.len() + 2);
+            let want = len.min(dims.len()).div_ceil(row_len) * row_len;
+            assert_eq!(rows_cover(dims, len), want, "case {case} {dims} len {len}");
+            let mut next = 0usize;
+            walk(dims, len, |idx, _| {
+                assert_eq!(idx, next, "case {case} {dims} len {len}: not raster order");
+                next += 1;
+            });
+            assert_eq!(next, want, "case {case} {dims} len {len}: points visited");
         }
     }
 }

@@ -220,7 +220,7 @@ impl Compressor for Mgard {
     }
 
     fn decompress(&self, bytes: &[u8]) -> Result<Field, CompressError> {
-        crate::instrument::decompress(self.name(), bytes.len(), || {
+        crate::instrument::decompress(self.name(), bytes.len(), Field::nbytes, || {
             let (name, dims, payload, eb) = open_payload(bytes, magic::MGARD, self.name())?;
             let bin = 2.0 * eb;
             let mut pos = 8usize;

@@ -30,5 +30,11 @@ pub const SLAB_ENCODED: &str = "archive.slab.encoded";
 /// Slabs read back: checksum-verified and decoded. A `decompress_range`
 /// touching only its covering slabs advances this by exactly that count.
 pub const SLAB_DECODED: &str = "archive.slab.decoded";
-/// Random-access range decodes (including v1 full-decode fallbacks).
+/// Random-access range decodes, of slab containers and monolithic v1
+/// streams alike.
 pub const SLAB_RANGE_CALLS: &str = "archive.slab.range_calls";
+/// Elements a `decompress_range` rebuilt: the covering slabs before the
+/// last whole, plus the prefix of the last covering slab or of a
+/// monolithic stream (whole rows for `sz`/`sz-fse`, the whole stream for
+/// `sz2`/`szi`).
+pub const SLAB_RANGE_DECODED_ELEMS: &str = "archive.slab.range_decoded_elems";

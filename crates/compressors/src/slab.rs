@@ -25,7 +25,8 @@
 //! are bit-identical at any parallelism (the `par_map` contract).
 //! Decode fans slabs over [`fxrz_parallel::par_map`];
 //! [`decompress_range_impl`] decodes only the slabs covering a
-//! requested element range.
+//! requested element range, and of the last one only the prefix the
+//! range ends in.
 
 use crate::{header, CompressError};
 use fxrz_codec::bitstream::{read_varint, write_varint};
@@ -51,6 +52,20 @@ pub struct SlabEntry {
     pub checksum: u32,
     /// Header magic byte of the slab's codec.
     pub codec: u8,
+}
+
+/// The first points of a decoded stream, as a prefix decoder returns
+/// them.
+#[derive(Debug)]
+pub struct Prefix {
+    /// Field name from the stream header.
+    pub name: String,
+    /// Field dims from the stream header.
+    pub dims: Dims,
+    /// The rebuilt points in raster order: at least as many as asked
+    /// for (a decoder may finish the row or rebuild the whole field), at
+    /// most `dims.len()`.
+    pub data: Vec<f32>,
 }
 
 /// FNV-1a over `bytes`, folded to 32 bits. Dependency-free and
@@ -249,19 +264,20 @@ pub fn table(
     Ok(Some((name, dims, entries)))
 }
 
-/// Checks one slab's checksum, decodes it, and validates that the
-/// decoded sub-field tiles the parent: same name, same trailing shape,
-/// leading extent matching the directory row.
+/// Checks one slab's checksum, decodes its first `len` points, and
+/// validates that the decoded sub-field tiles the parent: same name,
+/// same trailing shape, leading extent matching the directory row.
 fn decode_slab<G>(
     bytes: &[u8],
     entry: &SlabEntry,
     expect_magic: u8,
     parent_name: &str,
     parent: Dims,
-    decode_one: &G,
+    len: usize,
+    decode: &G,
 ) -> Result<Vec<f32>, CompressError>
 where
-    G: Fn(&[u8]) -> Result<Field, CompressError> + Sync,
+    G: Fn(&[u8], usize) -> Result<Prefix, CompressError> + Sync,
 {
     if entry.codec != expect_magic {
         return Err(CompressError::Header("slab codec tag mismatch"));
@@ -277,13 +293,12 @@ where
     if checksum(slab) != entry.checksum {
         return Err(CompressError::Header("slab checksum mismatch"));
     }
-    let sub = decode_one(slab)?;
+    let sub = decode(slab, len)?;
     let axis0 = parent.shape().first().copied().unwrap_or(0);
     let plane = parent.len() / axis0.max(1);
-    let sub_dims = sub.dims();
-    let sub_shape = sub_dims.shape();
-    let tiles = sub.name() == parent_name
-        && sub_dims.ndim() == parent.ndim()
+    let sub_shape = sub.dims.shape();
+    let tiles = sub.name == parent_name
+        && sub.dims.ndim() == parent.ndim()
         && sub_shape.get(1..) == parent.shape().get(1..)
         && plane > 0
         && sub_shape.first().copied().unwrap_or(0) == entry.raw_elems / plane;
@@ -291,36 +306,30 @@ where
         return Err(CompressError::Header("slab stream does not tile field"));
     }
     fxrz_telemetry::global().incr(crate::names::SLAB_DECODED);
-    Ok(sub.into_data())
+    Ok(sub.data)
 }
 
 /// Decompresses a slab container in parallel, or returns `Ok(None)` for
-/// a monolithic v1 stream. `decode_one` is the compressor's monolithic
-/// decode path. Output is bit-identical at any thread count: slab
-/// boundaries come from the directory and each slab writes a disjoint
-/// range of the output.
+/// a monolithic v1 stream. `decode(stream, len)` is the compressor's
+/// monolithic prefix decoder; every slab decodes whole. Output is
+/// bit-identical at any thread count: slab boundaries come from the
+/// directory and each slab writes a disjoint range of the output.
 pub fn decompress_slabbed<G>(
     bytes: &[u8],
     expect_magic: u8,
     compressor: &'static str,
-    decode_one: G,
+    decode: G,
 ) -> Result<Option<Field>, CompressError>
 where
-    G: Fn(&[u8]) -> Result<Field, CompressError> + Sync,
+    G: Fn(&[u8], usize) -> Result<Prefix, CompressError> + Sync,
 {
     let Some((name, dims, entries)) = table(bytes, expect_magic, compressor)? else {
         return Ok(None);
     };
     let decoded: Vec<Result<Vec<f32>, CompressError>> =
         fxrz_parallel::par_map(entries.len(), 1, |r| {
-            decode_slab(
-                bytes,
-                &entries[r.start],
-                expect_magic,
-                &name,
-                dims,
-                &decode_one,
-            )
+            let e = &entries[r.start];
+            decode_slab(bytes, e, expect_magic, &name, dims, e.raw_elems, &decode)
         });
     // Sized only once every slab has decoded: the header's count alone
     // never sizes the output.
@@ -329,32 +338,36 @@ where
     for part in parts {
         data.extend_from_slice(&part);
     }
+    if data.len() != dims.len() {
+        return Err(CompressError::Header("slab stream does not tile field"));
+    }
     Ok(Some(Field::new(name, dims, data)))
 }
 
-/// Decodes `range` (element indices) from a stream, touching only the
-/// slabs that cover it. Falls back to full decode + slice for
-/// monolithic v1 streams. `decode_one` is the compressor's monolithic
-/// decode path (used per slab and for the v1 fallback).
+/// Decodes `range` (element indices) from a stream, rebuilding only the
+/// prefix of the field the range depends on. `decode(stream, len)` is
+/// the compressor's monolithic prefix decoder: it rebuilds at least the
+/// first `len` points. Covering slabs before the last decode whole; the
+/// last covering slab, or a monolithic v1 stream, decodes up to
+/// `range.end`. Bytes after that point are never read, so damage
+/// confined to them goes unreported, as in the slabs the range does not
+/// cover. A range outside the header's extent fails before any decode.
 pub fn decompress_range_impl<G>(
     bytes: &[u8],
     expect_magic: u8,
     compressor: &'static str,
     range: core::ops::Range<usize>,
-    decode_one: G,
+    decode: G,
 ) -> Result<Vec<f32>, CompressError>
 where
-    G: Fn(&[u8]) -> Result<Field, CompressError> + Sync,
+    G: Fn(&[u8], usize) -> Result<Prefix, CompressError> + Sync,
 {
-    fxrz_telemetry::global().incr(crate::names::SLAB_RANGE_CALLS);
-    let Some((name, dims, entries)) = table(bytes, expect_magic, compressor)? else {
-        // Monolithic stream: decode everything, slice the range.
-        let field = decode_one(bytes)?;
-        return field
-            .data()
-            .get(range)
-            .map(<[f32]>::to_vec)
-            .ok_or(CompressError::Header("range exceeds field extent"));
+    let registry = fxrz_telemetry::global();
+    registry.incr(crate::names::SLAB_RANGE_CALLS);
+    let slabbed = table(bytes, expect_magic, compressor)?;
+    let dims = match &slabbed {
+        Some((_, dims, _)) => *dims,
+        None => header::read(bytes, expect_magic, compressor)?.1,
     };
     if range.start > range.end || range.end > dims.len() {
         return Err(CompressError::Header("range exceeds field extent"));
@@ -362,11 +375,24 @@ where
     if range.is_empty() {
         return Ok(Vec::new());
     }
+    let Some((name, dims, entries)) = slabbed else {
+        let prefix = decode(bytes, range.end)?;
+        registry.add(
+            crate::names::SLAB_RANGE_DECODED_ELEMS,
+            prefix.data.len() as u64,
+        );
+        return prefix
+            .data
+            .get(range)
+            .map(<[f32]>::to_vec)
+            .ok_or(CompressError::Header("range exceeds field extent"));
+    };
 
-    // Prefix-sum the directory to find the covering slab window.
+    // Prefix-sum the directory to find the covering slab window and
+    // where its first and last slabs start.
     let mut acc = 0usize;
     let mut cover = entries.len()..entries.len();
-    let mut cover_start_elem = 0usize;
+    let (mut cover_start_elem, mut last_start_elem) = (0usize, 0usize);
     for (i, e) in entries.iter().enumerate() {
         let end = acc + e.raw_elems;
         if acc < range.end && end > range.start {
@@ -375,33 +401,37 @@ where
                 cover_start_elem = acc;
             }
             cover.end = i + 1;
+            last_start_elem = acc;
         }
         acc = end;
     }
 
-    let window = &entries[cover.clone()];
+    let window = &entries[cover];
     let decoded: Vec<Result<Vec<f32>, CompressError>> =
         fxrz_parallel::par_map(window.len(), 1, |r| {
-            decode_slab(
-                bytes,
-                &window[r.start],
-                expect_magic,
-                &name,
-                dims,
-                &decode_one,
-            )
+            let e = &window[r.start];
+            let len = if r.end == window.len() {
+                range.end - last_start_elem
+            } else {
+                e.raw_elems
+            };
+            decode_slab(bytes, e, expect_magic, &name, dims, len, &decode)
         });
     let parts = decoded.into_iter().collect::<Result<Vec<_>, _>>()?;
+    registry.add(
+        crate::names::SLAB_RANGE_DECODED_ELEMS,
+        parts.iter().map(Vec::len).sum::<usize>() as u64,
+    );
     let mut data = Vec::with_capacity(range.len());
     let mut elem = cover_start_elem;
-    for part in parts {
-        let lo = range.start.saturating_sub(elem).min(part.len());
-        let hi = (range.end - elem).min(part.len());
+    for (part, e) in parts.iter().zip(window) {
+        let lo = range.start.saturating_sub(elem);
+        let hi = (range.end - elem).min(e.raw_elems);
         data.extend_from_slice(
             part.get(lo..hi)
                 .ok_or(CompressError::Header("slab stream does not tile field"))?,
         );
-        elem += part.len();
+        elem += e.raw_elems;
     }
     Ok(data)
 }

@@ -166,7 +166,7 @@ impl Quantizer {
 }
 
 /// The decoder's half of [`Quantizer`]: hands out reconstructions in
-/// walk order.
+/// walk order, for as many points as the entropy stage decoded codes.
 pub(crate) struct Dequantizer<'a> {
     eb: f64,
     bin: f64,
@@ -215,7 +215,8 @@ impl Dequantizer<'_> {
 
 /// A prediction walk: the one piece an SZ-family row supplies. Both
 /// directions visit every point exactly once, in the same order, and
-/// predict only from values already reconstructed.
+/// predict only from values already reconstructed; a decode may stop
+/// once the points a caller asked for are final.
 pub(crate) trait Walk {
     /// Header magic of the walk's streams.
     const MAGIC: u8;
@@ -229,9 +230,20 @@ pub(crate) trait Walk {
     fn read_side(_payload: &[u8], _pos: &mut usize) -> Result<Self::Side, CompressError> {
         Ok(Self::Side::default())
     }
-    /// Replays the walk, taking every reconstruction from `d`.
-    fn decode(dims: Dims, side: Self::Side, d: &mut Dequantizer)
-        -> Result<Vec<f32>, CompressError>;
+    /// How many points, in walk order, a decode rebuilds before the
+    /// first `len` points in raster order are final: the whole field,
+    /// unless the walk visits in raster order.
+    fn prefix(dims: Dims, _len: usize) -> usize {
+        dims.len()
+    }
+    /// Replays the walk until its first `n` points, a [`Self::prefix`],
+    /// are rebuilt, taking every reconstruction from `d`.
+    fn decode(
+        dims: Dims,
+        side: Self::Side,
+        d: &mut Dequantizer,
+        n: usize,
+    ) -> Result<Vec<f32>, CompressError>;
 }
 
 /// Implements [`crate::Compressor`] for an SZ-family row: its unit struct,
@@ -278,11 +290,12 @@ pub(crate) use sz_row;
 sz_row!(Sz, "sz", Sz, EntropyMode::Auto);
 sz_row!(SzFse, "sz-fse", Sz, EntropyMode::Fse);
 
-/// The Lorenzo walk of `sz` and `sz-fse`: raster order, every point
-/// predicted by the row-plan kernel ([`crate::lorenzo`]).
-fn lorenzo_walk(dims: Dims, mut point: impl FnMut(usize, f64) -> f32) -> Vec<f32> {
-    let mut recon = vec![0.0f32; dims.len()];
-    lorenzo::walk(dims, |idx, stencil| {
+/// The Lorenzo walk of `sz` and `sz-fse` over the first `n` points
+/// (whole rows): raster order, every point predicted by the row-plan
+/// kernel ([`crate::lorenzo`]).
+fn lorenzo_walk(dims: Dims, n: usize, mut point: impl FnMut(usize, f64) -> f32) -> Vec<f32> {
+    let mut recon = vec![0.0f32; n];
+    lorenzo::walk(dims, n, |idx, stencil| {
         recon[idx] = point(idx, stencil.predict(&recon, idx));
     });
     recon
@@ -293,12 +306,18 @@ impl Walk for Sz {
     type Side = ();
 
     fn encode(data: &[f32], dims: Dims, q: &mut Quantizer) -> Result<Vec<u8>, CompressError> {
-        lorenzo_walk(dims, |idx, pred| q.quantize(data[idx], pred));
+        lorenzo_walk(dims, dims.len(), |idx, pred| q.quantize(data[idx], pred));
         Ok(Vec::new())
     }
 
-    fn decode(dims: Dims, _: (), d: &mut Dequantizer) -> Result<Vec<f32>, CompressError> {
-        Ok(lorenzo_walk(dims, |_, pred| d.next_value(pred)))
+    /// The Lorenzo stencil reads only earlier points, so the walk stops
+    /// after the row holding point `len − 1`.
+    fn prefix(dims: Dims, len: usize) -> usize {
+        lorenzo::rows_cover(dims, len)
+    }
+
+    fn decode(dims: Dims, _: (), d: &mut Dequantizer, n: usize) -> Result<Vec<f32>, CompressError> {
+        Ok(lorenzo_walk(dims, n, |_, pred| d.next_value(pred)))
     }
 }
 
@@ -379,36 +398,46 @@ pub(crate) fn decompress<W: Walk>(
     name: &'static str,
     bytes: &[u8],
 ) -> Result<Field, CompressError> {
-    let slabbed =
-        slab::decompress_slabbed(bytes, W::MAGIC, name, |sub| decompress_mono::<W>(name, sub))?;
-    match slabbed {
+    let decode = |sub: &[u8], len| decode_prefix::<W>(name, sub, len);
+    match slab::decompress_slabbed(bytes, W::MAGIC, name, decode)? {
         Some(field) => Ok(field),
-        None => decompress_mono::<W>(name, bytes),
+        None => {
+            let whole = decode(bytes, usize::MAX)?;
+            Ok(Field::new(whole.name, whole.dims, whole.data))
+        }
     }
 }
 
-/// Random-access decode: touches only the slabs covering `range` (v1
-/// streams fall back to full decode).
+/// Random-access decode: rebuilds only the prefix of the field that
+/// `range` depends on (see [`slab::decompress_range_impl`]).
 pub(crate) fn decompress_range<W: Walk>(
     name: &'static str,
     bytes: &[u8],
     range: core::ops::Range<usize>,
 ) -> Result<Vec<f32>, CompressError> {
-    slab::decompress_range_impl(bytes, W::MAGIC, name, range, |sub| {
-        decompress_mono::<W>(name, sub)
+    slab::decompress_range_impl(bytes, W::MAGIC, name, range, |sub, len| {
+        decode_prefix::<W>(name, sub, len)
     })
 }
 
-/// One monolithic stream back: both entropy wire formats (legacy
-/// single-Huffman and the tagged per-block container) are recognized by
-/// the entropy section itself, so every pre-container archive decodes
-/// here too.
-fn decompress_mono<W: Walk>(name: &'static str, bytes: &[u8]) -> Result<Field, CompressError> {
-    crate::instrument::decompress(name, bytes.len(), || {
+/// Rebuilds one monolithic stream up to its first `len` points (the
+/// whole field for `len >= dims.len()`): the whole LZ77 payload comes
+/// back, then the entropy section and the walk stop at the walk's
+/// [`Walk::prefix`]. Both entropy wire formats (legacy single-Huffman
+/// and the tagged per-block container) are recognized by the entropy
+/// section itself, so every pre-container archive decodes here too.
+fn decode_prefix<W: Walk>(
+    name: &'static str,
+    bytes: &[u8],
+    len: usize,
+) -> Result<slab::Prefix, CompressError> {
+    let nbytes = |p: &slab::Prefix| std::mem::size_of_val(p.data.as_slice());
+    crate::instrument::decompress(name, bytes.len(), nbytes, || {
         let (field_name, dims, payload, eb) = open_payload(bytes, W::MAGIC, name)?;
+        let n = W::prefix(dims, len);
         let mut pos = 8usize;
         let side = W::read_side(&payload, &mut pos)?;
-        let codes = entropy::decode_codes(&payload, &mut pos, dims.len())?;
+        let codes = entropy::decode_codes(&payload, &mut pos, dims.len(), n)?;
         let mut d = Dequantizer {
             eb,
             bin: 2.0 * eb,
@@ -417,11 +446,15 @@ fn decompress_mono<W: Walk>(name: &'static str, bytes: &[u8]) -> Result<Field, C
             unpred: &payload[pos..],
             short: false,
         };
-        let recon = W::decode(dims, side, &mut d);
+        let recon = W::decode(dims, side, &mut d, n);
         // A verbatim value that ran out before the walk failed is the
         // first fault in the stream.
         d.status()?;
-        Ok(Field::new(field_name, dims, recon?))
+        Ok(slab::Prefix {
+            name: field_name,
+            dims,
+            data: recon?,
+        })
     })
 }
 

@@ -371,6 +371,7 @@ impl Walk for Sz2 {
         dims: Dims,
         (modes, coef_bytes): Self::Side,
         d: &mut Dequantizer,
+        _: usize,
     ) -> Result<Vec<f32>, CompressError> {
         let blocks: usize = dims.shape().iter().map(|n| n.div_ceil(BLOCK)).product();
         if blocks != modes.len() {

@@ -143,7 +143,7 @@ impl Walk for SzInterp {
         Ok(Vec::new())
     }
 
-    fn decode(dims: Dims, _: (), d: &mut Dequantizer) -> Result<Vec<f32>, CompressError> {
+    fn decode(dims: Dims, _: (), d: &mut Dequantizer, _: usize) -> Result<Vec<f32>, CompressError> {
         Ok(walk(dims, |_, pred| d.next_value(pred)))
     }
 }

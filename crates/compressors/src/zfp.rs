@@ -644,7 +644,7 @@ impl Compressor for Zfp {
     }
 
     fn decompress(&self, bytes: &[u8]) -> Result<Field, CompressError> {
-        crate::instrument::decompress(self.name(), bytes.len(), || {
+        crate::instrument::decompress(self.name(), bytes.len(), Field::nbytes, || {
             let (name, dims, off) = header::read(bytes, magic::ZFP, "zfp")?;
             let rest = &bytes[off..];
             if rest.len() < 9 {

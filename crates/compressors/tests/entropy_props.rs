@@ -41,7 +41,7 @@ fn valid_streams_roundtrip_all_modes() {
         for mode in [EntropyMode::Auto, EntropyMode::Huffman, EntropyMode::Fse] {
             let buf = encode(&codes, mode);
             let mut pos = 0;
-            let back = decode_codes(&buf, &mut pos, codes.len())
+            let back = decode_codes(&buf, &mut pos, codes.len(), codes.len())
                 .unwrap_or_else(|e| panic!("seed {seed:#x} mode {mode:?}: {e}"));
             assert_eq!(back, codes, "seed {seed:#x} mode {mode:?}");
             assert_eq!(pos, buf.len(), "seed {seed:#x} mode {mode:?} left bytes");
@@ -59,14 +59,14 @@ fn multi_block_streams_roundtrip_and_reject_mismatches() {
         let buf = encode(&codes, mode);
         let mut pos = 0;
         assert_eq!(
-            decode_codes(&buf, &mut pos, codes.len()).expect("roundtrip"),
+            decode_codes(&buf, &mut pos, codes.len(), codes.len()).expect("roundtrip"),
             codes
         );
         // A count mismatch (off-by-one field size) must be typed.
         let mut pos = 0;
-        assert!(decode_codes(&buf, &mut pos, codes.len() - 1).is_err());
+        assert!(decode_codes(&buf, &mut pos, codes.len() - 1, codes.len() - 1).is_err());
         // So must a stream cut inside its second block.
         let mut pos = 0;
-        assert!(decode_codes(&buf[..buf.len() - 1], &mut pos, codes.len()).is_err());
+        assert!(decode_codes(&buf[..buf.len() - 1], &mut pos, codes.len(), codes.len()).is_err());
     }
 }

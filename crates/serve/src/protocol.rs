@@ -619,9 +619,9 @@ pub enum Request {
         /// The compressor stream to decode.
         stream: Vec<u8>,
     },
-    /// Decompression of an element range `start..end` of a stream. Slabbed
-    /// streams decode only the covering slabs; monolithic streams fall back
-    /// to a full decode plus slicing.
+    /// Decompression of an element range `start..end` of a stream, through
+    /// the codec's `decompress_range`: slabbed streams decode only the
+    /// covering slabs, and `sz`/`sz-fse` stop where the range ends.
     DecompressRange {
         /// First element index (inclusive).
         start: u64,
