@@ -1,4 +1,6 @@
 //! Telemetry name inventory for the archive crate.
 
+use fxrz_telemetry::Name;
+
 /// By-name index lookups (binary search over the sorted name index).
-pub const INDEX_LOOKUPS: &str = "archive.index.lookups";
+pub const INDEX_LOOKUPS: Name = Name::new("archive.index.lookups");

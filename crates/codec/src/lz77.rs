@@ -21,6 +21,8 @@ use crate::bitstream::{read_varint, write_varint};
 use crate::names;
 use crate::scratch::{with_scratch, CodecScratch, NO_POS};
 use crate::CodecError;
+use fxrz_telemetry::{Counter, Resolved};
+use std::sync::Arc;
 
 /// Minimum useful match length: shorter matches cost more than literals.
 const MIN_MATCH: usize = 4;
@@ -209,60 +211,31 @@ fn compress_unmetered(scratch: &mut CodecScratch, data: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Cached decompress-side counter handles. Decompression of a mostly
-/// incompressible stream runs at memcpy speed, so four registry lookups
-/// (lock + map walk each) per call show up in the fast-path benchmark;
-/// the `Arc` handles skip the map entirely. The generation stamp keeps
-/// the cache honest across [`MetricsRegistry::reset`]: a reset orphans
-/// the old counters, so a stale cache would silently drop these metrics
-/// from every later snapshot.
-///
-/// [`MetricsRegistry::reset`]: fxrz_telemetry::MetricsRegistry::reset
-struct DecompressCounters {
-    generation: u64,
-    calls: std::sync::Arc<fxrz_telemetry::Counter>,
-    bytes_in: std::sync::Arc<fxrz_telemetry::Counter>,
-    bytes_out: std::sync::Arc<fxrz_telemetry::Counter>,
-    errors: std::sync::Arc<fxrz_telemetry::Counter>,
-}
-
-impl DecompressCounters {
-    fn resolve() -> Self {
-        let registry = fxrz_telemetry::global();
-        Self {
-            generation: registry.generation(),
-            calls: registry.counter(names::LZ77_DECOMPRESS_CALLS),
-            bytes_in: registry.counter(names::LZ77_DECOMPRESS_BYTES_IN),
-            bytes_out: registry.counter(names::LZ77_DECOMPRESS_BYTES_OUT),
-            errors: registry.counter(names::LZ77_DECOMPRESS_ERRORS),
-        }
-    }
-}
-
-std::thread_local! {
-    static DECOMPRESS_COUNTERS: std::cell::RefCell<Option<DecompressCounters>> =
-        const { std::cell::RefCell::new(None) };
-}
+/// Decompress-side counters: `[calls, bytes_in, bytes_out, errors]`.
+/// Decompression of a mostly incompressible stream runs at memcpy speed,
+/// so four name-map lookups per call would show in the fast-path
+/// benchmark. All four resolve together, so `errors` is listed from the
+/// first call on.
+static DECOMPRESS_COUNTERS: Resolved<(), [Arc<Counter>; 4]> = Resolved::new((), |registry, ()| {
+    [
+        names::LZ77_DECOMPRESS_CALLS,
+        names::LZ77_DECOMPRESS_BYTES_IN,
+        names::LZ77_DECOMPRESS_BYTES_OUT,
+        names::LZ77_DECOMPRESS_ERRORS,
+    ]
+    .map(|name| registry.counter(name))
+});
 
 /// Decompresses a buffer produced by [`compress`].
 pub fn decompress(buf: &[u8]) -> Result<Vec<u8>, CodecError> {
     let out = decompress_unmetered(buf);
-    DECOMPRESS_COUNTERS.with(|cell| {
-        let mut cached = cell.borrow_mut();
-        let stale = cached
-            .as_ref()
-            .is_none_or(|c| c.generation != fxrz_telemetry::global().generation());
-        if stale {
-            *cached = Some(DecompressCounters::resolve());
-        }
-        let c = cached.as_ref().expect("just resolved");
-        c.calls.incr();
-        c.bytes_in.add(buf.len() as u64);
-        match &out {
-            Ok(data) => c.bytes_out.add(data.len() as u64),
-            Err(_) => c.errors.incr(),
-        }
-    });
+    let [calls, bytes_in, bytes_out, errors] = DECOMPRESS_COUNTERS.get();
+    calls.incr();
+    bytes_in.add(buf.len() as u64);
+    match &out {
+        Ok(data) => bytes_out.add(data.len() as u64),
+        Err(_) => errors.incr(),
+    }
     out
 }
 
@@ -365,8 +338,8 @@ mod tests {
         let registry = fxrz_telemetry::global();
         registry.reset();
         decompress(&c).expect("decompress after reset");
-        // The generation check re-resolves the thread-local handles into
-        // the fresh registry; an orphaned cache would leave this at zero.
+        // The generation check re-resolves the cached handles into the
+        // fresh registry; an orphaned cache would leave this at zero.
         // Other tests may also decompress concurrently, so only assert a
         // lower bound.
         assert!(registry.counter(names::LZ77_DECOMPRESS_CALLS).get() >= 1);

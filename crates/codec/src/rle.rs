@@ -1,9 +1,9 @@
 //! Zero-run-length encoding for sparse symbol streams.
 //!
 //! Quantized multilevel coefficients (the MGARD-style pipeline) are
-//! dominated by zeros at coarse error budgets. This pre-pass replaces zero
-//! runs with compact run tokens before Huffman coding, which both shrinks
-//! the stream and concentrates the Huffman alphabet.
+//! dominated by zeros at coarse error budgets. This pass replaces zero
+//! runs with compact run tokens. `mgard` writes the tokens straight into
+//! LZ77, with no entropy coder between them.
 //!
 //! Token stream (varints): `run_len, nonzero_symbol, run_len, nonzero_symbol,
 //! …` — a run length of `k` means `k` zeros precede the following symbol.

@@ -13,9 +13,11 @@
               timings never influence compressed output bytes"
 )]
 
-use crate::CompressError;
+use crate::{names, CompressError, CODECS};
+use fxrz_telemetry::{Counter, HdrHistogram, Name, Resolved, Template};
 use std::borrow::Cow;
-use std::time::Instant;
+use std::sync::{Arc, OnceLock};
+use std::time::{Duration, Instant};
 
 /// A codec name (a [`crate::CODECS`] row's, or `zfp-rate`) as one
 /// segment of a metric name, which allows only `[a-z0-9_.]`: `-` becomes
@@ -28,36 +30,77 @@ pub fn label(name: &str) -> Cow<'_, str> {
     }
 }
 
+/// One codec direction's series. Each is resolved on its first record,
+/// so a snapshot lists only the series a codec has recorded into.
+struct Series {
+    bytes_in: Resolved<Name, Arc<Counter>>,
+    bytes_out: Resolved<Name, Arc<Counter>>,
+    calls: Resolved<Name, Arc<Counter>>,
+    ns: Resolved<Name, Arc<HdrHistogram>>,
+    throughput_bps: Resolved<Name, Arc<HdrHistogram>>,
+    errors: Resolved<Name, Arc<Counter>>,
+}
+
+impl Series {
+    fn new(codec: &str, direction: &str) -> Self {
+        let label = label(codec);
+        let name = |template: Template| template.fill(&[&label, direction]);
+        Self {
+            bytes_in: Resolved::counter(name(names::PER_CODEC_BYTES_IN)),
+            bytes_out: Resolved::counter(name(names::PER_CODEC_BYTES_OUT)),
+            calls: Resolved::counter(name(names::PER_CODEC_CALLS)),
+            ns: Resolved::histogram(name(names::PER_CODEC_NS)),
+            throughput_bps: Resolved::histogram(name(names::PER_CODEC_THROUGHPUT_BPS)),
+            errors: Resolved::counter(name(names::PER_CODEC_ERRORS)),
+        }
+    }
+
+    fn record(&self, bytes_in: usize, bytes_out: Option<usize>, elapsed: Duration) {
+        let Some(out) = bytes_out else {
+            self.errors.get().incr();
+            return;
+        };
+        self.bytes_in.get().add(bytes_in as u64);
+        self.bytes_out.get().add(out as u64);
+        self.calls.get().incr();
+        self.ns.get().record_duration(elapsed);
+        let secs = elapsed.as_secs_f64();
+        if secs > 0.0 {
+            self.throughput_bps
+                .get()
+                .record((bytes_in as f64 / secs) as u64);
+        }
+    }
+}
+
+const COMPRESS: usize = 0;
+const DECOMPRESS: usize = 1;
+
+/// One codec's `[compress, decompress]` series.
+fn row(codec: &str) -> [Series; 2] {
+    [
+        Series::new(codec, "compress"),
+        Series::new(codec, "decompress"),
+    ]
+}
+
 fn record(
     name: &str,
-    direction: &str,
+    direction: usize,
     bytes_in: usize,
     bytes_out: Option<usize>,
-    elapsed: std::time::Duration,
+    elapsed: Duration,
 ) {
-    let name = label(name);
-    let registry = fxrz_telemetry::global();
-    match bytes_out {
-        Some(out) => {
-            registry.add(
-                &format!("compressor.{name}.{direction}.bytes_in"),
-                bytes_in as u64,
-            );
-            registry.add(
-                &format!("compressor.{name}.{direction}.bytes_out"),
-                out as u64,
-            );
-            registry.incr(&format!("compressor.{name}.{direction}.calls"));
-            registry.observe_duration(&format!("compressor.{name}.{direction}.ns"), elapsed);
-            let secs = elapsed.as_secs_f64();
-            if secs > 0.0 {
-                registry.observe(
-                    &format!("compressor.{name}.{direction}.throughput_bps"),
-                    (bytes_in as f64 / secs) as u64,
-                );
-            }
-        }
-        None => registry.incr(&format!("compressor.{name}.{direction}.errors")),
+    static ROWS: OnceLock<Vec<(&str, [Series; 2])>> = OnceLock::new();
+    let rows = ROWS.get_or_init(|| {
+        let codecs = CODECS.iter().map(|c| c.name).chain(["zfp-rate"]);
+        codecs.map(|codec| (codec, row(codec))).collect()
+    });
+    match rows.iter().find(|(codec, _)| *codec == name) {
+        Some((_, series)) => series[direction].record(bytes_in, bytes_out, elapsed),
+        // A codec outside the table (tests wrap their own) fills its
+        // names on every call.
+        None => row(name)[direction].record(bytes_in, bytes_out, elapsed),
     }
 }
 
@@ -73,7 +116,7 @@ where
     drop(span);
     record(
         name,
-        "compress",
+        COMPRESS,
         bytes_in,
         out.as_ref().ok().map(Vec::len),
         elapsed,
@@ -98,7 +141,7 @@ where
     drop(span);
     record(
         name,
-        "decompress",
+        DECOMPRESS,
         bytes_in,
         out.as_ref().ok().map(nbytes),
         elapsed,

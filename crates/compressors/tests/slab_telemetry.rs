@@ -3,6 +3,8 @@
 //! and of the last covering slab (or a monolithic stream) only the rows
 //! up to the range's end, asserted via `archive.slab.range_decoded_elems`.
 //!
+//! Also: the per-codec `compressor.*` series survive a registry reset.
+//!
 //! Lives alone in this binary: the telemetry registry is process-global,
 //! so counter deltas must not race with unrelated tests, and the tests
 //! here take [`SERIAL`] so they do not race with each other.
@@ -11,8 +13,9 @@ use std::sync::{Mutex, MutexGuard};
 
 use fxrz_compressors::header::magic;
 use fxrz_compressors::sz::Sz;
-use fxrz_compressors::{names, slab, Compressor, ErrorConfig};
+use fxrz_compressors::{instrument, names, slab, Compressor, ErrorConfig, CODECS};
 use fxrz_datagen::{Dims, Field};
+use fxrz_telemetry::Name;
 
 static SERIAL: Mutex<()> = Mutex::new(());
 
@@ -22,10 +25,10 @@ fn serial() -> MutexGuard<'static, ()> {
         .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-fn counter(name: &str) -> u64 {
+fn counter(name: Name) -> u64 {
     fxrz_telemetry::global()
         .snapshot()
-        .counter(name)
+        .counter(name.as_str())
         .unwrap_or(0)
 }
 
@@ -116,5 +119,35 @@ fn range_decode_rebuilds_only_the_rows_it_needs() {
         let before = counter(names::SLAB_RANGE_DECODED_ELEMS);
         assert!(Sz.decompress_range(&mono, bad.clone()).is_err(), "{bad:?}");
         assert_eq!(counter(names::SLAB_RANGE_DECODED_ELEMS), before, "{bad:?}");
+    }
+}
+
+#[test]
+fn per_codec_series_survive_a_registry_reset() {
+    // `tablegen --metrics` resets the global registry between
+    // experiments: handles resolved before a reset must resolve again,
+    // or every later snapshot misses the codec series.
+    let _serial = serial();
+    let round_trips = || {
+        for codec in CODECS {
+            let comp = (codec.make)();
+            let cfg = comp.config_space().at(0.5, 1.0);
+            let bytes = comp.compress(&field(), &cfg).expect("compress");
+            comp.decompress(&bytes).expect("decompress");
+        }
+    };
+    round_trips();
+    fxrz_telemetry::global().reset();
+    round_trips();
+    let snapshot = fxrz_telemetry::global().snapshot();
+    for codec in CODECS {
+        for direction in ["compress", "decompress"] {
+            let label = instrument::label(codec.name);
+            let calls = format!("compressor.{label}.{direction}.calls");
+            assert!(
+                snapshot.counter(&calls) >= Some(1),
+                "{calls} missing after reset"
+            );
+        }
     }
 }

@@ -20,16 +20,18 @@ use fxrz_datagen::Field;
 )]
 use std::time::{Duration, Instant};
 
-/// Telemetry metric and span name inventory (checked by `fxrz lint`).
+/// Telemetry metric and span name inventory.
 pub mod names {
+    use fxrz_telemetry::Name;
+
     /// Wall time of one search round, nanoseconds.
-    pub const ROUND_NS: &str = "fraz.round_ns";
+    pub const ROUND_NS: Name = Name::new("fraz.round_ns");
     /// Completed searches.
-    pub const SEARCHES: &str = "fraz.searches";
+    pub const SEARCHES: Name = Name::new("fraz.searches");
     /// Compressor invocations across all rounds.
-    pub const COMPRESSOR_RUNS: &str = "fraz.compressor_runs";
+    pub const COMPRESSOR_RUNS: Name = Name::new("fraz.compressor_runs");
     /// Span around one fixed-ratio search.
-    pub const SPAN_SEARCH: &str = "fraz_search";
+    pub const SPAN_SEARCH: Name = Name::new("fraz_search");
 }
 
 /// The FRaZ iterative searcher.

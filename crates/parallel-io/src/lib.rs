@@ -26,18 +26,20 @@ use fxrz_datagen::Field;
 use fxrz_fraz::FrazSearcher;
 use std::time::{Duration, Instant};
 
-/// Telemetry metric and span name inventory (checked by `fxrz lint`).
+/// Telemetry metric and span name inventory.
 pub mod names {
+    use fxrz_telemetry::Name;
+
     /// Ranks simulated in the dump.
-    pub const RANKS: &str = "parallel_io.ranks";
+    pub const RANKS: Name = Name::new("parallel_io.ranks");
     /// Per-rank wall time, nanoseconds.
-    pub const RANK_NS: &str = "parallel_io.rank_ns";
+    pub const RANK_NS: Name = Name::new("parallel_io.rank_ns");
     /// Worker threads driving the dump.
-    pub const WORKERS: &str = "parallel_io.workers";
+    pub const WORKERS: Name = Name::new("parallel_io.workers");
     /// Fields queued for compression.
-    pub const FIELDS_QUEUED: &str = "parallel_io.fields_queued";
+    pub const FIELDS_QUEUED: Name = Name::new("parallel_io.fields_queued");
     /// Span around one simulated rank.
-    pub const SPAN_RANK: &str = "rank";
+    pub const SPAN_RANK: Name = Name::new("rank");
 }
 
 /// A cluster description for the dump simulation.

@@ -40,6 +40,7 @@
 
 #![warn(missing_docs)]
 
+use fxrz_telemetry::Resolved;
 use std::cell::Cell;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -54,20 +55,21 @@ use std::time::Instant;
 /// A type-erased unit of pool work.
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
-/// Telemetry metric name inventory (checked by `fxrz lint`). The
-/// per-worker series are `{w}` placeholder templates; the `format!`
-/// call sites keep inline literals the lint matches against these.
+/// Telemetry metric name inventory. The per-worker series are `{w}`
+/// templates, filled once per worker when a pool is built.
 pub mod names {
+    use fxrz_telemetry::{Name, Template};
+
     /// Worker threads in the pool.
-    pub const POOL_THREADS: &str = "parallel.pool.threads";
+    pub const POOL_THREADS: Name = Name::new("parallel.pool.threads");
     /// `par_map` invocations.
-    pub const POOL_PAR_MAPS: &str = "parallel.pool.par_maps";
+    pub const POOL_PAR_MAPS: Name = Name::new("parallel.pool.par_maps");
     /// Chunks dispatched across all `par_map`s.
-    pub const POOL_CHUNKS: &str = "parallel.pool.chunks";
+    pub const POOL_CHUNKS: Name = Name::new("parallel.pool.chunks");
     /// Per-worker busy-time template (`{w}` is the worker index).
-    pub const WORKER_BUSY_NS: &str = "parallel.worker.{w}.busy_ns";
+    pub const WORKER_BUSY_NS: Template = Template::new("parallel.worker.{w}.busy_ns");
     /// Per-worker completed-task template (`{w}` is the worker index).
-    pub const WORKER_TASKS: &str = "parallel.worker.{w}.tasks";
+    pub const WORKER_TASKS: Template = Template::new("parallel.worker.{w}.tasks");
 }
 
 thread_local! {
@@ -174,8 +176,16 @@ impl Pool {
         let workers = (0..threads - 1)
             .map(|w| {
                 let queue = queue.clone();
-                let busy = registry.histogram(&format!("parallel.worker.{w}.busy_ns"));
-                let tasks = registry.counter(&format!("parallel.worker.{w}.tasks"));
+                let w = w.to_string();
+                let series = Resolved::new(
+                    (
+                        names::WORKER_BUSY_NS.fill(&[&w]),
+                        names::WORKER_TASKS.fill(&[&w]),
+                    ),
+                    |registry, &(busy, tasks)| (registry.histogram(busy), registry.counter(tasks)),
+                );
+                // The series exist from the pool's start, busy or not.
+                series.get();
                 std::thread::Builder::new()
                     .name(format!("fxrz-par-{w}"))
                     .spawn(move || {
@@ -184,6 +194,7 @@ impl Pool {
                             #[expect(clippy::disallowed_types, reason = "busy-time metric")]
                             let t0 = Instant::now();
                             job();
+                            let (busy, tasks) = series.get();
                             busy.record_duration(t0.elapsed());
                             tasks.incr();
                         }
@@ -514,11 +525,11 @@ mod tests {
         let pool = Pool::new(3);
         let before = fxrz_telemetry::global()
             .snapshot()
-            .counter("parallel.pool.par_maps")
+            .counter(names::POOL_PAR_MAPS.as_str())
             .unwrap_or(0);
         let _ = pool.par_map(64, 1, |r| r.start * 2);
         let snap = fxrz_telemetry::global().snapshot();
-        assert!(snap.counter("parallel.pool.par_maps").unwrap_or(0) > before);
+        assert!(snap.counter(names::POOL_PAR_MAPS.as_str()).unwrap_or(0) > before);
     }
 
     #[test]

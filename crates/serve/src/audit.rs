@@ -12,13 +12,14 @@
 //! offline tooling can replay them) and fold into [`AccuracyStats`] for
 //! `fxrz top`.
 
+use crate::lock::{Mutex, RwLock};
 use fxrz_core::features::FeatureVector;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::io::{self, LineWriter, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::Arc;
 
 /// One audited request, serialized as a single JSON line.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -92,10 +93,11 @@ impl AuditSink {
     /// # Errors
     /// Serialization and write failures.
     pub fn append(&self, record: &AuditRecord) -> io::Result<()> {
+        crate::lock::blocking("an audit append");
         let line = serde_json::to_string(record)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        let mut out = self.out.lock().unwrap_or_else(|e| e.into_inner());
-        // fxrz-lint: allow(lock_discipline): this lock exists solely to serialize sink writes; callers never hold another lock here (this lint flags a guard held across `.append`)
+        // This lock exists to serialize the sink's writes.
+        let mut out = self.out.lock();
         writeln!(out, "{line}").and_then(|()| out.flush())
     }
 }
@@ -124,11 +126,11 @@ impl AccuracyStats {
     /// Folds one audited request into the model's aggregate.
     pub fn record(&self, model: &str, rel_err: f64, in_tolerance: bool, exec_ns: u64) {
         let entry = {
-            let map = self.inner.read().unwrap_or_else(|e| e.into_inner());
+            let map = self.inner.read();
             map.get(model).cloned()
         };
         let entry = entry.unwrap_or_else(|| {
-            let mut map = self.inner.write().unwrap_or_else(|e| e.into_inner());
+            let mut map = self.inner.write();
             Arc::clone(map.entry(model.to_string()).or_default())
         });
         entry.requests.fetch_add(1, Ordering::Relaxed);
@@ -143,7 +145,7 @@ impl AccuracyStats {
     /// JSON array of per-model summaries, one object per model:
     /// `{"model","requests","in_tolerance","mean_rel_err","mean_exec_ns"}`.
     pub fn to_json(&self) -> String {
-        let map = self.inner.read().unwrap_or_else(|e| e.into_inner());
+        let map = self.inner.read();
         let entries: Vec<String> = map
             .iter()
             .map(|(model, acc)| {
@@ -163,10 +165,11 @@ impl AccuracyStats {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use std::sync::Mutex;
 
-    fn sample_record() -> AuditRecord {
+    pub(crate) fn sample_record() -> AuditRecord {
         AuditRecord {
             trace_id: 0xABCD,
             req_id: 7,

@@ -46,6 +46,7 @@
 
 pub mod audit;
 pub mod client;
+mod lock;
 pub mod names;
 pub mod protocol;
 pub mod registry;

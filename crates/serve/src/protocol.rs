@@ -398,6 +398,7 @@ fn response_header(frame: &ResponseFrame, len: usize) -> io::Result<[u8; RESPONS
 /// writes would let Nagle's algorithm hold the payload back until the
 /// peer's delayed ACK of the header, a ~40 ms stall per frame.
 fn write_frame(w: &mut impl Write, header: &[u8], payload: &[u8]) -> io::Result<()> {
+    crate::lock::blocking("a frame write");
     let mut wire = Vec::with_capacity(header.len() + payload.len());
     wire.extend_from_slice(header);
     wire.extend_from_slice(payload);

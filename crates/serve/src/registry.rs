@@ -7,12 +7,13 @@
 //! finish on the old model — the swap never stalls or corrupts in-flight
 //! work.
 
+use crate::lock::RwLock;
 use fxrz_core::infer::FixedRatioCompressor;
 use fxrz_core::train::TrainedModel;
 use fxrz_telemetry::{Counter, MetricsRegistry};
 use serde::Serialize;
 use std::collections::{BTreeMap, HashMap};
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 
 /// Registry failures, mapped onto wire error codes by the server.
 #[derive(Debug)]
@@ -124,7 +125,7 @@ impl ModelRegistry {
         model: TrainedModel,
     ) -> Result<u32, RegistryError> {
         let engine = Self::bind(model)?;
-        let mut models = self.models.write().expect("registry lock");
+        let mut models = self.models.write();
         let slot = models.entry(id.to_owned()).or_default();
         let version = if version == 0 {
             slot.keys().next_back().copied().unwrap_or(0) + 1
@@ -184,7 +185,7 @@ impl ModelRegistry {
             }
             None => (model_ref, None),
         };
-        let models = self.models.read().expect("registry lock");
+        let models = self.models.read();
         let slot = models
             .get(id)
             .ok_or_else(|| RegistryError::NoSuchModel(model_ref.to_owned()))?;
@@ -199,7 +200,7 @@ impl ModelRegistry {
 
     /// All loaded models, sorted by `(id, version)`.
     pub fn list(&self) -> Vec<ModelInfo> {
-        let models = self.models.read().expect("registry lock");
+        let models = self.models.read();
         let mut ids: Vec<&String> = models.keys().collect();
         ids.sort();
         ids.iter()
@@ -221,12 +222,7 @@ impl ModelRegistry {
 
     /// Number of loaded `(id, version)` pairs.
     pub fn len(&self) -> usize {
-        self.models
-            .read()
-            .expect("registry lock")
-            .values()
-            .map(BTreeMap::len)
-            .sum()
+        self.models.read().values().map(BTreeMap::len).sum()
     }
 
     /// True when no model is loaded.

@@ -19,12 +19,13 @@
 //! flight recorder. The job receives a [`JobCtx`] with the trace and its
 //! measured wait for an executor.
 
+use crate::lock::{Guard, Mutex};
 use crate::names;
 use crate::protocol::{ErrorCode, ResponseFrame, Status};
 use fxrz_telemetry::{Counter, Gauge, HdrHistogram, MetricsRegistry, TraceContext};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Scheduler tuning.
@@ -170,10 +171,8 @@ impl Scheduler {
         &self.counters
     }
 
-    fn tickets(&self) -> MutexGuard<'_, Tickets> {
-        // Every update under this lock is a counter step that cannot
-        // panic half-way, so even a poisoned lock holds consistent counts.
-        self.tickets.lock().unwrap_or_else(PoisonError::into_inner)
+    fn tickets(&self) -> Guard<MutexGuard<'_, Tickets>> {
+        self.tickets.lock()
     }
 
     /// Takes the next ticket and blocks until it is first in line and an
@@ -183,12 +182,9 @@ impl Scheduler {
         let ticket = tickets.issued;
         tickets.issued += 1;
         self.counters.queue_depth.add(1);
-        let mut tickets = self
-            .turn
-            .wait_while(tickets, |t| {
-                ticket != t.started || t.running == self.executors
-            })
-            .unwrap_or_else(PoisonError::into_inner);
+        let mut tickets = tickets.wait_while(&self.turn, |t| {
+            ticket != t.started || t.running == self.executors
+        });
         tickets.started += 1;
         tickets.running += 1;
         self.counters.queue_depth.add(-1);
@@ -231,6 +227,7 @@ impl Scheduler {
     where
         F: FnOnce(&JobCtx) -> ResponseFrame,
     {
+        crate::lock::blocking("Scheduler::submit");
         // Admission: one fetch_add decides; losers are shed immediately.
         let admitted = self.inflight.fetch_add(1, Ordering::SeqCst);
         if admitted >= self.config.queue_bound {
@@ -456,7 +453,7 @@ mod tests {
         let metrics = MetricsRegistry::new();
         let s = scheduler(1, 64, &metrics);
         let gate = Barrier::new(2);
-        let order = Mutex::new(Vec::new());
+        let order = std::sync::Mutex::new(Vec::new());
         std::thread::scope(|scope| {
             let holder = scope.spawn(|| {
                 s.submit(Op::Compress as u8, 0, 0, trace(), |_| {

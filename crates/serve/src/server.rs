@@ -22,6 +22,7 @@
 )]
 
 use crate::audit::{AccuracyStats, AuditRecord, AuditSink};
+use crate::lock::RwLock;
 use crate::names;
 use crate::protocol::{
     self, ErrorCode, FrameError, Op, Reply, Request, RequestFrame, ResponseFrame, Status,
@@ -36,7 +37,7 @@ use fxrz_telemetry::{Counter, HdrHistogram, MetricsRegistry, TraceContext, Trace
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Process-level stop plumbing: SIGTERM / SIGINT → one atomic flag every
@@ -217,7 +218,7 @@ impl Shared {
             record.in_tolerance,
             record.exec_ns,
         );
-        let sink = self.audit.read().unwrap_or_else(|e| e.into_inner()).clone();
+        let sink = self.audit.read().clone();
         if let Some(sink) = sink {
             self.metrics.incr(match sink.append(record) {
                 Ok(()) => names::AUDIT_RECORDS,
@@ -292,8 +293,8 @@ impl Server {
         let metrics = MetricsRegistry::new();
         let ops = Op::ALL.map(|op| OpSeries {
             op,
-            count: metrics.counter(&format!("serve.op.{op}.count", op = op.name())),
-            latency_ns: metrics.histogram(&format!("serve.op.{op}.hdr_ns", op = op.name())),
+            count: metrics.counter(names::OP_COUNT.fill(&[op.name()])),
+            latency_ns: metrics.histogram(names::OP_HDR_NS.fill(&[op.name()])),
         });
         Self {
             shared: Arc::new(Shared {
@@ -335,7 +336,7 @@ impl Server {
 
     /// Installs an audit sink directly (tests use in-memory writers).
     pub fn set_audit_sink(&self, sink: Arc<AuditSink>) {
-        *self.shared.audit.write().unwrap_or_else(|e| e.into_inner()) = Some(sink);
+        *self.shared.audit.write() = Some(sink);
     }
 
     /// Requests a stop of every listener started from this server.
@@ -661,7 +662,7 @@ fn stats_json(shared: &Shared) -> String {
         shared.scheduler.inflight(),
         shared.scheduler.queue_bound(),
         shared.scheduler.executors(),
-        snapshot.gauge(names::QUEUE_DEPTH).unwrap_or(0),
+        snapshot.gauge(names::QUEUE_DEPTH.as_str()).unwrap_or(0),
         sched.shed(),
         sched.admitted(),
         sched.deadline_exceeded(),

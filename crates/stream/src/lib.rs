@@ -39,6 +39,8 @@ use fxrz_core::features::{self, FeatureVector};
 use fxrz_core::sampling::StridedSampler;
 use fxrz_core::train::TrainedModel;
 use fxrz_datagen::{Dims, Field};
+use fxrz_telemetry::{Counter, Name, Resolved};
+use std::sync::Arc;
 
 // A trailer tag equal to a codec magic or frame tag fails every build.
 const _: () = assert!(
@@ -100,8 +102,8 @@ impl StreamScratch {
 /// One codec row available to the encoder.
 struct Row {
     name: String,
-    /// Telemetry-safe label (`-` → `_`).
-    label: String,
+    /// This codec's `stream.codec.{codec}.frames` counter.
+    frames_counter: Resolved<Name, Arc<Counter>>,
     tag: u8,
     comp: Box<dyn Compressor>,
     model: Option<TrainedModel>,
@@ -254,7 +256,9 @@ impl StreamEncoder {
             }
             rows.push(Row {
                 name: name.clone(),
-                label: fxrz_compressors::instrument::label(name).into_owned(),
+                frames_counter: Resolved::counter(
+                    names::CODEC_FRAMES.fill(&[&fxrz_compressors::instrument::label(name)]),
+                ),
                 tag,
                 comp,
                 model: None,
@@ -489,8 +493,8 @@ impl StreamEncoder {
         frame::write_frame(&mut record, row.tag, n as u64, eb, &payload);
         let in_tolerance = ((achieved - target) / target).abs() <= self.frame_tolerance;
         let codec = row.name.clone();
-        let label = row.label.clone();
         row.frames += 1;
+        row.frames_counter.get().incr();
 
         self.controller.record(raw_bytes, record.len() as u64);
         self.frames += 1;
@@ -502,7 +506,6 @@ impl StreamEncoder {
         telemetry.incr(names::FRAMES_ENCODED);
         telemetry.add(names::BYTES_RAW, raw_bytes);
         telemetry.add(names::BYTES_COMP, record.len() as u64);
-        telemetry.incr(&format!("stream.codec.{codec}.frames", codec = label));
         let cumulative = self.controller.cumulative_ratio();
         let err_bp = ((cumulative - self.target_ratio) / self.target_ratio).abs() * 1e4;
         telemetry.observe(names::CONTROLLER_ERR_BP, err_bp as u64);
@@ -710,7 +713,7 @@ mod tests {
         let telemetry = fxrz_telemetry::global();
         let before = telemetry
             .snapshot()
-            .counter(names::SCRATCH_REUSE)
+            .counter(names::SCRATCH_REUSE.as_str())
             .unwrap_or(0);
         let mut enc = StreamEncoder::new(StreamConfig::new(6.0)).expect("encoder");
         let chunk: Vec<f32> = (0..256).map(|i| (i as f32 * 0.1).cos()).collect();
@@ -719,7 +722,7 @@ mod tests {
         }
         let after = telemetry
             .snapshot()
-            .counter(names::SCRATCH_REUSE)
+            .counter(names::SCRATCH_REUSE.as_str())
             .unwrap_or(0);
         // First push allocates; the other four must reuse the buffer.
         assert!(

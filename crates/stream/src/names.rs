@@ -1,27 +1,25 @@
-//! Telemetry metric name inventory for the stream crate.
-//!
-//! Single source of truth checked by the `telemetry_names` lint
-//! (`fxrz lint`): every name literal passed to a telemetry API anywhere
-//! in the workspace must resolve against some `names` module const, so a
-//! typo'd series cannot silently split a dashboard.
+//! Telemetry metric name inventory for the stream crate; see
+//! `crates/codec/src/names.rs` for the convention.
+
+use fxrz_telemetry::{Name, Template};
 
 /// Frames encoded by [`crate::StreamEncoder`].
-pub const FRAMES_ENCODED: &str = "stream.frames.encoded";
+pub const FRAMES_ENCODED: Name = Name::new("stream.frames.encoded");
 /// Frames decoded by [`crate::StreamDecoder`].
-pub const FRAMES_DECODED: &str = "stream.frames.decoded";
+pub const FRAMES_DECODED: Name = Name::new("stream.frames.decoded");
 /// Frames that went through the FRaZ-style single-retry fallback.
-pub const FRAMES_RETRIED: &str = "stream.frames.retried";
+pub const FRAMES_RETRIED: Name = Name::new("stream.frames.retried");
 /// Raw input bytes accepted by the encoder.
-pub const BYTES_RAW: &str = "stream.bytes.raw";
+pub const BYTES_RAW: Name = Name::new("stream.bytes.raw");
 /// Compressed frame-record bytes produced (header + checksum + payload).
-pub const BYTES_COMP: &str = "stream.bytes.comp";
+pub const BYTES_COMP: Name = Name::new("stream.bytes.comp");
 /// Per-codec frame histogram template (`{codec}` is the sanitized codec
 /// label, e.g. `sz_fse`).
-pub const CODEC_FRAMES: &str = "stream.codec.{codec}.frames";
+pub const CODEC_FRAMES: Template = Template::new("stream.codec.{codec}.frames");
 /// Controller tracking error after each frame, in basis points:
 /// `|cumulative CR − target CR| / target × 10⁴` (HDR histogram).
-pub const CONTROLLER_ERR_BP: &str = "stream.controller.err_bp";
+pub const CONTROLLER_ERR_BP: Name = Name::new("stream.controller.err_bp");
 /// Frame-field scratch buffers reused across `push` calls.
-pub const SCRATCH_REUSE: &str = "stream.scratch.reuse";
+pub const SCRATCH_REUSE: Name = Name::new("stream.scratch.reuse");
 /// Frame-field scratch buffers freshly allocated.
-pub const SCRATCH_CREATE: &str = "stream.scratch.create";
+pub const SCRATCH_CREATE: Name = Name::new("stream.scratch.create");

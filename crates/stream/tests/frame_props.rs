@@ -155,7 +155,7 @@ fn codec_scratch_is_reused_across_the_encode_loop() {
     let telemetry = fxrz_telemetry::global();
     let before = telemetry
         .snapshot()
-        .counter(fxrz_codec::names::SCRATCH_REUSE)
+        .counter(fxrz_codec::names::SCRATCH_REUSE.as_str())
         .unwrap_or(0);
     let mut rng = StdRng::seed_from_u64(41);
     let mut enc = StreamEncoder::new(StreamConfig::new(8.0)).expect("encoder");
@@ -165,7 +165,7 @@ fn codec_scratch_is_reused_across_the_encode_loop() {
     }
     let after = telemetry
         .snapshot()
-        .counter(fxrz_codec::names::SCRATCH_REUSE)
+        .counter(fxrz_codec::names::SCRATCH_REUSE.as_str())
         .unwrap_or(0);
     assert!(
         after - before >= 5,

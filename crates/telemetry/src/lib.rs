@@ -7,11 +7,12 @@
 //!   fixed-precision [`HdrHistogram`]s (`< 0.8%` relative quantile
 //!   error, see [`hdr`]) backed by atomics; cheap enough for per-call
 //!   instrumentation of codec and compressor hot paths. Span durations
-//!   record into the same histogram type.
+//!   record into the same histogram type. Every series is named by a
+//!   typed [`Name`] or a [`Template`] row (see [`name`]).
 //! * **Spans** ([`mod@span`]) — RAII guards recording nested wall-clock
-//!   timings. Nesting is tracked per thread, so
-//!   `span!("compress")` containing `span!("features")` records under the
-//!   path `compress/features`.
+//!   timings. Nesting is tracked per thread, so a `compress` span
+//!   containing a `features` span records under the path
+//!   `compress/features`.
 //! * **Snapshots** ([`metrics::MetricsSnapshot`]) — a serializable view of
 //!   everything recorded, with a human-readable `Display` report and a
 //!   JSON form used by `fxrz --metrics json`.
@@ -28,10 +29,12 @@
 //!   by capacity, never by request count.
 //!
 //! ```
-//! use fxrz_telemetry as telemetry;
+//! use fxrz_telemetry::{self as telemetry, Name};
 //!
-//! let _guard = telemetry::span!("compress");
-//! telemetry::global().add("codec.bytes_in", 4096);
+//! const COMPRESS: Name = Name::new("compress");
+//! const BYTES_IN: Name = Name::new("codec.bytes_in");
+//! let _guard = telemetry::span!(COMPRESS);
+//! telemetry::global().add(BYTES_IN, 4096);
 //! drop(_guard);
 //! let snapshot = telemetry::global().snapshot();
 //! assert!(snapshot.spans.iter().any(|s| s.path == "compress"));
@@ -42,6 +45,7 @@
 
 pub mod hdr;
 pub mod metrics;
+pub mod name;
 pub mod recorder;
 pub mod report;
 pub mod span;
@@ -49,8 +53,10 @@ pub mod trace;
 
 pub use hdr::{HdrHistogram, HdrSnapshot};
 pub use metrics::{
-    Counter, CounterSnapshot, Gauge, GaugeSnapshot, MetricsRegistry, MetricsSnapshot, SpanSnapshot,
+    Counter, CounterSnapshot, Gauge, GaugeSnapshot, MetricsRegistry, MetricsSnapshot, Resolved,
+    SpanSnapshot,
 };
+pub use name::{Name, Template};
 pub use recorder::{
     flight_recorder, now_ns, render_records, FlightRecord, FlightRecorder, RecordKind,
 };
@@ -73,10 +79,10 @@ mod tests {
     #[test]
     fn doc_flow_end_to_end() {
         let reg = MetricsRegistry::new();
-        reg.add("x.bytes", 10);
-        reg.add("x.bytes", 32);
-        reg.observe("x.latency_ns", 1500);
-        reg.set_gauge("x.depth", 3);
+        reg.add(Name::new("x.bytes"), 10);
+        reg.add(Name::new("x.bytes"), 32);
+        reg.observe(Name::new("x.latency_ns"), 1500);
+        reg.set_gauge(Name::new("x.depth"), 3);
         let snap = reg.snapshot();
         assert_eq!(snap.counters[0].value, 42);
         assert_eq!(snap.gauges[0].value, 3);

@@ -3,8 +3,10 @@
 //! serializable [`MetricsSnapshot`].
 
 use crate::hdr::{HdrHistogram, HdrSnapshot};
+use crate::Name;
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -60,7 +62,7 @@ impl Gauge {
 ///
 /// Lookup is get-or-create: a read-lock fast path, falling back to a write
 /// lock on first use of a name. Handles are `Arc`s, so hot call sites can
-/// cache them and skip the map entirely.
+/// keep them in a [`Resolved`] and skip the map entirely.
 #[derive(Default)]
 pub struct MetricsRegistry {
     counters: RwLock<BTreeMap<String, Arc<Counter>>>,
@@ -70,7 +72,13 @@ pub struct MetricsRegistry {
     generation: AtomicU64,
 }
 
+thread_local! {
+    /// Name-map lookups this thread made, in any registry.
+    static LOOKUPS: Cell<u64> = const { Cell::new(0) };
+}
+
 fn get_or_create<T: Default>(map: &RwLock<BTreeMap<String, Arc<T>>>, name: &str) -> Arc<T> {
+    LOOKUPS.with(|n| n.set(n.get() + 1));
     if let Some(existing) = map.read().get(name) {
         return Arc::clone(existing);
     }
@@ -88,42 +96,42 @@ impl MetricsRegistry {
     }
 
     /// Handle to the named counter, creating it on first use.
-    pub fn counter(&self, name: &str) -> Arc<Counter> {
-        get_or_create(&self.counters, name)
+    pub fn counter(&self, name: Name) -> Arc<Counter> {
+        get_or_create(&self.counters, name.as_str())
     }
 
     /// Handle to the named gauge, creating it on first use.
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        get_or_create(&self.gauges, name)
+    pub fn gauge(&self, name: Name) -> Arc<Gauge> {
+        get_or_create(&self.gauges, name.as_str())
     }
 
     /// Handle to the named histogram, creating it on first use.
-    pub fn histogram(&self, name: &str) -> Arc<HdrHistogram> {
-        get_or_create(&self.histograms, name)
+    pub fn histogram(&self, name: Name) -> Arc<HdrHistogram> {
+        get_or_create(&self.histograms, name.as_str())
     }
 
     /// Adds `delta` to the named counter.
-    pub fn add(&self, name: &str, delta: u64) {
+    pub fn add(&self, name: Name, delta: u64) {
         self.counter(name).add(delta);
     }
 
     /// Adds one to the named counter.
-    pub fn incr(&self, name: &str) {
+    pub fn incr(&self, name: Name) {
         self.add(name, 1);
     }
 
     /// Sets the named gauge.
-    pub fn set_gauge(&self, name: &str, value: i64) {
+    pub fn set_gauge(&self, name: Name, value: i64) {
         self.gauge(name).set(value);
     }
 
     /// Records one observation into the named histogram.
-    pub fn observe(&self, name: &str, value: u64) {
+    pub fn observe(&self, name: Name, value: u64) {
         self.histogram(name).record(value);
     }
 
     /// Records a duration (as nanoseconds) into the named histogram.
-    pub fn observe_duration(&self, name: &str, d: Duration) {
+    pub fn observe_duration(&self, name: Name, d: Duration) {
         self.histogram(name).record_duration(d);
     }
 
@@ -196,13 +204,68 @@ impl MetricsRegistry {
         self.generation.fetch_add(1, Ordering::Release);
     }
 
-    /// Monotonic generation, bumped by every [`Self::reset`]. Hot call
-    /// sites that cache metric handles compare this against the generation
-    /// they resolved under: on mismatch the cached `Arc`s are orphans
-    /// (detached from the registry) and must be re-fetched, otherwise
-    /// post-reset snapshots would silently miss those metrics.
-    pub fn generation(&self) -> u64 {
+    /// Monotonic generation, bumped by every [`Self::reset`]; see
+    /// [`Resolved`].
+    fn generation(&self) -> u64 {
         self.generation.load(Ordering::Acquire)
+    }
+
+    /// Name-map lookups the calling thread has made so far, in any
+    /// registry: every handle resolve, emit by name and span record is
+    /// one. A count per thread stays exact while other threads record.
+    pub fn thread_lookups() -> u64 {
+        LOOKUPS.with(Cell::get)
+    }
+}
+
+/// Handles resolved from the [global](crate::global) registry on first
+/// use, and again after each [`MetricsRegistry::reset`]. A reset orphans
+/// every handle taken before it, so handles kept past one would drop
+/// their series from every later snapshot; [`Self::get`] compares the
+/// registry's generation with the one the handles were resolved under,
+/// and takes the name map only when they differ.
+pub struct Resolved<K, T> {
+    key: K,
+    resolve: fn(&MetricsRegistry, &K) -> T,
+    cached: RwLock<Option<(u64, T)>>,
+}
+
+impl<K, T: Clone> Resolved<K, T> {
+    /// The handles `resolve` takes for `key`, resolved on first use.
+    pub const fn new(key: K, resolve: fn(&MetricsRegistry, &K) -> T) -> Self {
+        Self {
+            key,
+            resolve,
+            cached: RwLock::new(None),
+        }
+    }
+
+    /// The handles, resolved again first if the registry was reset since.
+    pub fn get(&self) -> T {
+        let registry = crate::global();
+        let generation = registry.generation();
+        if let Some((at, handles)) = &*self.cached.read() {
+            if *at == generation {
+                return handles.clone();
+            }
+        }
+        let handles = (self.resolve)(registry, &self.key);
+        *self.cached.write() = Some((generation, handles.clone()));
+        handles
+    }
+}
+
+impl Resolved<Name, Arc<Counter>> {
+    /// The named counter's handle, resolved on first use.
+    pub const fn counter(name: Name) -> Self {
+        Self::new(name, |registry, &name| registry.counter(name))
+    }
+}
+
+impl Resolved<Name, Arc<HdrHistogram>> {
+    /// The named histogram's handle, resolved on first use.
+    pub const fn histogram(name: Name) -> Self {
+        Self::new(name, |registry, &name| registry.histogram(name))
     }
 }
 
@@ -292,34 +355,46 @@ mod tests {
     #[test]
     fn registry_handles_are_shared() {
         let reg = MetricsRegistry::new();
-        let a = reg.counter("shared");
-        let b = reg.counter("shared");
+        let a = reg.counter(Name::new("shared"));
+        let b = reg.counter(Name::new("shared"));
         a.add(2);
         b.add(3);
-        assert_eq!(reg.counter("shared").get(), 5);
+        assert_eq!(reg.counter(Name::new("shared")).get(), 5);
     }
 
     #[test]
     fn reset_bumps_generation() {
         let reg = MetricsRegistry::new();
         let g0 = reg.generation();
-        let stale = reg.counter("cached.elsewhere");
+        let stale = reg.counter(Name::new("cached.elsewhere"));
         reg.reset();
         assert_eq!(reg.generation(), g0 + 1);
         // The pre-reset handle is orphaned: it still counts, but a fresh
         // resolve reaches a different cell — this is exactly why cachers
         // must re-resolve when the generation moves.
         stale.incr();
-        assert_eq!(reg.counter("cached.elsewhere").get(), 0);
+        assert_eq!(reg.counter(Name::new("cached.elsewhere")).get(), 0);
         reg.reset();
         assert_eq!(reg.generation(), g0 + 2);
     }
 
     #[test]
+    fn resolved_handles_take_the_name_map_once() {
+        // Resets of the global registry are left to the tests that own
+        // their process (`slab_telemetry`); this one only counts.
+        let calls = Resolved::counter(Name::new("test.resolved.calls"));
+        let before = MetricsRegistry::thread_lookups();
+        calls.get().incr();
+        calls.get().incr();
+        assert_eq!(MetricsRegistry::thread_lookups() - before, 1);
+        assert_eq!(calls.get().get(), 2);
+    }
+
+    #[test]
     fn snapshot_is_sorted_by_name() {
         let reg = MetricsRegistry::new();
-        reg.incr("zebra");
-        reg.incr("alpha");
+        reg.incr(Name::new("zebra"));
+        reg.incr(Name::new("alpha"));
         let snap = reg.snapshot();
         let names: Vec<&str> = snap.counters.iter().map(|c| c.name.as_str()).collect();
         assert_eq!(names, ["alpha", "zebra"]);
@@ -335,8 +410,8 @@ mod tests {
                 let reg = std::sync::Arc::clone(&reg);
                 std::thread::spawn(move || {
                     for i in 0..per_thread {
-                        reg.incr("contended");
-                        reg.observe("contended.hist", i);
+                        reg.incr(Name::new("contended"));
+                        reg.observe(Name::new("contended.hist"), i);
                     }
                 })
             })
@@ -344,20 +419,18 @@ mod tests {
         for h in handles {
             h.join().expect("thread");
         }
-        assert_eq!(reg.counter("contended").get(), threads * per_thread);
-        assert_eq!(
-            reg.histogram("contended.hist").count(),
-            threads * per_thread
-        );
+        let total = threads * per_thread;
+        assert_eq!(reg.counter(Name::new("contended")).get(), total);
+        assert_eq!(reg.histogram(Name::new("contended.hist")).count(), total);
     }
 
     #[test]
     fn snapshot_json_roundtrip() {
         let reg = MetricsRegistry::new();
-        reg.add("bytes", 42);
-        reg.set_gauge("workers", -3);
+        reg.add(Name::new("bytes"), 42);
+        reg.set_gauge(Name::new("workers"), -3);
         for v in [1u64, 100, 10_000] {
-            reg.observe("latency", v);
+            reg.observe(Name::new("latency"), v);
         }
         reg.record_span("compress/features", Duration::from_micros(250));
         let snap = reg.snapshot();

@@ -100,13 +100,14 @@ impl fmt::Display for MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use crate::metrics::MetricsRegistry;
+    use crate::Name;
 
     #[test]
     fn report_mentions_every_section() {
         let reg = MetricsRegistry::new();
-        reg.add("sz.bytes_in", 123_456);
-        reg.set_gauge("workers", 4);
-        reg.observe("lat", 512);
+        reg.add(Name::new("sz.bytes_in"), 123_456);
+        reg.set_gauge(Name::new("workers"), 4);
+        reg.observe(Name::new("lat"), 512);
         reg.record_span("compress", std::time::Duration::from_micros(250));
         reg.record_span("compress/features", std::time::Duration::from_micros(100));
         let text = reg.snapshot().to_string();
@@ -131,8 +132,8 @@ mod tests {
     #[test]
     fn histograms_read_as_time_only_for_ns_series() {
         let reg = MetricsRegistry::new();
-        reg.observe("x.latency_ns", 1500);
-        reg.observe("x.err_bp", 532);
+        reg.observe(Name::new("x.latency_ns"), 1500);
+        reg.observe(Name::new("x.err_bp"), 532);
         let text = reg.snapshot().to_string();
         // The value printed after `key` on the series' line.
         let value = |name: &str, key: &str| -> String {

@@ -16,6 +16,7 @@
 //! there nest under the captured parent path and trace.
 
 use crate::trace::TraceContext;
+use crate::Name;
 use std::cell::RefCell;
 use std::time::{Duration, Instant};
 
@@ -66,6 +67,8 @@ impl Drop for SpanGuard {
 }
 
 /// Opens a span named `name`, nested under the thread's current span.
+/// Stages name their span with [`span!`](crate::span!); this form
+/// takes a runtime segment, such as a codec's registry name.
 pub fn enter(name: &str) -> SpanGuard {
     let path = SPAN_STACK.with(|stack| {
         let mut stack = stack.borrow_mut();
@@ -92,8 +95,8 @@ pub fn current_path() -> Option<String> {
 /// wall-clock duration. The `Duration` return makes it easy to keep
 /// existing timing fields (e.g. `Estimate::analysis_time`) in sync with
 /// what the registry records.
-pub fn spanned<T, F: FnOnce() -> T>(name: &str, f: F) -> (T, Duration) {
-    let guard = enter(name);
+pub fn spanned<T, F: FnOnce() -> T>(name: Name, f: F) -> (T, Duration) {
+    let guard = enter(name.as_str());
     let out = f();
     let elapsed = guard.elapsed();
     drop(guard);
@@ -158,12 +161,12 @@ impl Drop for TaskScopeGuard {
     }
 }
 
-/// Opens a [`SpanGuard`](crate::span::SpanGuard) for the named stage:
-/// `let _guard = fxrz_telemetry::span!("compress");`
+/// Opens a [`SpanGuard`](crate::span::SpanGuard) for the stage a
+/// [`Name`] names: `let _guard = fxrz_telemetry::span!(names::SPAN_COMPRESS);`
 #[macro_export]
 macro_rules! span {
     ($name:expr) => {
-        $crate::span::enter($name)
+        $crate::span::enter($crate::Name::as_str($name))
     };
 }
 
@@ -187,7 +190,7 @@ mod tests {
 
     #[test]
     fn spanned_returns_value_and_duration() {
-        let (value, elapsed) = spanned("test_spanned", || 7u32);
+        let (value, elapsed) = spanned(Name::new("test_spanned"), || 7u32);
         assert_eq!(value, 7);
         assert!(elapsed.as_nanos() > 0 || elapsed.is_zero());
         let snap = crate::global().snapshot();

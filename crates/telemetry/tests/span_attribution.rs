@@ -5,7 +5,7 @@
 //! spans recorded as orphaned roots and lost their trace id. These tests
 //! drive a real pool and assert the captured scope travels with the job.
 
-use fxrz_telemetry::{span, trace, MetricsRegistry, TaskScope, TraceIdGen};
+use fxrz_telemetry::{span, trace, MetricsRegistry, Name, TaskScope, TraceIdGen};
 use std::sync::Mutex;
 
 /// Pool construction races on the global registry with other tests in
@@ -16,10 +16,10 @@ static GATE: Mutex<()> = Mutex::new(());
 fn par_map_children_nest_under_the_issuing_span() {
     let _gate = GATE.lock().unwrap();
     let pool = fxrz_parallel::Pool::new(4);
-    let parent = span!("attrib_parent");
+    let parent = span!(Name::new("attrib_parent"));
     let paths: Vec<String> = pool
         .par_map(8, 1, |_r| {
-            let child = span!("attrib_child");
+            let child = span!(Name::new("attrib_child"));
             child.path().to_string()
         })
         .into_iter()
@@ -56,7 +56,7 @@ fn worker_scope_is_restored_between_jobs() {
     {
         let ctx = TraceIdGen::new(5).next();
         let _g = trace::attach(ctx);
-        let _parent = span!("attrib_first");
+        let _parent = span!(Name::new("attrib_first"));
         let _ = pool.par_map(4, 1, |_r| ());
     }
     // A second par_map with no active span/trace must not inherit stale

@@ -18,7 +18,6 @@
 
 #![forbid(unsafe_code)]
 
-pub use fxrz_analysis as analysis;
 pub use fxrz_archive as archive;
 pub use fxrz_codec as codec;
 pub use fxrz_compressors as compressors;
