@@ -87,17 +87,16 @@ pub fn decode(buf: &[u8]) -> Result<Vec<u32>, CodecError> {
 /// [`CodecError::Corrupt`] when the stream claims more than
 /// `max_symbols` — the allocation guard for untrusted streams whose
 /// symbol count is known out of band. Only a decode that reaches the
-/// last symbol checks the final states and the bit budget.
+/// last symbol checks the final states and the bit budget. This is
+/// [`Decoder`] collected.
 pub fn decode_limited(buf: &[u8], max_symbols: usize, stop: usize) -> Result<Vec<u32>, CodecError> {
-    let out = decode_limited_unmetered(buf, max_symbols, stop);
-    let registry = fxrz_telemetry::global();
-    registry.incr(names::FSE_DECODE_CALLS);
-    registry.add(names::FSE_DECODE_BYTES_IN, buf.len() as u64);
-    match &out {
-        Ok(symbols) => registry.add(names::FSE_DECODE_SYMBOLS_OUT, symbols.len() as u64),
-        Err(_) => registry.incr(names::FSE_DECODE_ERRORS),
-    }
-    out
+    let mut dec = Decoder::new(buf, max_symbols)?;
+    let mut out = vec![0; dec.len().min(stop)];
+    let mut at = dec.cursor();
+    dec.fill(&mut at, &mut out);
+    dec.set_cursor(at);
+    dec.finish(out.len())?;
+    Ok(out)
 }
 
 #[inline]
@@ -499,202 +498,449 @@ pub fn cost_bytes(dict: &[u32], freqs: &[u64], count: u64) -> Option<u64> {
     Some(header + (payload_bits.ceil() as u64 + tail_bits).div_ceil(8))
 }
 
-/// Reads LSB-first bit fields backward from a known end position: each
-/// `read(n)` returns the `n` bits just below the cursor and moves it down
-/// — the LIFO order tANS decoding requires.
-struct TailReader<'a> {
-    buf: &'a [u8],
+/// The bits of a stream whose fields are all zero bits wide (one
+/// symbol, or none): one zero window, which [`Decoder::step`] reads at
+/// [`NO_BITS_AT`] on its fast path.
+const NO_BITS: [u8; 8] = [0; 8];
+
+/// The lowest cursor position whose 8-byte window starts inside the
+/// buffer; below it [`Decoder::step`] reads through [`read_tail`].
+const NO_BITS_AT: usize = 56;
+
+/// The symbols of one stream produced by [`encode`], handed out in order
+/// on demand. [`Decoder::step`] is one state transition of the two
+/// interleaved chains, so a caller can run other work between symbols
+/// (the SZ decode walks the Lorenzo predictor alongside it) instead of
+/// waiting for the whole stream. [`decode_limited`] is this decoder
+/// collected.
+#[derive(Debug)]
+pub struct Decoder<'a> {
+    /// Per state: `symbol << 32 | nb << 16 | base`; the successor state
+    /// is `base` plus the `nb` bits read.
+    table: Vec<u64>,
+    /// The payload, read backward from the marker bit.
+    bits: &'a [u8],
+    /// Symbols the stream holds.
+    count: usize,
+    /// Where the cursor ends once every symbol is out: 0, or
+    /// [`NO_BITS_AT`] for a stream read with no bits.
+    end: usize,
+    /// Where the decoder stands between loops that step it.
+    at: Cursor,
+}
+
+/// Where a [`Decoder`] stands: the two chains' states and the bit
+/// position. It is small and `Copy`, so a loop that steps a decoder
+/// through [`Decoder::step`] keeps it in registers.
+#[derive(Clone, Copy, Debug)]
+pub struct Cursor {
+    /// The state that emits the next symbol, and the other chain's.
+    state: usize,
+    other: usize,
     /// Bits still unread below the cursor.
     bit_pos: usize,
+    /// A field ran past the start of the payload.
+    truncated: bool,
 }
 
-impl<'a> TailReader<'a> {
-    #[inline]
-    fn read(&mut self, n: u32) -> Option<u64> {
-        if n == 0 {
-            return Some(0);
+impl<'a> Decoder<'a> {
+    /// Parses the header of `buf`, builds the decode table and reads the
+    /// two initial states. Errors with [`CodecError::Corrupt`] when the
+    /// stream claims more than `max_symbols`, before anything is sized
+    /// from the claim.
+    pub fn new(buf: &'a [u8], max_symbols: usize) -> Result<Self, CodecError> {
+        let registry = fxrz_telemetry::global();
+        registry.incr(names::FSE_DECODE_CALLS);
+        registry.add(names::FSE_DECODE_BYTES_IN, buf.len() as u64);
+        let dec = Self::parse(buf, max_symbols);
+        if dec.is_err() {
+            registry.incr(names::FSE_DECODE_ERRORS);
         }
-        if (n as usize) > self.bit_pos {
-            return None;
-        }
-        self.bit_pos -= n as usize;
-        let byte = self.bit_pos >> 3;
-        let shift = (self.bit_pos & 7) as u32;
-        // n <= 16 plus a 7-bit shift spans at most 3 bytes; an 8-byte
-        // window covers it in one load. The clamped copy only runs within
-        // 8 bytes of the buffer end (the first few reads), so the hot
-        // path is a single fixed-size load.
-        let word = if byte + 8 <= self.buf.len() {
-            u64::from_le_bytes(self.buf[byte..byte + 8].try_into().expect("8 bytes"))
-        } else {
-            let mut tmp = [0u8; 8];
-            tmp[..self.buf.len() - byte].copy_from_slice(&self.buf[byte..]);
-            u64::from_le_bytes(tmp)
-        };
-        Some((word >> shift) & ((1u64 << n) - 1))
-    }
-}
-
-fn decode_limited_unmetered(
-    buf: &[u8],
-    max_symbols: usize,
-    stop: usize,
-) -> Result<Vec<u32>, CodecError> {
-    let mut pos = 0usize;
-    let count = read_varint(buf, &mut pos).ok_or(CodecError::Truncated)? as usize;
-    if count > max_symbols {
-        return Err(CodecError::Corrupt("symbol count exceeds caller limit"));
-    }
-    if count == 0 {
-        return Ok(Vec::new());
-    }
-    let n_dict = read_varint(buf, &mut pos).ok_or(CodecError::Truncated)? as usize;
-    if n_dict == 0 {
-        return Err(CodecError::Corrupt("nonzero count with empty dictionary"));
-    }
-    if n_dict == 1 {
-        let sym = read_varint(buf, &mut pos).ok_or(CodecError::Truncated)?;
-        if sym > u64::from(u32::MAX) {
-            return Err(CodecError::Corrupt("symbol exceeds u32"));
-        }
-        return Ok(vec![sym as u32; count.min(stop)]);
-    }
-    // Each dictionary entry costs at least two input bytes (delta + norm).
-    if n_dict > buf.len() / 2 + 1 {
-        return Err(CodecError::Corrupt("dictionary larger than input"));
-    }
-    let log = read_varint(buf, &mut pos).ok_or(CodecError::Truncated)? as u32;
-    if !(MIN_TABLE_LOG..=MAX_TABLE_LOG).contains(&log) {
-        return Err(CodecError::Corrupt("table log out of range"));
-    }
-    let t = 1usize << log;
-    if n_dict > t {
-        return Err(CodecError::Corrupt("more symbols than table slots"));
+        dec
     }
 
-    let mut dict = Vec::with_capacity(n_dict);
-    let mut prev: u64 = read_varint(buf, &mut pos).ok_or(CodecError::Truncated)?;
-    if prev > u64::from(u32::MAX) {
-        return Err(CodecError::Corrupt("symbol exceeds u32"));
+    /// A decoder of no symbols over no bytes: a placeholder, metering
+    /// nothing, that allocates no table.
+    pub fn empty() -> Self {
+        Self {
+            table: Vec::new(),
+            bits: &NO_BITS,
+            count: 0,
+            end: NO_BITS_AT,
+            at: Cursor {
+                state: 0,
+                other: 0,
+                bit_pos: NO_BITS_AT,
+                truncated: false,
+            },
+        }
     }
-    dict.push(prev as u32);
-    for _ in 1..n_dict {
-        let gap = read_varint(buf, &mut pos).ok_or(CodecError::Truncated)?;
-        prev = prev
-            .checked_add(gap)
-            .and_then(|v| v.checked_add(1))
-            .ok_or(CodecError::Corrupt("dictionary symbol overflow"))?;
+
+    /// How many symbols the stream holds.
+    pub fn len(&self) -> usize {
+        self.count
+    }
+
+    /// Whether the stream holds no symbols.
+    pub fn is_empty(&self) -> bool {
+        self.count == 0
+    }
+
+    /// A stream of `count` copies of `symbol`: one state, read with no
+    /// bits.
+    fn constant(symbol: u32, count: usize) -> Self {
+        Self {
+            table: vec![u64::from(symbol) << 32],
+            count,
+            ..Self::empty()
+        }
+    }
+
+    fn parse(buf: &'a [u8], max_symbols: usize) -> Result<Self, CodecError> {
+        let mut pos = 0usize;
+        let count = read_varint(buf, &mut pos).ok_or(CodecError::Truncated)? as usize;
+        if count > max_symbols {
+            return Err(CodecError::Corrupt("symbol count exceeds caller limit"));
+        }
+        if count == 0 {
+            return Ok(Self::constant(0, 0));
+        }
+        let n_dict = read_varint(buf, &mut pos).ok_or(CodecError::Truncated)? as usize;
+        if n_dict == 0 {
+            return Err(CodecError::Corrupt("nonzero count with empty dictionary"));
+        }
+        if n_dict == 1 {
+            let sym = read_varint(buf, &mut pos).ok_or(CodecError::Truncated)?;
+            if sym > u64::from(u32::MAX) {
+                return Err(CodecError::Corrupt("symbol exceeds u32"));
+            }
+            return Ok(Self::constant(sym as u32, count));
+        }
+        // Each dictionary entry costs at least two input bytes (delta + norm).
+        if n_dict > buf.len() / 2 + 1 {
+            return Err(CodecError::Corrupt("dictionary larger than input"));
+        }
+        let log = read_varint(buf, &mut pos).ok_or(CodecError::Truncated)? as u32;
+        if !(MIN_TABLE_LOG..=MAX_TABLE_LOG).contains(&log) {
+            return Err(CodecError::Corrupt("table log out of range"));
+        }
+        let t = 1usize << log;
+        if n_dict > t {
+            return Err(CodecError::Corrupt("more symbols than table slots"));
+        }
+
+        let mut dict = Vec::with_capacity(n_dict);
+        let mut prev: u64 = read_varint(buf, &mut pos).ok_or(CodecError::Truncated)?;
         if prev > u64::from(u32::MAX) {
             return Err(CodecError::Corrupt("symbol exceeds u32"));
         }
         dict.push(prev as u32);
-    }
-    let mut norm = Vec::with_capacity(n_dict);
-    let mut norm_sum = 0u64;
-    for _ in 0..n_dict {
-        let nf = read_varint(buf, &mut pos)
-            .ok_or(CodecError::Truncated)?
-            .checked_add(1)
-            .ok_or(CodecError::Corrupt("normalized frequency overflow"))?;
-        norm_sum += nf;
-        if norm_sum > t as u64 {
-            return Err(CodecError::Corrupt("normalized frequencies exceed table"));
+        for _ in 1..n_dict {
+            let gap = read_varint(buf, &mut pos).ok_or(CodecError::Truncated)?;
+            prev = prev
+                .checked_add(gap)
+                .and_then(|v| v.checked_add(1))
+                .ok_or(CodecError::Corrupt("dictionary symbol overflow"))?;
+            if prev > u64::from(u32::MAX) {
+                return Err(CodecError::Corrupt("symbol exceeds u32"));
+            }
+            dict.push(prev as u32);
         }
-        norm.push(nf as u32);
-    }
-    if norm_sum != t as u64 {
-        return Err(CodecError::Corrupt(
-            "normalized frequencies underfill table",
-        ));
+        let mut norm = Vec::with_capacity(n_dict);
+        let mut norm_sum = 0u64;
+        for _ in 0..n_dict {
+            let nf = read_varint(buf, &mut pos)
+                .ok_or(CodecError::Truncated)?
+                .checked_add(1)
+                .ok_or(CodecError::Corrupt("normalized frequency overflow"))?;
+            norm_sum += nf;
+            if norm_sum > t as u64 {
+                return Err(CodecError::Corrupt("normalized frequencies exceed table"));
+            }
+            norm.push(nf as u32);
+        }
+        if norm_sum != t as u64 {
+            return Err(CodecError::Corrupt(
+                "normalized frequencies underfill table",
+            ));
+        }
+
+        // Locate the marker bit: the encoder's final `1` is the highest set
+        // bit of the last byte (later bits are alignment padding).
+        let bits = &buf[pos..];
+        let last = *bits.last().ok_or(CodecError::Truncated)?;
+        if last == 0 {
+            return Err(CodecError::Corrupt("missing stream terminator"));
+        }
+        let marker = (bits.len() - 1) * 8 + (7 - last.leading_zeros() as usize);
+        let (marker, state) = read_tail(bits, marker, log).ok_or(CodecError::Truncated)?;
+        let (bit_pos, other) = read_tail(bits, marker, log).ok_or(CodecError::Truncated)?;
+        Ok(Self {
+            table: decode_table(&dict, &norm, log),
+            bits,
+            count,
+            end: 0,
+            at: Cursor {
+                state: state as usize,
+                other: other as usize,
+                bit_pos,
+                truncated: false,
+            },
+        })
     }
 
-    // Decode table: for the x-th occurrence of a slot in spread order,
-    // nb = log - floor_log2(x) and the successor base is (x << nb) - t.
-    // With the sum check above, every entry lands back inside [0, t) for
-    // any bits read, so the hot loop needs no bounds handling.
-    let mut spread = Vec::new();
-    spread_symbols(&norm, log, &mut spread);
-    let mut next: Vec<u32> = norm.clone();
-    let mut dtable = vec![0u64; t];
-    for (pos_t, &slot) in spread.iter().enumerate() {
-        let x = next[slot as usize];
-        next[slot as usize] += 1;
+    /// Where the decoder stands, for a loop that steps it with
+    /// [`Self::step`] and hands the result back to [`Self::set_cursor`].
+    pub fn cursor(&self) -> Cursor {
+        self.at
+    }
+
+    /// Moves the decoder to `at`, a cursor stepped from its own.
+    pub fn set_cursor(&mut self, at: Cursor) {
+        self.at = at;
+    }
+
+    /// The next symbol, from where `at` stands; advances `at`. This is
+    /// the one state transition every decode of this crate and of the SZ
+    /// pipeline runs. Step at most [`Self::len`] times: past the end the
+    /// symbols are garbage, though never a panic. A field that runs past
+    /// the start of the payload reads as zero bits and is reported by
+    /// [`Self::finish`].
+    #[inline(always)]
+    pub fn step(&self, at: &mut Cursor) -> u32 {
+        // Every entry's `base + 2^nb` stays within the table (the norms
+        // sum to its size), so a state never leaves it.
+        let e = self.table[at.state];
+        let nb = (e >> 16) as u32 & 0x1F;
+        // The 8 bytes ending with the byte that holds bit `bit_pos` hold
+        // every field of up to 56 bits below it. Their address depends on
+        // the cursor alone, not on this state's entry, so the load runs
+        // alongside the table lookup instead of after it. Only the fields
+        // in the payload's first 7 bytes, or past its start, take the
+        // slow path.
+        let first = (at.bit_pos >> 3).wrapping_sub(7);
+        let bits = match self.bits.get(first..first.wrapping_add(8)) {
+            Some(window) => {
+                let pos = at.bit_pos - nb as usize;
+                at.bit_pos = pos;
+                let window = u64::from_le_bytes(window.try_into().expect("8 bytes"));
+                (window >> (pos - 8 * first)) & ((1u64 << nb) - 1)
+            }
+            None => match read_tail(self.bits, at.bit_pos, nb) {
+                Some((pos, bits)) => {
+                    at.bit_pos = pos;
+                    bits
+                }
+                None => {
+                    at.truncated = true;
+                    at.bit_pos = 0;
+                    0
+                }
+            },
+        };
+        // The chains alternate: this state's successor decodes the
+        // symbol after next.
+        at.state = at.other;
+        at.other = (e & 0xFFFF) as usize + bits as usize;
+        (e >> 32) as u32
+    }
+
+    /// Fills `out` with the next symbols from `at`, which it advances:
+    /// [`Self::step`] in a loop, or for a one-symbol stream, whose steps
+    /// read nothing and leave `at` where it is, that symbol.
+    pub fn fill(&self, at: &mut Cursor, out: &mut [u32]) {
+        if let [only] = self.table[..] {
+            out.fill((only >> 32) as u32);
+            return;
+        }
+        let mut here = *at;
+        for symbol in out {
+            *symbol = self.step(&mut here);
+        }
+        *at = here;
+    }
+
+    /// Ends a decode that handed out `decoded` symbols: fails when a
+    /// field ran past the payload's start, and, once every symbol is
+    /// out, unless both chains are back at the encoder's initial state
+    /// and every bit is consumed. A decode that stops early cannot check
+    /// the last two.
+    pub fn finish(self, decoded: usize) -> Result<(), CodecError> {
+        let at = self.at;
+        let out = if at.truncated {
+            Err(CodecError::Truncated)
+        } else if decoded < self.count {
+            Ok(())
+        } else if at.state != 0 || at.other != 0 {
+            Err(CodecError::Corrupt("stream does not end at initial state"))
+        } else if at.bit_pos != self.end {
+            Err(CodecError::Corrupt("trailing bits after final symbol"))
+        } else {
+            Ok(())
+        };
+        let registry = fxrz_telemetry::global();
+        match out {
+            Ok(()) => registry.add(names::FSE_DECODE_SYMBOLS_OUT, decoded as u64),
+            Err(_) => registry.incr(names::FSE_DECODE_ERRORS),
+        }
+        out
+    }
+}
+
+/// Reads the `n` bits of `bits` just below bit `bit_pos` byte by byte,
+/// for the fields no 8-byte window of the buffer holds (the marker's
+/// states, and the fields in its first 7 bytes): the new position and
+/// the field, or `None` when the field runs past the start.
+#[cold]
+#[inline(never)]
+fn read_tail(bits: &[u8], bit_pos: usize, n: u32) -> Option<(usize, u64)> {
+    let pos = bit_pos.checked_sub(n as usize)?;
+    let byte = pos >> 3;
+    let mut word = [0u8; 8];
+    let avail = bits.len().saturating_sub(byte).min(8);
+    word[..avail].copy_from_slice(&bits[byte..byte + avail]);
+    Some((
+        pos,
+        (u64::from_le_bytes(word) >> (pos & 7)) & ((1u64 << n) - 1),
+    ))
+}
+
+/// The multiplicative inverse of the odd `step` modulo `2^log`.
+fn inverse_mod_pow2(step: usize, log: u32) -> usize {
+    debug_assert!(step % 2 == 1);
+    // Newton's iteration doubles the correct low bits each round: an odd
+    // number is its own inverse modulo 8, so four rounds reach 2^48.
+    let mut inv = step;
+    for _ in 0..4 {
+        inv = inv.wrapping_mul(2usize.wrapping_sub(step.wrapping_mul(inv)));
+    }
+    inv & ((1 << log) - 1)
+}
+
+/// The decode table of a stream with ascending `dict` and `norm` (summing
+/// to `2^log`), built in one ascending pass over the state positions.
+///
+/// [`spread_symbols`] hands out generation indices `g = 0, 1, …` in slot
+/// order (slot `s` owns `g` in `cumul[s]..cumul[s + 1]`) and puts index
+/// `g` at position `g · step mod 2^log`. The step is odd, so position `p`
+/// holds generation index `p · step⁻¹ mod 2^log`. The `x`-th occurrence
+/// of a slot in position order (`x` counting up from its norm) reads
+/// `nb = log − floor(log2 x)` bits onto base `(x << nb) − 2^log`. Each
+/// entry carries its symbol, so decoding needs no dictionary lookup.
+fn decode_table(dict: &[u32], norm: &[u32], log: u32) -> Vec<u64> {
+    let t = 1usize << log;
+    let mask = t - 1;
+    let step = (t >> 1) + (t >> 3) + 3;
+    let inv = inverse_mod_pow2(step, log);
+    let mut gen_slot: Vec<u16> = Vec::with_capacity(t);
+    for (slot, &nf) in norm.iter().enumerate() {
+        gen_slot.extend(std::iter::repeat_n(slot as u16, nf as usize));
+    }
+    let mut next = norm.to_vec();
+    let mut table = Vec::with_capacity(t);
+    let mut g = 0usize;
+    for _ in 0..t {
+        let slot = usize::from(gen_slot[g]);
+        let x = next[slot];
+        next[slot] += 1;
         let nb = log - floor_log2(x);
-        let base = ((u64::from(x)) << nb) - t as u64;
-        dtable[pos_t] = (u64::from(slot) << 32) | (u64::from(nb) << 16) | base;
+        let base = (u64::from(x) << nb) - t as u64;
+        table.push((u64::from(dict[slot]) << 32) | (u64::from(nb) << 16) | base);
+        g = (g + inv) & mask;
     }
     fxrz_telemetry::global().incr(names::FSE_TABLE_BUILDS);
-
-    // Locate the marker bit: the encoder's final `1` is the highest set
-    // bit of the last byte (later bits are alignment padding).
-    let payload = &buf[pos..];
-    let last = *payload.last().ok_or(CodecError::Truncated)?;
-    if last == 0 {
-        return Err(CodecError::Corrupt("missing stream terminator"));
-    }
-    let marker = (payload.len() - 1) * 8 + (7 - last.leading_zeros() as usize);
-    let mut tr = TailReader {
-        buf: payload,
-        bit_pos: marker,
-    };
-    let mut s0 = tr.read(log).ok_or(CodecError::Truncated)? as usize;
-    let mut s1 = tr.read(log).ok_or(CodecError::Truncated)? as usize;
-
-    let take = count.min(stop);
-    let mut out: Vec<u32> = Vec::with_capacity(take);
-    let mut remaining = take;
-    while remaining >= 2 {
-        let e0 = dtable[s0];
-        let e1 = dtable[s1];
-        let nb0 = (e0 >> 16) as u32 & 0x3F;
-        let nb1 = (e1 >> 16) as u32 & 0x3F;
-        let total = (nb0 + nb1) as usize;
-        let byte = tr.bit_pos.wrapping_sub(total) >> 3;
-        if total <= tr.bit_pos && byte + 8 <= tr.buf.len() {
-            // Fast path: both interleaved states refill from a single
-            // 8-byte load — nb0 + nb1 ≤ 32 bits plus a ≤7-bit shift fits
-            // the u64 window. The stream is read backward and s0 consumed
-            // its bits after s1's position, so s0's field sits *above*
-            // s1's in the window. The bounds checks mirror `tr.read`; the
-            // `else` arm only runs near the marker (within 8 bytes of the
-            // payload end) or on a truncated stream.
-            tr.bit_pos -= total;
-            let word = u64::from_le_bytes(tr.buf[byte..byte + 8].try_into().expect("8 bytes"));
-            let chunk = word >> (tr.bit_pos & 7);
-            s0 = ((e0 & 0xFFFF) + ((chunk >> nb1) & ((1u64 << nb0) - 1))) as usize;
-            s1 = ((e1 & 0xFFFF) + (chunk & ((1u64 << nb1) - 1))) as usize;
-        } else {
-            s0 = ((e0 & 0xFFFF) + tr.read(nb0).ok_or(CodecError::Truncated)?) as usize;
-            s1 = ((e1 & 0xFFFF) + tr.read(nb1).ok_or(CodecError::Truncated)?) as usize;
-        }
-        out.push(dict[(e0 >> 32) as usize]);
-        out.push(dict[(e1 >> 32) as usize]);
-        remaining -= 2;
-    }
-    if remaining == 1 {
-        let e0 = dtable[s0];
-        out.push(dict[(e0 >> 32) as usize]);
-        s0 = ((e0 & 0xFFFF)
-            + tr.read((e0 >> 16) as u32 & 0x3F)
-                .ok_or(CodecError::Truncated)?) as usize;
-    }
-    if take < count {
-        return Ok(out); // the checks below need the whole stream
-    }
-    // The encoder started both chains at state `t` (index 0) and the bit
-    // budget must come out exact; anything else is corruption.
-    if s0 != 0 || s1 != 0 {
-        return Err(CodecError::Corrupt("stream does not end at initial state"));
-    }
-    if tr.bit_pos != 0 {
-        return Err(CodecError::Corrupt("trailing bits after final symbol"));
-    }
-    Ok(out)
+    table
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The decode table built the encoder's way: spread the slots over
+    /// the positions, then fill the positions in ascending order — the
+    /// reference [`decode_table`] must match entry for entry.
+    fn spread_then_fill(dict: &[u32], norm: &[u32], log: u32) -> Vec<u64> {
+        let t = 1u64 << log;
+        let mut spread = Vec::new();
+        spread_symbols(norm, log, &mut spread);
+        let mut next = norm.to_vec();
+        spread
+            .iter()
+            .map(|&slot| {
+                let slot = usize::from(slot);
+                let x = next[slot];
+                next[slot] += 1;
+                let nb = log - floor_log2(x);
+                let base = (u64::from(x) << nb) - t;
+                (u64::from(dict[slot]) << 32) | (u64::from(nb) << 16) | base
+            })
+            .collect()
+    }
+
+    #[test]
+    fn ascending_pass_table_matches_spread_then_fill() {
+        let mut rng = StdRng::seed_from_u64(0xF5E_7AB1E);
+        for case in 0..300 {
+            let log = rng.gen_range(MIN_TABLE_LOG..=MAX_TABLE_LOG);
+            let t = 1usize << log;
+            // Alphabets from two symbols up to the whole table, with
+            // uniform, skewed and one-dominant histograms.
+            let n_dict = match rng.gen_range(0..4) {
+                0 => 2,
+                1 => t,
+                _ => rng.gen_range(2..=t.min(4096)),
+            };
+            let freqs: Vec<u64> = (0..n_dict)
+                .map(|i| match case % 3 {
+                    0 => rng.gen_range(1..1000u64),
+                    1 => 1 + (1_000_000 >> (i % 20)),
+                    _ if i == 0 => 1 << 30,
+                    _ => rng.gen_range(1..4u64),
+                })
+                .collect();
+            let total: u64 = freqs.iter().sum();
+            let mut norm = Vec::new();
+            normalize(&freqs, total, log, &mut norm);
+            let mut dict = Vec::with_capacity(n_dict);
+            let mut sym = rng.gen_range(0..100u32);
+            for _ in 0..n_dict {
+                dict.push(sym);
+                sym += rng.gen_range(1..40u32);
+            }
+            assert_eq!(
+                decode_table(&dict, &norm, log),
+                spread_then_fill(&dict, &norm, log),
+                "case {case}: log {log}, {n_dict} symbols"
+            );
+        }
+    }
+
+    #[test]
+    fn decoder_hands_out_the_stream_on_demand() {
+        let syms: Vec<u32> = (0..70_001u32).map(|i| (i % 1000) * (i % 7) % 211).collect();
+        let enc = encode(&syms).expect("encode");
+        let mut dec = Decoder::new(&enc, syms.len()).expect("header");
+        assert_eq!(dec.len(), syms.len());
+        // Stepped in stretches, the cursor handed back between them.
+        for chunk in syms.chunks(777) {
+            let mut at = dec.cursor();
+            for (i, &want) in chunk.iter().enumerate() {
+                assert_eq!(dec.step(&mut at), want, "symbol {i} of a stretch");
+            }
+            dec.set_cursor(at);
+        }
+        dec.finish(syms.len()).expect("final states and bit budget");
+        // A decoder abandoned part way checks only what it read.
+        let mut dec = Decoder::new(&enc, syms.len()).expect("header");
+        let mut at = dec.cursor();
+        for &want in &syms[..100] {
+            assert_eq!(dec.step(&mut at), want);
+        }
+        dec.set_cursor(at);
+        dec.finish(100).expect("prefix");
+    }
 
     fn roundtrip(symbols: &[u32]) -> usize {
         let enc = encode(symbols).expect("encodable alphabet");

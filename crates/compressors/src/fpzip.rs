@@ -145,19 +145,17 @@ impl Compressor for Fpzip {
 
             let dims = field.dims();
             let data = field.data();
-            let trunc: Vec<i64> = data
-                .iter()
-                .map(|&v| truncate(f32_to_monotone(v), prec) as i64)
-                .collect();
 
             // Residual coding lands well under the raw size; a quarter of
             // the input is a comfortable over-estimate that avoids every
             // regrowth of the output buffer on typical fields.
             let mut enc = RangeEncoder::with_capacity(field.nbytes() / 4 + 64);
             let mut coder = ResidualCoder::new();
-            lorenzo::walk(dims, dims.len(), |idx, stencil| {
-                let pred = stencil.predict_int(&trunc, idx);
-                coder.encode(&mut enc, trunc[idx].wrapping_sub(pred));
+            let mut trunc = vec![0i64; dims.len()];
+            lorenzo::walk(dims, dims.len(), &mut trunc, &mut |idx, pred: i64| {
+                let t = truncate(f32_to_monotone(data[idx]), prec) as i64;
+                coder.encode(&mut enc, t.wrapping_sub(pred));
+                t
             });
 
             let mut out = Vec::new();
@@ -190,10 +188,8 @@ impl Compressor for Fpzip {
             let mut coder = ResidualCoder::new();
 
             let mut trunc = vec![0i64; dims.len()];
-            lorenzo::walk(dims, dims.len(), |idx, stencil| {
-                trunc[idx] = stencil
-                    .predict_int(&trunc, idx)
-                    .wrapping_add(coder.decode(&mut dec));
+            lorenzo::walk(dims, dims.len(), &mut trunc, &mut |_, pred: i64| {
+                pred.wrapping_add(coder.decode(&mut dec))
             });
             dec.finish().map_err(CompressError::Decode)?;
             let max_t = (1u64 << prec) - 1;

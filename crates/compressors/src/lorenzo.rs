@@ -1,21 +1,30 @@
-//! Row plans: the Lorenzo kernel shared by `sz`, `sz-fse`, `sz2` and
-//! `fpzip`, and the strided-row iterator every plan walks with.
+//! Row plans: the Lorenzo row kernel of `sz`, `sz-fse` and `fpzip`, the
+//! per-point stencils of `sz2`'s Lorenzo blocks, and the strided-row
+//! iterator every plan walks with.
 //!
 //! The Lorenzo corner stencil predicts a point from the `2^d − 1`
 //! already-visited corners of its unit cube (inclusion–exclusion over the
 //! non-empty subsets, or *masks*, of the axes; a corner off the grid
 //! contributes nothing). Which corners exist depends only on which of
 //! the point's coordinates are zero, and along a row of the fastest axis
-//! that changes once: at the row's first point. So [`stencils`] builds
-//! the stencil's `(offset, sign)` terms once per field for each of the
-//! `2^d` nonzero-coordinate masks, and [`row_stencils`] picks two per row
-//! — for the first point and for the rest — instead of deriving
-//! coordinates and testing masks at every point.
+//! that changes once: at the row's first point.
 //!
-//! The terms keep ascending mask order, so the `f64` summation order of
-//! [`Stencil::predict`] is exactly that of the test-only per-point
-//! reference `sz::lorenzo_predict`, and both give the same bits, up to a
-//! NaN's sign and payload, which LLVM leaves unspecified.
+//! [`walk`] visits the rows of a field in raster order. A row whose
+//! slower coordinates are nonzero on `k` axes predicts like a
+//! `(k + 1)`-D Lorenzo over those axes and the fastest one, so one
+//! kernel per `k`, its term count a const generic, serves every row of
+//! a 1-D to 4-D field. Along the row, the neighbour behind each point is
+//! the value the walk just produced, carried in a register; the corners
+//! in earlier rows are read from them, and the ones behind along the
+//! fastest axis are the previous point's, carried too. The terms are
+//! summed in ascending mask order, so every prediction has exactly the
+//! bits of the test-only per-point reference `sz::lorenzo_predict`, up
+//! to a NaN's sign and payload, which LLVM leaves unspecified.
+//!
+//! [`Stencil`] keeps the `(offset, sign)` terms of one point for `sz2`,
+//! whose Lorenzo block rows start anywhere along the fastest axis;
+//! [`stencils`] builds them once per field for each of the `2^d`
+//! nonzero-coordinate masks, and [`row_stencils`] picks two per row.
 //!
 //! [`rows`] is the one odometer of the row plans (`mgard`'s levels,
 //! `sz2`'s blocks, `szi`'s sweeps and [`walk`]): it hands out the rows
@@ -31,7 +40,7 @@ const MAX_TERMS: usize = (1 << MAX_NDIM) - 1;
 /// The Lorenzo terms of one point: the neighbour at `idx − offset` enters
 /// the prediction with `sign` (±1), in ascending mask order.
 pub(crate) struct Stencil {
-    terms: [(usize, i64); MAX_TERMS],
+    terms: [(usize, f64); MAX_TERMS],
     len: usize,
 }
 
@@ -40,7 +49,7 @@ impl Stencil {
     /// exactly when bit `a` of `nonzero` is set.
     pub(crate) fn new(strides: &[usize], nonzero: u32) -> Self {
         let mut stencil = Self {
-            terms: [(0, 0); MAX_TERMS],
+            terms: [(0, 0.0); MAX_TERMS],
             len: 0,
         };
         for mask in 1u32..(1 << strides.len()) {
@@ -51,17 +60,15 @@ impl Stencil {
                 .filter(|&a| mask >> a & 1 == 1)
                 .map(|a| strides[a])
                 .sum();
-            let sign = if mask.count_ones() % 2 == 1 { 1 } else { -1 };
+            let sign = if mask.count_ones() % 2 == 1 {
+                1.0
+            } else {
+                -1.0
+            };
             stencil.terms[stencil.len] = (offset, sign);
             stencil.len += 1;
         }
         stencil
-    }
-
-    /// The `(offset, sign)` terms in ascending mask order.
-    #[inline]
-    fn terms(&self) -> &[(usize, i64)] {
-        &self.terms[..self.len]
     }
 
     /// The `f64` prediction of point `idx` from `recon`; the same bits as
@@ -69,20 +76,8 @@ impl Stencil {
     #[inline]
     pub(crate) fn predict(&self, recon: &[f32], idx: usize) -> f64 {
         let mut pred = 0.0f64;
-        for &(offset, sign) in self.terms() {
-            pred += sign as f64 * recon[idx - offset] as f64;
-        }
-        pred
-    }
-
-    /// The integer prediction of point `idx` from `vals`. Wrapping: a
-    /// corrupt stream can drive values to ±2^63, and encoder and decoder
-    /// stay consistent under wrapping.
-    #[inline]
-    pub(crate) fn predict_int(&self, vals: &[i64], idx: usize) -> i64 {
-        let mut pred = 0i64;
-        for &(offset, sign) in self.terms() {
-            pred = pred.wrapping_add(sign.wrapping_mul(vals[idx - offset]));
+        for &(offset, sign) in &self.terms[..self.len] {
+            pred += sign * recon[idx - offset] as f64;
         }
         pred
     }
@@ -95,20 +90,118 @@ pub(crate) fn rows_cover(dims: Dims, len: usize) -> usize {
     len.min(dims.len()).div_ceil(row_len) * row_len
 }
 
-/// Visits the points of `dims` in raster order with their stencils,
-/// `point(idx, stencil)`, and stops after the row that holds point
-/// `len − 1` ([`rows_cover`] points); `dims.len()` visits every point.
-#[inline]
-pub(crate) fn walk(dims: Dims, len: usize, mut point: impl FnMut(usize, &Stencil)) {
-    let stencils = stencils(dims);
+/// A value type a Lorenzo walk predicts: its predictions are sums of
+/// [`Lane::Sum`].
+pub(crate) trait Lane: Copy {
+    /// What the terms widen to and sum in.
+    type Sum: Copy;
+    /// The empty sum.
+    const ZERO: Self::Sum;
+    /// The value as a term.
+    fn widen(self) -> Self::Sum;
+    /// `sum + term`.
+    fn add(sum: Self::Sum, term: Self::Sum) -> Self::Sum;
+    /// `sum − term`.
+    fn sub(sum: Self::Sum, term: Self::Sum) -> Self::Sum;
+}
+
+/// `sz`'s reconstructions, predicted in `f64`. `x − t` has the bits of
+/// `x + (−1)·t`, the per-point reference's form.
+impl Lane for f32 {
+    type Sum = f64;
+    const ZERO: f64 = 0.0;
+    #[inline(always)]
+    fn widen(self) -> f64 {
+        self as f64
+    }
+    #[inline(always)]
+    fn add(sum: f64, term: f64) -> f64 {
+        sum + term
+    }
+    #[inline(always)]
+    fn sub(sum: f64, term: f64) -> f64 {
+        sum - term
+    }
+}
+
+/// `fpzip`'s truncated integers. Wrapping: a corrupt stream can drive
+/// values to ±2^63, and encoder and decoder stay consistent under
+/// wrapping.
+impl Lane for i64 {
+    type Sum = i64;
+    const ZERO: i64 = 0;
+    #[inline(always)]
+    fn widen(self) -> i64 {
+        self
+    }
+    #[inline(always)]
+    fn add(sum: i64, term: i64) -> i64 {
+        sum.wrapping_add(term)
+    }
+    #[inline(always)]
+    fn sub(sum: i64, term: i64) -> i64 {
+        sum.wrapping_sub(term)
+    }
+}
+
+/// What a Lorenzo [`walk`] does at its points. The walk hands out each
+/// row's points in runs: [`Visit::begin`] starts one, and the run's state
+/// stays a local of the row kernel — in registers — across its points
+/// until [`Visit::end`]. Any `FnMut(idx, pred) -> value` closure is a
+/// visitor whose runs are whole rows.
+pub(crate) trait Visit<V: Lane> {
+    /// A run's state.
+    type Run;
+    /// Starts a run of at most `len` points: returns it and its length,
+    /// at least 1.
+    fn begin(&mut self, len: usize) -> (Self::Run, usize);
+    /// The value of point `idx` of `run`, given its prediction; the walk
+    /// stores it and predicts later points from it.
+    fn point(&mut self, run: &mut Self::Run, idx: usize, pred: V::Sum) -> V;
+    /// Ends `run`, its points all visited.
+    fn end(&mut self, run: Self::Run);
+}
+
+impl<V: Lane, F: FnMut(usize, V::Sum) -> V> Visit<V> for F {
+    type Run = ();
+    #[inline(always)]
+    fn begin(&mut self, len: usize) -> ((), usize) {
+        ((), len)
+    }
+    #[inline(always)]
+    fn point(&mut self, _: &mut (), idx: usize, pred: V::Sum) -> V {
+        self(idx, pred)
+    }
+    #[inline(always)]
+    fn end(&mut self, _: ()) {}
+}
+
+/// Visits the points of `dims` in raster order and stores
+/// `vals[idx] = visit.point(…, idx, prediction)`, stopping after the row
+/// that holds point `len − 1` ([`rows_cover`] points; `dims.len()`
+/// visits every point). `vals` must hold at least that many; later
+/// points are predicted from the values stored.
+pub(crate) fn walk<V: Lane>(dims: Dims, len: usize, vals: &mut [V], visit: &mut impl Visit<V>) {
     let fast = dims.ndim() - 1;
     let row_len = dims.axis(fast);
+    let strides = dims.strides();
     let shape = extent(dims);
-    let mut visit = |start: usize, coords: &[usize; MAX_NDIM]| {
-        let (first, rest) = row_stencils(&stencils, dims, coords);
-        point(start, first);
-        for idx in start + 1..start + row_len {
-            point(idx, rest);
+    let mut row = |start: usize, coords: &[usize; MAX_NDIM]| {
+        // The strides of the slower axes the row is off zero on, in
+        // ascending axis (so ascending mask) order.
+        let mut near = [0usize; MAX_NDIM - 1];
+        let mut k = 0;
+        for a in 0..fast {
+            if coords[a] != 0 {
+                near[k] = strides[a];
+                k += 1;
+            }
+        }
+        match k {
+            0 => lorenzo_row::<V, _, 0>(vals, start, row_len, [], visit),
+            1 => lorenzo_row::<V, _, 1>(vals, start, row_len, offsets(&near), visit),
+            2 => lorenzo_row::<V, _, 3>(vals, start, row_len, offsets(&near), visit),
+            _ => lorenzo_row::<V, _, 7>(vals, start, row_len, offsets(&near), visit),
         }
     };
     // The first `left` rows, in raster order, are at most `fast` + 1
@@ -120,14 +213,90 @@ pub(crate) fn walk(dims: Dims, len: usize, mut point: impl FnMut(usize, &Stencil
     for a in 0..fast {
         let per_step: usize = shape[a + 1..fast].iter().product();
         counts[a] = left / per_step;
-        rows(dims, starts, [1; MAX_NDIM], counts, &mut visit);
+        rows(dims, starts, [1; MAX_NDIM], counts, &mut row);
         left %= per_step;
         starts[a] += counts[a];
         counts[a] = 1;
     }
     // A 1-D field is one row, which the loop above never reaches.
     if left > 0 {
-        rows(dims, starts, [1; MAX_NDIM], counts, &mut visit);
+        rows(dims, starts, [1; MAX_NDIM], counts, &mut row);
+    }
+}
+
+/// The offsets of the corners in earlier rows, for a row off zero on
+/// the slower axes with strides `near`: entry `m − 1` sums the strides
+/// of the axes in sub-mask `m`.
+fn offsets<const B: usize>(near: &[usize; MAX_NDIM - 1]) -> [usize; B] {
+    std::array::from_fn(|i| {
+        let m = i + 1;
+        (0..MAX_NDIM - 1)
+            .filter(|&b| m >> b & 1 == 1)
+            .map(|b| near[b])
+            .sum()
+    })
+}
+
+/// `sum` plus the terms of sub-masks `1..=B` of the row's nonzero slower
+/// axes, in that order: an odd number of axes enters with sign +1, an
+/// even one with −1, and `flip` swaps the two (the same sub-masks with
+/// the fastest axis added).
+#[inline(always)]
+fn corners<V: Lane, const B: usize>(mut sum: V::Sum, terms: &[V::Sum; B], flip: bool) -> V::Sum {
+    for (i, &t) in terms.iter().enumerate() {
+        let plus = (i + 1).count_ones() % 2 == 1;
+        sum = if plus != flip {
+            V::add(sum, t)
+        } else {
+            V::sub(sum, t)
+        };
+    }
+    sum
+}
+
+/// One row of `len` points from `start`, whose `B = 2^k − 1` corners in
+/// earlier rows sit `offs` back. Masks in ascending order are those
+/// corners (sub-masks `1..=B`), then the in-row neighbour (the fastest
+/// axis alone, the highest bit), then the in-row neighbour's own corners
+/// (each sub-mask with the fastest axis, sign flipped) — which are the
+/// previous point's earlier-row corners, carried over.
+#[inline(always)]
+fn lorenzo_row<V: Lane, P: Visit<V>, const B: usize>(
+    vals: &mut [V],
+    start: usize,
+    len: usize,
+    offs: [usize; B],
+    visit: &mut P,
+) {
+    let (done, row) = vals.split_at_mut(start);
+    let row = &mut row[..len];
+    // Each corner's offset is at least one row, so its window of the
+    // earlier rows ends by `start`.
+    let above: [&[V]; B] = std::array::from_fn(|i| &done[start - offs[i]..][..len]);
+    let mut behind: [V::Sum; B] = std::array::from_fn(|i| above[i][0].widen());
+    let (mut run, n) = visit.begin(len);
+    let mut end = n.clamp(1, len);
+    let first = visit.point(&mut run, start, corners::<V, B>(V::ZERO, &behind, false));
+    row[0] = first;
+    let mut prev = first.widen();
+    let mut j = 1;
+    loop {
+        while j < end {
+            let here: [V::Sum; B] = std::array::from_fn(|i| above[i][j].widen());
+            let pred = V::add(corners::<V, B>(V::ZERO, &here, false), prev);
+            let v = visit.point(&mut run, start + j, corners::<V, B>(pred, &behind, true));
+            row[j] = v;
+            prev = v.widen();
+            behind = here;
+            j += 1;
+        }
+        visit.end(run);
+        if j == len {
+            return;
+        }
+        let n;
+        (run, n) = visit.begin(len - j);
+        end = j + n.clamp(1, len - j);
     }
 }
 
@@ -293,31 +462,114 @@ pub(crate) mod tests {
         }
     }
 
+    /// Random dims and a walk length: the whole field, or a prefix
+    /// ending anywhere (past the end included).
+    fn random_walk(rng: &mut StdRng) -> (Dims, usize) {
+        let dims = random_dims(rng, 9);
+        let len = match rng.gen_range(0..3) {
+            0 => dims.len(),
+            _ => rng.gen_range(0..=dims.len() + 2),
+        };
+        (dims, len)
+    }
+
     #[test]
-    fn row_plan_matches_the_mask_loop_bit_for_bit() {
+    fn row_kernel_matches_the_per_point_references_bit_for_bit() {
         let mut rng = StdRng::seed_from_u64(0x4C4F_5245_4E5A);
-        for case in 0..400 {
-            let dims = random_dims(&mut rng, 9);
+        for case in 0..600 {
+            let (dims, len) = random_walk(&mut rng);
             let ndim = dims.ndim();
+            let n = rows_cover(dims, len);
             let floats: Vec<f32> = (0..dims.len()).map(|_| random_f32(&mut rng)).collect();
             let ints: Vec<i64> = (0..dims.len()).map(|_| random_i64(&mut rng)).collect();
+
             let mut next = 0usize;
-            walk(dims, dims.len(), |idx, stencil| {
+            let mut recon = vec![0.0f32; n];
+            walk(dims, len, &mut recon, &mut |idx, pred: f64| {
                 assert_eq!(idx, next, "case {case} {dims}: walk left raster order");
                 next += 1;
                 let coords = dims.coords(idx);
                 let want = lorenzo_predict(&floats, dims, idx, &coords[..ndim]);
-                let got = stencil.predict(&floats, idx);
                 assert_eq!(
-                    pred_bits(got),
+                    pred_bits(pred),
                     pred_bits(want),
-                    "case {case} {dims} point {idx}: f64 {got} vs {want}"
+                    "case {case} {dims} len {len} point {idx}: f64 {pred} vs {want}"
                 );
-                let want = mask_loop_int(&ints, dims, idx, &coords[..ndim]);
-                let got = stencil.predict_int(&ints, idx);
-                assert_eq!(got, want, "case {case} {dims} point {idx}: i64");
+                floats[idx]
             });
-            assert_eq!(next, dims.len(), "case {case} {dims}: points missed");
+            assert_eq!(next, n, "case {case} {dims} len {len}: points visited");
+            let same = recon
+                .iter()
+                .zip(&floats)
+                .all(|(a, b)| a.to_bits() == b.to_bits());
+            assert!(same, "case {case} {dims}: the walk stores each value");
+
+            let mut vals = vec![0i64; n];
+            walk(dims, len, &mut vals, &mut |idx, pred: i64| {
+                let coords = dims.coords(idx);
+                let want = mask_loop_int(&ints, dims, idx, &coords[..ndim]);
+                assert_eq!(pred, want, "case {case} {dims} len {len} point {idx}: i64");
+                ints[idx]
+            });
+        }
+    }
+
+    /// A visitor that cuts the rows into runs of random length, holds
+    /// the walk to them, and checks each prediction against the
+    /// per-point reference.
+    struct Chopped<'t> {
+        rng: StdRng,
+        floats: &'t [f32],
+        dims: Dims,
+        open: bool,
+    }
+
+    impl Visit<f32> for Chopped<'_> {
+        /// The points left in the run.
+        type Run = usize;
+
+        fn begin(&mut self, len: usize) -> (usize, usize) {
+            assert!(!self.open && len > 0, "a run begins inside a row");
+            self.open = true;
+            let n = self.rng.gen_range(1..=len);
+            (n, n)
+        }
+
+        fn point(&mut self, run: &mut usize, idx: usize, pred: f64) -> f32 {
+            assert!(*run > 0, "point {idx} past its run");
+            *run -= 1;
+            let coords = self.dims.coords(idx);
+            let want = lorenzo_predict(self.floats, self.dims, idx, &coords[..self.dims.ndim()]);
+            assert_eq!(
+                pred_bits(pred),
+                pred_bits(want),
+                "{} point {idx}",
+                self.dims
+            );
+            self.floats[idx]
+        }
+
+        fn end(&mut self, run: usize) {
+            assert_eq!(run, 0, "a run ends with its points visited");
+            self.open = false;
+        }
+    }
+
+    #[test]
+    fn runs_split_rows_without_changing_a_prediction() {
+        let mut rng = StdRng::seed_from_u64(0x52_554E53);
+        for _ in 0..300 {
+            let (dims, len) = random_walk(&mut rng);
+            let floats: Vec<f32> = (0..dims.len()).map(|_| random_f32(&mut rng)).collect();
+            let mut chopped = Chopped {
+                rng: StdRng::seed_from_u64(rng.gen()),
+                floats: &floats,
+                dims,
+                open: false,
+            };
+            let mut recon = vec![0.0f32; rows_cover(dims, len)];
+            walk(dims, len, &mut recon, &mut chopped);
+            assert!(!chopped.open, "{dims}: the last run ended");
         }
     }
 
@@ -325,15 +577,15 @@ pub(crate) mod tests {
     fn prefix_walk_stops_after_the_row_holding_the_last_point() {
         let mut rng = StdRng::seed_from_u64(0x5052_4546);
         for case in 0..400 {
-            let dims = random_dims(&mut rng, 9);
+            let (dims, len) = random_walk(&mut rng);
             let row_len = dims.axis(dims.ndim() - 1);
-            let len = rng.gen_range(0..=dims.len() + 2);
             let want = len.min(dims.len()).div_ceil(row_len) * row_len;
             assert_eq!(rows_cover(dims, len), want, "case {case} {dims} len {len}");
             let mut next = 0usize;
-            walk(dims, len, |idx, _| {
+            walk(dims, len, &mut vec![0.0f32; want], &mut |idx, _| {
                 assert_eq!(idx, next, "case {case} {dims} len {len}: not raster order");
                 next += 1;
+                0.0
             });
             assert_eq!(next, want, "case {case} {dims} len {len}: points visited");
         }

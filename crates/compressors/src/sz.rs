@@ -21,15 +21,22 @@
 //!    [`crate::slab`]), small ones the monolithic v1 stream.
 //!
 //! The decompressor replays the walk from reconstructed data, so the
-//! absolute error bound holds exactly (see the error-bound tests).
+//! absolute error bound holds exactly (see the error-bound tests). It
+//! never holds the codes of the points it rebuilds: the walk pulls each
+//! point's code from the entropy section's [`CodeStream`] through the
+//! `Dequantizer` as it reaches the point. The Lorenzo walk of
+//! `sz`/`sz-fse` pulls each code 64 points ahead of its use, inside
+//! the row kernel's loop, so the FSE state chain and the Lorenzo chain
+//! overlap.
 //!
 //! [`SzFse`] shares the whole pipeline but pins the entropy stage to
 //! FSE — the extra codec row the feature→error-bound regression trains
 //! on (the paper's extensibility claim).
 
-use crate::entropy::{self, EntropyMode};
+use crate::entropy::{self, CodeStream, EntropyMode, Run};
 use crate::header::{self, magic};
-use crate::{lorenzo, slab, CompressError, ConfigSpace, ErrorConfig};
+use crate::lorenzo::{self, Visit};
+use crate::{slab, CompressError, ConfigSpace, ErrorConfig};
 use fxrz_codec::lz77;
 use fxrz_datagen::{Dims, Field};
 
@@ -166,16 +173,25 @@ impl Quantizer {
 }
 
 /// The decoder's half of [`Quantizer`]: hands out reconstructions in
-/// walk order, for as many points as the entropy stage decoded codes.
+/// walk order, pulling each point's code from the entropy section's
+/// [`CodeStream`] as the walk reaches it, never holding the codes of the
+/// whole prefix.
 pub(crate) struct Dequantizer<'a> {
     eb: f64,
     bin: f64,
-    codes: Vec<u32>,
-    cursor: usize,
+    codes: CodeStream<'a>,
+    /// Codes [`Self::next_value`] pulled ahead, and the next one's index.
+    ahead: [u32; AHEAD],
+    ahead_at: usize,
+    ahead_len: usize,
     unpred: &'a [u8],
     /// An unpredictable code found no verbatim value left.
     short: bool,
 }
+
+/// How many codes [`Dequantizer::next_value`] pulls from the stream at a
+/// time.
+const AHEAD: usize = 256;
 
 impl Dequantizer<'_> {
     /// The absolute error bound stored in the stream.
@@ -183,29 +199,38 @@ impl Dequantizer<'_> {
         self.eb
     }
 
-    /// Reconstructs the next point from its prediction. A missing
-    /// verbatim value yields `0.0` and is reported by [`Self::status`].
+    /// Reconstructs the next point from its prediction, with the next
+    /// code of the stream.
     #[inline]
     pub(crate) fn next_value(&mut self, pred: f64) -> f32 {
-        let code = self.codes[self.cursor];
-        self.cursor += 1;
-        if code != UNPREDICTABLE {
-            return (pred + (code as i64 - HALF) as f64 * self.bin) as f32;
+        if self.ahead_at == self.ahead_len {
+            self.pull_ahead();
         }
-        match self.unpred.split_first_chunk::<4>() {
-            Some((head, tail)) => {
-                self.unpred = tail;
-                f32::from_le_bytes(*head)
-            }
-            None => {
-                self.short = true;
-                0.0
-            }
-        }
+        let code = self.ahead[self.ahead_at % AHEAD];
+        self.ahead_at += 1;
+        dequantize(code, pred, self.bin, &mut self.unpred, &mut self.short)
     }
 
-    /// Fails once an unpredictable code has run out of verbatim values.
-    fn status(&self) -> Result<(), CompressError> {
+    /// Pulls the next [`AHEAD`] codes, or what is left of them. Past the
+    /// stop, or at a fault, the codes are zero, and the stream reports
+    /// the fault when the decode finishes. Kept out of line, so the
+    /// per-point path of [`Self::next_value`] stays small in the walks
+    /// that inline it.
+    #[inline(never)]
+    fn pull_ahead(&mut self) {
+        let want = self.codes.left().clamp(1, AHEAD);
+        let got = self.codes.fill(&mut self.ahead[..want]);
+        self.ahead[got..want].fill(0);
+        self.ahead_at = 0;
+        self.ahead_len = want;
+    }
+
+    /// Ends the decode, reporting the first fault in the stream: the
+    /// entropy section's, then a verbatim value that ran out. `complete`
+    /// says the walk pulled every code it needed; a walk that failed on
+    /// its own side info stopped early, and its error is the caller's.
+    fn finish(self, complete: bool) -> Result<(), CompressError> {
+        self.codes.finish(complete)?;
         if self.short {
             return Err(CompressError::Header("missing unpredictable value"));
         }
@@ -213,10 +238,33 @@ impl Dequantizer<'_> {
     }
 }
 
+/// Reconstructs a point from its code and prediction. An unpredictable
+/// code takes the next verbatim value from `unpred`; when none is left
+/// it yields `0.0` and sets `short`, which [`Dequantizer::finish`]
+/// reports.
+#[inline(always)]
+fn dequantize(code: u32, pred: f64, bin: f64, unpred: &mut &[u8], short: &mut bool) -> f32 {
+    if code != UNPREDICTABLE {
+        return (pred + (code as i64 - HALF) as f64 * bin) as f32;
+    }
+    match unpred.split_first_chunk::<4>() {
+        Some((head, tail)) => {
+            *unpred = tail;
+            f32::from_le_bytes(*head)
+        }
+        None => {
+            *short = true;
+            0.0
+        }
+    }
+}
+
 /// A prediction walk: the one piece an SZ-family row supplies. Both
 /// directions visit every point exactly once, in the same order, and
 /// predict only from values already reconstructed; a decode may stop
-/// once the points a caller asked for are final.
+/// once the points a caller asked for are final. A decode takes each
+/// point's reconstruction from the [`Dequantizer`], which pulls the
+/// point's code from the entropy stream only then.
 pub(crate) trait Walk {
     /// Header magic of the walk's streams.
     const MAGIC: u8;
@@ -290,15 +338,73 @@ pub(crate) use sz_row;
 sz_row!(Sz, "sz", Sz, EntropyMode::Auto);
 sz_row!(SzFse, "sz-fse", Sz, EntropyMode::Fse);
 
-/// The Lorenzo walk of `sz` and `sz-fse` over the first `n` points
-/// (whole rows): raster order, every point predicted by the row-plan
-/// kernel ([`crate::lorenzo`]).
-fn lorenzo_walk(dims: Dims, n: usize, mut point: impl FnMut(usize, f64) -> f32) -> Vec<f32> {
-    let mut recon = vec![0.0f32; n];
-    lorenzo::walk(dims, n, |idx, stencil| {
-        recon[idx] = point(idx, stencil.predict(&recon, idx));
-    });
-    recon
+/// How many codes the `sz` decode pulls ahead of the point it
+/// reconstructs.
+const LAG: usize = 64;
+
+/// The `sz` decode's visitor. Each point reconstructs from the code
+/// pulled [`LAG`] points earlier and pulls the code [`LAG`] points
+/// ahead, so the entropy stream's state chain and the row kernel's
+/// Lorenzo chain run side by side instead of one after the other.
+struct Lagged<'d, 'a> {
+    d: &'d mut Dequantizer<'a>,
+    /// The codes of the next [`LAG`] points, by point index mod `LAG`.
+    ring: [u32; LAG],
+    /// The ring slot of the next point.
+    at: usize,
+    /// Codes still to pull.
+    pulls: usize,
+}
+
+/// A run of [`Lagged`]: its pulls all come from one entropy block.
+struct LagRun<'a> {
+    codes: Run,
+    /// How many codes the run pulls: one per point, or none.
+    pulls: usize,
+    at: usize,
+    unpred: &'a [u8],
+    short: bool,
+}
+
+impl<'a> Visit<f32> for Lagged<'_, 'a> {
+    type Run = LagRun<'a>;
+
+    fn begin(&mut self, len: usize) -> (LagRun<'a>, usize) {
+        let (codes, pulls) = self.d.codes.run(len.min(self.pulls));
+        if pulls == 0 {
+            // Every code is pulled, or the stream faulted (reported when
+            // the decode finishes): the run consumes what the ring holds.
+            self.pulls = 0;
+        }
+        let run = LagRun {
+            codes,
+            pulls,
+            at: self.at,
+            unpred: self.d.unpred,
+            short: false,
+        };
+        (run, if pulls == 0 { len } else { pulls })
+    }
+
+    #[inline(always)]
+    fn point(&mut self, run: &mut LagRun<'a>, _: usize, pred: f64) -> f32 {
+        let code = self.ring[run.at];
+        if run.pulls != 0 {
+            self.ring[run.at] = self.d.codes.pull(&mut run.codes);
+        }
+        run.at = (run.at + 1) % LAG;
+        dequantize(code, pred, self.d.bin, &mut run.unpred, &mut run.short)
+    }
+
+    fn end(&mut self, run: LagRun<'a>) {
+        self.at = run.at;
+        self.d.unpred = run.unpred;
+        self.d.short |= run.short;
+        if run.pulls != 0 {
+            self.pulls -= run.pulls;
+            self.d.codes.end_run(run.codes);
+        }
+    }
 }
 
 impl Walk for Sz {
@@ -306,7 +412,10 @@ impl Walk for Sz {
     type Side = ();
 
     fn encode(data: &[f32], dims: Dims, q: &mut Quantizer) -> Result<Vec<u8>, CompressError> {
-        lorenzo_walk(dims, dims.len(), |idx, pred| q.quantize(data[idx], pred));
+        let mut recon = vec![0.0f32; dims.len()];
+        lorenzo::walk(dims, dims.len(), &mut recon, &mut |idx, pred| {
+            q.quantize(data[idx], pred)
+        });
         Ok(Vec::new())
     }
 
@@ -316,8 +425,21 @@ impl Walk for Sz {
         lorenzo::rows_cover(dims, len)
     }
 
+    /// The row kernel, with the entropy stream [`LAG`] codes ahead (see
+    /// [`Lagged`]).
     fn decode(dims: Dims, _: (), d: &mut Dequantizer, n: usize) -> Result<Vec<f32>, CompressError> {
-        Ok(lorenzo_walk(dims, n, |_, pred| d.next_value(pred)))
+        let mut recon = vec![0.0f32; n];
+        let mut ring = [0u32; LAG];
+        let lead = n.min(LAG);
+        d.codes.fill(&mut ring[..lead]);
+        let mut lagged = Lagged {
+            d,
+            ring,
+            at: 0,
+            pulls: n - lead,
+        };
+        lorenzo::walk(dims, n, &mut recon, &mut lagged);
+        Ok(recon)
     }
 }
 
@@ -437,19 +559,19 @@ fn decode_prefix<W: Walk>(
         let n = W::prefix(dims, len);
         let mut pos = 8usize;
         let side = W::read_side(&payload, &mut pos)?;
-        let codes = entropy::decode_codes(&payload, &mut pos, dims.len(), n)?;
+        let codes = CodeStream::open(&payload, &mut pos, dims.len(), n)?;
         let mut d = Dequantizer {
             eb,
             bin: 2.0 * eb,
             codes,
-            cursor: 0,
+            ahead: [0; AHEAD],
+            ahead_at: 0,
+            ahead_len: 0,
             unpred: &payload[pos..],
             short: false,
         };
         let recon = W::decode(dims, side, &mut d, n);
-        // A verbatim value that ran out before the walk failed is the
-        // first fault in the stream.
-        d.status()?;
+        d.finish(recon.is_ok())?;
         Ok(slab::Prefix {
             name: field_name,
             dims,

@@ -11,8 +11,9 @@
 
 use std::sync::{Mutex, MutexGuard};
 
+use fxrz_compressors::entropy::BLOCK_SYMBOLS;
 use fxrz_compressors::header::magic;
-use fxrz_compressors::sz::Sz;
+use fxrz_compressors::sz::{self, Sz};
 use fxrz_compressors::{instrument, names, slab, Compressor, ErrorConfig, CODECS};
 use fxrz_datagen::{Dims, Field};
 use fxrz_telemetry::Name;
@@ -120,6 +121,37 @@ fn range_decode_rebuilds_only_the_rows_it_needs() {
         assert!(Sz.decompress_range(&mono, bad.clone()).is_err(), "{bad:?}");
         assert_eq!(counter(names::SLAB_RANGE_DECODED_ELEMS), before, "{bad:?}");
     }
+}
+
+#[test]
+fn a_decode_builds_the_fse_tables_of_the_blocks_it_reaches() {
+    let _serial = serial();
+    // One stream of two FSE blocks: 2^18 codes, then 45,056.
+    let field = Field::from_fn("t/blocks", Dims::d2(300, 1024), |c| {
+        (c[0] as f32 * 0.05).sin() + (c[1] as f32 * 0.02).cos()
+    });
+    let bytes =
+        sz::compress_with_budget(&field, &ErrorConfig::Abs(1e-3), usize::MAX).expect("compress");
+    assert!(slab::table(&bytes, magic::SZ, "sz")
+        .expect("header")
+        .is_none());
+    let builds = |decode: &dyn Fn(&[u8])| {
+        let before = counter(fxrz_codec::names::FSE_TABLE_BUILDS);
+        decode(&bytes);
+        counter(fxrz_codec::names::FSE_TABLE_BUILDS) - before
+    };
+    let window = |w: std::ops::Range<usize>| {
+        move |b: &[u8]| {
+            Sz.decompress_range(b, w.clone()).expect("range");
+        }
+    };
+    assert_eq!(builds(&window(100..200)), 1, "a window in block 0");
+    let block_1 = window(BLOCK_SYMBOLS + 100..BLOCK_SYMBOLS + 200);
+    assert_eq!(builds(&block_1), 2, "a window in block 1");
+    let full = |b: &[u8]| {
+        Sz.decompress(b).expect("decompress");
+    };
+    assert_eq!(builds(&full), 2, "a full decode");
 }
 
 #[test]

@@ -27,6 +27,7 @@ use fxrz::core::train::{TrainedModel, Trainer};
 use fxrz::datagen::{hurricane, nyx, qmcpack, rtm, Dims, Field};
 use fxrz::fraz::FrazSearcher;
 use std::collections::HashMap;
+use std::path::Path;
 use std::process::ExitCode;
 
 fn usage(msg: &str) -> ExitCode {
@@ -84,6 +85,44 @@ fn read_field(path: &str, dims: Dims) -> Result<Field, String> {
         .map(|c| f32::from_le_bytes(c.try_into().expect("chunk of 4")))
         .collect();
     Ok(Field::new(path.to_owned(), dims, data))
+}
+
+/// Reads `path` as a field named by its file name alone, so the stream
+/// `compress` writes is the same from any directory and carries no path
+/// of the machine that wrote it.
+fn read_field_by_file_name(path: &str, dims: Dims) -> Result<Field, String> {
+    let name = Path::new(path)
+        .file_name()
+        .map_or_else(|| path.to_owned(), |n| n.to_string_lossy().into_owned());
+    Ok(read_field(path, dims)?.with_name(name))
+}
+
+/// Checks that `app`'s generator can build a field of `dims`: Nyx draws a
+/// Gaussian random field whose every axis must be a power of two;
+/// Hurricane is 3-D with a power-of-two `y × x` sheet; RTM is 3-D, at
+/// least 2 deep; QMCPack is 4-D.
+fn check_gen_dims(app: &str, dims: Dims) -> Result<(), String> {
+    let pow2 = |axes: &[usize]| axes.iter().all(|n| n.is_power_of_two());
+    let shape = dims.shape();
+    let (ok, need) = match app {
+        "nyx" => (pow2(shape), "every axis a power of two"),
+        "hurricane" => (
+            shape.len() == 3 && pow2(&shape[1..]),
+            "3 axes, the last two powers of two",
+        ),
+        // The source sits at depth `nz / 8 + 1`, inside only from `nz = 2`.
+        "rtm" => (
+            shape.len() == 3 && shape[0] >= 2,
+            "3 axes, the first at least 2",
+        ),
+        "qmcpack" => (shape.len() == 4, "4 axes"),
+        other => return Err(format!("unknown --app {other}")),
+    };
+    if ok {
+        Ok(())
+    } else {
+        Err(format!("--app {app} needs {need}, got --dims {dims}"))
+    }
 }
 
 /// Opens the streaming-input source: a file path, or stdin for `-` /
@@ -383,6 +422,7 @@ fn run() -> Result<(), String> {
                     .map_or(Ok(0), |s| s.parse())
                     .map_err(|_| "bad --timestep")?;
                 let app = flag("app")?;
+                check_gen_dims(&app, dims)?;
                 let field = match app.as_str() {
                     "nyx" => nyx::baryon_density(
                         dims,
@@ -446,7 +486,7 @@ fn run() -> Result<(), String> {
                 let model: TrainedModel = serde_json::from_str(&json).map_err(|e| e.to_string())?;
                 let comp = by_name(&model.compressor).ok_or("model names unknown compressor")?;
                 let frc = FixedRatioCompressor::new(model, comp).map_err(|e| e.to_string())?;
-                let field = read_field(&flag("input")?, dims)?;
+                let field = read_field_by_file_name(&flag("input")?, dims)?;
                 let out = frc.compress(&field, ratio).map_err(|e| e.to_string())?;
                 std::fs::write(flag("output")?, &out.bytes).map_err(|e| e.to_string())?;
                 println!(
@@ -876,7 +916,7 @@ fn run() -> Result<(), String> {
                     "compress" => {
                         let dims = parse_dims(&flag("dims")?).ok_or("bad --dims")?;
                         let ratio: f64 = flag("ratio")?.parse().map_err(|_| "bad --ratio")?;
-                        let field = read_field(&flag("input")?, dims)?;
+                        let field = read_field_by_file_name(&flag("input")?, dims)?;
                         let (info, stream) = client
                             .compress(&flag("model")?, ratio, &field)
                             .map_err(|e| e.to_string())?;

@@ -1,9 +1,17 @@
 //! CLI hardening: `fxrz info`, `ls` and `stats` pointed at truncated or
-//! non-archive files must exit with a clean error message — never a panic
-//! — and `--metrics` must keep working alongside a failing subcommand.
+//! non-archive files, and `fxrz gen` asked for dims its generator cannot
+//! build, must exit with a clean error message — never a panic — and
+//! `--metrics` must keep working alongside a failing subcommand.
+//! `fxrz compress` writes the same stream whatever directory its input
+//! sits in.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
+
+use fxrz::prelude::*;
+use fxrz_core::sampling::StridedSampler;
+use fxrz_core::train::TrainerConfig;
+use fxrz_datagen::grf::{gaussian_random_field, GrfConfig};
 
 fn fxrz(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_fxrz"))
@@ -109,4 +117,84 @@ fn bad_metrics_format_is_rejected() {
     assert!(!out.status.success());
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("bad --metrics"), "stderr: {stderr}");
+}
+
+#[test]
+fn gen_on_dims_its_generator_cannot_build_is_a_clean_error() {
+    let out_path = std::env::temp_dir().join("fxrz-cli-hardening-gen.f32");
+    let out_arg = out_path.to_str().unwrap();
+    for (app, dims) in [
+        ("nyx", "48x48x48"),
+        ("hurricane", "13x48x48"),
+        ("rtm", "16x16"),
+        ("qmcpack", "8x8x8"),
+        ("hurricane", "16x16"),
+    ] {
+        let out = fxrz(&["gen", "--app", app, "--dims", dims, "--out", out_arg]);
+        let ctx = format!("gen --app {app} --dims {dims}");
+        assert_clean_failure(&out, &ctx);
+        assert_eq!(out.status.code(), Some(1), "{ctx}: exit code");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("usage:"), "{ctx}: no usage: {stderr}");
+    }
+}
+
+#[test]
+fn compress_names_the_field_by_its_file_name() {
+    let fields: Vec<Field> = (0..2)
+        .map(|i| {
+            gaussian_random_field(Dims::d3(16, 16, 16), GrfConfig::default().with_seed(40 + i))
+        })
+        .collect();
+    let trainer = Trainer {
+        config: TrainerConfig {
+            model: fxrz_ml::ModelKind::Svr,
+            stationary_points: 8,
+            augment_per_field: 12,
+            sampler: StridedSampler::new(2),
+            ..TrainerConfig::default()
+        },
+    };
+    let model = trainer.train(&Sz, &fields).expect("train");
+    let root = std::env::temp_dir().join("fxrz-cli-hardening-names");
+    std::fs::create_dir_all(&root).expect("scratch dir");
+    let model_path = root.join("model.json");
+    std::fs::write(&model_path, serde_json::to_string(&model).expect("json")).expect("model");
+    let raw: Vec<u8> = fields[0]
+        .data()
+        .iter()
+        .flat_map(|v| v.to_le_bytes())
+        .collect();
+    let mut streams = Vec::new();
+    for dir in ["dir", "other"] {
+        std::fs::create_dir_all(root.join(dir)).expect("scratch dir");
+        let input = root.join(dir).join("x.f32");
+        std::fs::write(&input, &raw).expect("input");
+        let output = root.join(dir).join("x.fxrz");
+        let out = fxrz(&[
+            "compress",
+            "--model",
+            model_path.to_str().unwrap(),
+            "--ratio",
+            "10",
+            "--dims",
+            "16x16x16",
+            "--input",
+            input.to_str().unwrap(),
+            "--output",
+            output.to_str().unwrap(),
+        ]);
+        assert!(out.status.success(), "compress from {dir}: {out:?}");
+        streams.push(std::fs::read(&output).expect("stream"));
+    }
+    assert_eq!(
+        streams[0], streams[1],
+        "the input's directory reached the stream"
+    );
+    let name = Sz
+        .decompress(&streams[0])
+        .expect("decode")
+        .name()
+        .to_owned();
+    assert_eq!(name, "x.f32");
 }

@@ -7,9 +7,12 @@ use std::ops::Range;
 use std::path::PathBuf;
 
 use fxrz::prelude::*;
-use fxrz_compressors::entropy::BLOCK_SYMBOLS;
+use fxrz_codec::bitstream::read_varint;
+use fxrz_codec::lz77;
+use fxrz_compressors::entropy::{BLOCK_SYMBOLS, TAG_FSE};
+use fxrz_compressors::header::{self, magic};
 use fxrz_compressors::sz::{self, SzFse};
-use fxrz_compressors::{slab, Codec, CODECS};
+use fxrz_compressors::{slab, Codec, CompressError, CODECS};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -393,4 +396,67 @@ fn range_decode_equals_full_decode_slice_on_multi_block_and_legacy_streams() {
             .is_none()
     );
     assert_range_contract(&Sz, &bytes, &block_windows(dims), "two-block monolithic");
+}
+
+/// `bytes`, a monolithic `sz` stream, with the first payload bit of its
+/// first entropy block (an FSE block) flipped. The decoder reads that
+/// bit last, after the block's final symbol, so only the state the
+/// block ends at changes.
+fn damage_block_0_final_state(bytes: &[u8]) -> Vec<u8> {
+    let (name, dims, off) = header::read(bytes, magic::SZ, "sz").expect("header");
+    let mut payload = lz77::decompress(&bytes[off..]).expect("payload");
+    let mut pos = 8; // past the stored error bound
+    let varint = |pos: &mut usize| read_varint(&payload, pos).expect("varint");
+    assert_eq!(varint(&mut pos), 0, "a tagged-block entropy section");
+    varint(&mut pos); // symbol count
+    varint(&mut pos); // block count
+    assert_eq!(payload[pos], TAG_FSE, "block 0 is FSE-coded");
+    pos += 1;
+    varint(&mut pos); // block length
+    varint(&mut pos); // FSE: symbol count
+    let n_dict = varint(&mut pos);
+    varint(&mut pos); // table log
+    for _ in 0..2 * n_dict {
+        varint(&mut pos); // dictionary gaps, then normalized counts
+    }
+    payload[pos] ^= 1;
+    let mut out = Vec::new();
+    header::write(&mut out, magic::SZ, &name, dims);
+    out.extend_from_slice(&lz77::compress(&payload));
+    out
+}
+
+/// A code stream checks a block's final states once a decode finishes
+/// the block, and only then: a window inside block 0 decodes as before,
+/// while a window that reaches block 1, or block 0's end, and a full
+/// decode return a typed error.
+#[test]
+fn damage_to_block_0s_final_state_fails_only_decodes_that_finish_it() {
+    let dims = Dims::d2(300, 1024);
+    let field = Field::from_fn("range/damaged", dims, |c| {
+        (c[0] as f32 * 0.05).sin() + (c[1] as f32 * 0.02).cos()
+    });
+    let bytes =
+        sz::compress_with_budget(&field, &ErrorConfig::Abs(1e-3), usize::MAX).expect("compress");
+    let full = Sz.decompress(&bytes).expect("decompress");
+    let bad = damage_block_0_final_state(&bytes);
+    for w in [0..100, 4096..8192, 100_000..104_096] {
+        let got = Sz
+            .decompress_range(&bad, w.clone())
+            .expect("a window in block 0");
+        assert_eq!(got, full.data()[w.clone()], "{w:?}");
+    }
+    for w in [
+        BLOCK_SYMBOLS - 1..BLOCK_SYMBOLS,
+        BLOCK_SYMBOLS - 1..BLOCK_SYMBOLS + 1,
+        BLOCK_SYMBOLS + 5..BLOCK_SYMBOLS + 1029,
+    ] {
+        let got = Sz.decompress_range(&bad, w.clone());
+        assert!(
+            matches!(got, Err(CompressError::Decode(_))),
+            "{w:?}: {got:?}"
+        );
+    }
+    let got = Sz.decompress(&bad);
+    assert!(matches!(got, Err(CompressError::Decode(_))), "{got:?}");
 }
