@@ -239,10 +239,8 @@ fn encode_ints(w: &mut BitWriter, data: &[u64], kmin: i32, mut budget: u64) -> u
         // step 2: first n known-significant bits verbatim
         let m = (n as u64).min(budget);
         budget -= m;
-        for _ in 0..m {
-            w.write_bit(x & 1 == 1);
-            x >>= 1;
-        }
+        w.write_bits(x, m as u32);
+        x = x.checked_shr(m as u32).unwrap_or(0);
         // step 3: unary run-length encode the remainder
         while n < size && budget > 0 {
             budget -= 1;
@@ -291,14 +289,9 @@ fn decode_ints(
     while k > kmin && budget > 0 {
         k -= 1;
         // step 2 (mirror): first n known-significant bits verbatim
-        let mut x = 0u64;
         let m = (n as u64).min(budget);
         budget -= m;
-        for i in 0..m {
-            if r.read_bit().ok_or_else(trunc)? {
-                x |= 1 << i;
-            }
-        }
+        let mut x = r.read_bits(m as u32).ok_or_else(trunc)?;
         // step 3 (mirror): unary run-length decode the remainder
         while n < size && budget > 0 {
             budget -= 1;
@@ -322,15 +315,10 @@ fn decode_ints(
             x |= 1 << n;
             n += 1;
         }
-        // deposit plane
-        let mut xi = x;
-        let mut i = 0usize;
-        while xi != 0 {
-            if xi & 1 == 1 {
-                data[i] |= 1 << k;
-            }
-            xi >>= 1;
-            i += 1;
+        // deposit plane: one step per set bit
+        while x != 0 {
+            data[x.trailing_zeros() as usize] |= 1 << k;
+            x &= x - 1;
         }
     }
     Ok(start - budget)
