@@ -152,11 +152,17 @@ impl Compressor for Fpzip {
             let mut enc = RangeEncoder::with_capacity(field.nbytes() / 4 + 64);
             let mut coder = ResidualCoder::new();
             let mut trunc = vec![0i64; dims.len()];
-            lorenzo::walk(dims, dims.len(), &mut trunc, &mut |idx, pred: i64| {
-                let t = truncate(f32_to_monotone(data[idx]), prec) as i64;
-                coder.encode(&mut enc, t.wrapping_sub(pred));
-                t
-            });
+            lorenzo::walk(
+                dims,
+                lorenzo::PlaneFlags::NONE,
+                dims.len(),
+                &mut trunc,
+                &mut |idx, pred: i64| {
+                    let t = truncate(f32_to_monotone(data[idx]), prec) as i64;
+                    coder.encode(&mut enc, t.wrapping_sub(pred));
+                    t
+                },
+            );
 
             let mut out = Vec::new();
             header::write(&mut out, magic::FPZIP, field.name(), dims);
@@ -188,9 +194,13 @@ impl Compressor for Fpzip {
             let mut coder = ResidualCoder::new();
 
             let mut trunc = vec![0i64; dims.len()];
-            lorenzo::walk(dims, dims.len(), &mut trunc, &mut |_, pred: i64| {
-                pred.wrapping_add(coder.decode(&mut dec))
-            });
+            lorenzo::walk(
+                dims,
+                lorenzo::PlaneFlags::NONE,
+                dims.len(),
+                &mut trunc,
+                &mut |_, pred: i64| pred.wrapping_add(coder.decode(&mut dec)),
+            );
             dec.finish().map_err(CompressError::Decode)?;
             let max_t = (1u64 << prec) - 1;
             let data: Vec<f32> = trunc

@@ -34,8 +34,18 @@ pub const SLAB_DECODED: Name = Name::new("archive.slab.decoded");
 /// Random-access range decodes, of slab containers and monolithic v1
 /// streams alike.
 pub const SLAB_RANGE_CALLS: Name = Name::new("archive.slab.range_calls");
-/// Elements a `decompress_range` rebuilt: the covering slabs before the
-/// last whole, plus the prefix of the last covering slab or of a
-/// monolithic stream (whole rows for `sz`/`sz-fse`, the whole stream for
-/// `sz2`/`szi`).
+/// Elements a `decompress_range` rebuilt, summed over the covering slabs
+/// (or the one monolithic stream). `sz`/`sz-fse` rebuild each from the
+/// last indexed plane at or before the range's start in it (the slab or
+/// stream start without one) to the end of the row holding the range's
+/// last point in it; `sz2`/`szi` rebuild each whole.
 pub const SLAB_RANGE_DECODED_ELEMS: Name = Name::new("archive.slab.range_decoded_elems");
+/// Slab or monolithic `sz`/`sz-fse` streams a `decompress_range` started
+/// at an access-index entry instead of at the stream start.
+pub const SLAB_RANGE_SEEKS: Name = Name::new("archive.slab.range_seeks");
+
+/// Planes along axis 0 the per-plane Lorenzo choice flagged, so they
+/// predict without the plane before them, summed over encoded streams.
+pub const LORENZO_PLANES_FLAGGED: Name = Name::new("compressor.lorenzo.planes_flagged");
+/// Access-index entries written, summed over encoded streams.
+pub const LORENZO_INDEX_ENTRIES: Name = Name::new("compressor.lorenzo.index_entries");

@@ -28,7 +28,7 @@
 
 use crate::entropy::EntropyMode;
 use crate::header::magic;
-use crate::lorenzo::{extent, row_stencils, rows, stencils, Stencil};
+use crate::lorenzo::{extent, row_stencils, rows, stencils, PlaneFlags, Stencil};
 use crate::sz::{sz_row, Dequantizer, Quantizer, Walk};
 use crate::CompressError;
 use fxrz_codec::bitstream::{read_varint, unzigzag, write_varint, zigzag};
@@ -320,7 +320,12 @@ impl Walk for Sz2 {
     /// Per-block mode bytes and the concatenated coefficient varints.
     type Side = (Vec<u8>, Vec<u8>);
 
-    fn encode(data: &[f32], dims: Dims, q: &mut Quantizer) -> Result<Vec<u8>, CompressError> {
+    fn encode(
+        data: &[f32],
+        dims: Dims,
+        _: PlaneFlags,
+        q: &mut Quantizer,
+    ) -> Result<Vec<u8>, CompressError> {
         let eb = q.eb();
         let ndim = dims.ndim();
         let stencils = stencils(dims);
@@ -370,8 +375,9 @@ impl Walk for Sz2 {
     fn decode(
         dims: Dims,
         (modes, coef_bytes): Self::Side,
+        _: PlaneFlags,
         d: &mut Dequantizer,
-        _: usize,
+        _: core::ops::Range<usize>,
     ) -> Result<Vec<f32>, CompressError> {
         let blocks: usize = dims.shape().iter().map(|n| n.div_ceil(BLOCK)).product();
         if blocks != modes.len() {

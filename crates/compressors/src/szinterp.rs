@@ -20,7 +20,7 @@
 
 use crate::entropy::EntropyMode;
 use crate::header::magic;
-use crate::lorenzo::{extent, rows};
+use crate::lorenzo::{extent, rows, PlaneFlags};
 use crate::mgard::{coarsest, num_levels};
 use crate::sz::{sz_row, Dequantizer, Quantizer, Walk};
 use crate::CompressError;
@@ -138,12 +138,23 @@ impl Walk for SzInterp {
     const MAGIC: u8 = magic::SZI;
     type Side = ();
 
-    fn encode(data: &[f32], dims: Dims, q: &mut Quantizer) -> Result<Vec<u8>, CompressError> {
+    fn encode(
+        data: &[f32],
+        dims: Dims,
+        _: PlaneFlags,
+        q: &mut Quantizer,
+    ) -> Result<Vec<u8>, CompressError> {
         walk(dims, |idx, pred| q.quantize(data[idx], pred));
         Ok(Vec::new())
     }
 
-    fn decode(dims: Dims, _: (), d: &mut Dequantizer, _: usize) -> Result<Vec<f32>, CompressError> {
+    fn decode(
+        dims: Dims,
+        _: (),
+        _: PlaneFlags,
+        d: &mut Dequantizer,
+        _: core::ops::Range<usize>,
+    ) -> Result<Vec<f32>, CompressError> {
         Ok(walk(dims, |_, pred| d.next_value(pred)))
     }
 }

@@ -1,7 +1,9 @@
 //! `decompress_range` must decode **only** the slabs covering the
 //! requested range — asserted via the `archive.slab.decoded` counter —
-//! and of the last covering slab (or a monolithic stream) only the rows
-//! up to the range's end, asserted via `archive.slab.range_decoded_elems`.
+//! and of each covering slab (or a monolithic stream) only the rows from
+//! the last indexed plane at or before the range's start to the range's
+//! end, asserted via `archive.slab.range_decoded_elems` and
+//! `archive.slab.range_seeks`.
 //!
 //! Also: the per-codec `compressor.*` series survive a registry reset.
 //!
@@ -121,6 +123,124 @@ fn range_decode_rebuilds_only_the_rows_it_needs() {
         assert!(Sz.decompress_range(&mono, bad.clone()).is_err(), "{bad:?}");
         assert_eq!(counter(names::SLAB_RANGE_DECODED_ELEMS), before, "{bad:?}");
     }
+}
+
+/// Elements per plane and per row of [`noise_planes`].
+const PLANE: usize = 32 * 64;
+const ROW: usize = 64;
+
+/// Uniform noise in `[0, 1)` at point `(p, i, j)` of a 32×64 plane.
+fn noise(p: usize, i: usize, j: usize) -> f32 {
+    let mut h = (((p * 32 + i) * 64 + j) as u64) ^ 0x9E37_79B9_7F4A_7C15;
+    h = h.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    h ^= h >> 31;
+    h = h.wrapping_mul(0x94D0_49BB_1331_11EB);
+    h ^= h >> 29;
+    (h >> 40) as f32 / (1u64 << 24) as f32
+}
+
+/// A 24×32×64 field whose planes are independent noise, so the
+/// per-plane choice flags every plane after the first, and the access
+/// index holds an entry every 8 planes (2^14 elements).
+fn noise_planes() -> Field {
+    Field::from_fn("t/noise", Dims::d3(24, 32, 64), |c| noise(c[0], c[1], c[2]))
+}
+
+/// Elements a range decode rebuilt, and whether it started at an entry.
+fn rebuilt(bytes: &[u8], range: std::ops::Range<usize>) -> (u64, u64) {
+    let (elems, seeks) = (
+        counter(names::SLAB_RANGE_DECODED_ELEMS),
+        counter(names::SLAB_RANGE_SEEKS),
+    );
+    let got = Sz.decompress_range(bytes, range.clone()).expect("range");
+    let full = Sz.decompress(bytes).expect("decompress");
+    assert_eq!(got, full.data()[range]);
+    (
+        counter(names::SLAB_RANGE_DECODED_ELEMS) - elems,
+        counter(names::SLAB_RANGE_SEEKS) - seeks,
+    )
+}
+
+#[test]
+fn a_range_decode_rebuilds_from_the_last_indexed_plane() {
+    let _serial = serial();
+    let cfg = ErrorConfig::Abs(1e-2);
+    let (plane, row) = (PLANE as u64, ROW as u64);
+    let (flagged, entries) = (
+        counter(names::LORENZO_PLANES_FLAGGED),
+        counter(names::LORENZO_INDEX_ENTRIES),
+    );
+    let mono = Sz.compress(&noise_planes(), &cfg).expect("compress");
+    assert_eq!(counter(names::LORENZO_PLANES_FLAGGED) - flagged, 23);
+    assert_eq!(
+        counter(names::LORENZO_INDEX_ENTRIES) - entries,
+        2,
+        "planes 8, 16"
+    );
+    let at = |p: usize, off: usize| p * PLANE + off;
+    assert_eq!(rebuilt(&mono, 0..10), (row, 0), "row 0");
+    assert_eq!(
+        rebuilt(&mono, at(7, 0)..at(8, 1)),
+        (8 * plane + row, 0),
+        "a window starting before plane 8 rebuilds from the start"
+    );
+    assert_eq!(
+        rebuilt(&mono, at(9, 5)..at(9, 100)),
+        (plane + 2 * row, 1),
+        "from plane 8"
+    );
+    assert_eq!(
+        rebuilt(&mono, at(23, 0)..at(24, 0)),
+        (8 * plane, 1),
+        "from 16"
+    );
+
+    // Two slabs of 12 planes, each indexed at its own plane 8.
+    let slabbed = slab::compress_slabbed(magic::SZ, &noise_planes(), 12 * PLANE, |sub| {
+        Sz.compress(sub, &cfg)
+    })
+    .expect("compress")
+    .expect("slabbed");
+    assert_eq!(
+        rebuilt(&slabbed, at(21, 1)..at(21, 2)),
+        (plane + row, 1),
+        "slab 1's plane 9, from its plane 8"
+    );
+    assert_eq!(
+        rebuilt(&slabbed, at(11, 0)..at(13, 0)),
+        (4 * plane + plane, 1),
+        "slab 0 from its plane 8, slab 1 from its start"
+    );
+
+    // Repeated planes: the plane before predicts each one exactly, so
+    // none is flagged and a window rebuilds from the stream start.
+    let repeat = Field::from_fn("t/repeat", Dims::d3(24, 32, 64), |c| noise(0, c[1], c[2]));
+    let (flagged, entries) = (
+        counter(names::LORENZO_PLANES_FLAGGED),
+        counter(names::LORENZO_INDEX_ENTRIES),
+    );
+    let bytes = Sz.compress(&repeat, &cfg).expect("compress");
+    assert_eq!(counter(names::LORENZO_PLANES_FLAGGED), flagged);
+    assert_eq!(counter(names::LORENZO_INDEX_ENTRIES), entries);
+    assert_eq!(
+        rebuilt(&bytes, at(9, 5)..at(9, 100)),
+        (9 * plane + 2 * row, 0),
+        "from the start"
+    );
+
+    // Zero planes: every plane is flagged (neither stencil misses), and
+    // the one entropy block codes one value, so a window starts at its
+    // own plane without an index entry.
+    let entries = counter(names::LORENZO_INDEX_ENTRIES);
+    let zeros = Field::new("t/zeros", Dims::d3(24, 32, 64), vec![0.0; 24 * PLANE]);
+    let bytes = Sz.compress(&zeros, &cfg).expect("compress");
+    assert_eq!(counter(names::LORENZO_INDEX_ENTRIES), entries);
+    assert_eq!(
+        rebuilt(&bytes, at(9, 5)..at(9, 100)),
+        (2 * row, 1),
+        "plane 9"
+    );
+    assert_eq!(rebuilt(&bytes, 3..5), (row, 0), "plane 0");
 }
 
 #[test]

@@ -347,6 +347,94 @@ fn range_decode_equals_full_decode_slice() {
     }
 }
 
+/// Uniform noise in `[0, 1)`, a hash of `seed`.
+fn noise(seed: usize) -> f32 {
+    let mut h = (seed as u64) ^ 0x9E37_79B9_7F4A_7C15;
+    h = h.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    h ^= h >> 31;
+    h = h.wrapping_mul(0x94D0_49BB_1331_11EB);
+    h ^= h >> 29;
+    (h >> 40) as f32 / (1u64 << 24) as f32
+}
+
+/// 3-D and 4-D fields whose planes along axis 0 mix independent noise
+/// (every third plane) with smooth ones that continue the plane before:
+/// the per-plane choice flags the noise planes and the smooth planes
+/// that follow them, and not the smooth planes that follow smooth ones.
+/// Each field is large enough for access-index entries, monolithic and
+/// in two slabs. Windows that start before, at and after flagged and
+/// unflagged planes, cross them, and cross the slab edge decode as the
+/// full decode does.
+#[test]
+fn range_decode_crosses_flagged_planes_and_slab_edges() {
+    for dims in [Dims::d3(40, 32, 64), Dims::d4(20, 4, 32, 32)] {
+        let n0 = dims.axis(0);
+        let plane = dims.len() / n0;
+        let field = Field::from_fn("range/planes", dims, |c| {
+            let at = c[1..]
+                .iter()
+                .zip(dims.shape()[1..].iter())
+                .fold(0, |a, (&x, &n)| a * n + x);
+            if c[0] % 3 == 0 {
+                noise(c[0] * plane + at)
+            } else {
+                (at as f32 * 0.013).sin() + 0.05 * c[0] as f32
+            }
+        });
+        let cfg = ErrorConfig::Abs(1e-2);
+        let mono = Sz.compress(&field, &cfg).expect("compress");
+        let slabbed = slab::compress_slabbed(magic::SZ, &field, n0 / 2 * plane, |sub| {
+            Sz.compress(sub, &cfg)
+        })
+        .expect("compress")
+        .expect("two slabs");
+        let len = dims.len();
+        let mut windows = vec![0..1, len - 1..len, 0..len];
+        for p in 1..n0 {
+            let start = p * plane;
+            windows.push(start - 3..start + 5);
+            windows.push(start..start + 1);
+            windows.push(start + 7..(start + plane + 9).min(len));
+            windows.push(start + plane / 2..(start + plane / 2 + 4096).min(len));
+        }
+        for comp in [&Sz as &dyn Compressor, &SzFse] {
+            assert_range_contract(comp, &mono, &windows, &format!("monolithic {dims}"));
+            assert_range_contract(comp, &slabbed, &windows, &format!("slabbed {dims}"));
+        }
+    }
+}
+
+/// A field whose first entropy block codes one value (zero planes, every
+/// one flagged), so each plane there starts a decode without an index
+/// entry, followed by noise planes in a second block, which the index
+/// reaches; monolithic and in two slabs, the first of them all zero.
+#[test]
+fn range_decode_starts_inside_a_one_code_first_block() {
+    let dims = Dims::d3(10, 160, 256);
+    let plane = dims.len() / 10;
+    assert!(7 * plane > BLOCK_SYMBOLS, "block 0 holds zero planes only");
+    let field = Field::from_fn("range/zero-led", dims, |c| match c[0] {
+        0..7 => 0.0,
+        p => noise((p * 160 + c[1]) * 256 + c[2]),
+    });
+    let cfg = ErrorConfig::Abs(1e-2);
+    let mono = Sz.compress(&field, &cfg).expect("compress");
+    let slabbed =
+        slab::compress_slabbed(magic::SZ, &field, 5 * plane, |sub| Sz.compress(sub, &cfg))
+            .expect("compress")
+            .expect("two slabs");
+    let len = dims.len();
+    let mut windows = vec![0..1, len - 1..len, 0..len];
+    for p in 1..10 {
+        let start = p * plane;
+        windows.push(start - 3..start + 5);
+        windows.push(start + plane / 2..(start + plane / 2 + 4096).min(len));
+    }
+    windows.push(BLOCK_SYMBOLS - 2..BLOCK_SYMBOLS + 2);
+    assert_range_contract(&Sz, &mono, &windows, "monolithic zero-led");
+    assert_range_contract(&Sz, &slabbed, &windows, "slabbed zero-led");
+}
+
 fn fixture(name: &str) -> Vec<u8> {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests/fixtures")

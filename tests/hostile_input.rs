@@ -19,7 +19,9 @@
 //!    own length, are exempt from this one);
 //! 3. the peak bytes the decode allocates stay within `K × input + C`,
 //!    one `K` and one `C` for every row (see their derivations), as
-//!    measured by the counting global allocator below.
+//!    measured by the counting global allocator below;
+//! 4. a forgery a row lists as one it must reject (the `sz` access
+//!    index's fields) is rejected with a typed error.
 //!
 //! The harness is one `#[test]` in its own binary, so the allocator counts
 //! nothing but this test, and it runs every decode on the calling thread
@@ -139,7 +141,7 @@ fn measure<T>(f: impl FnOnce() -> T) -> (T, usize) {
 // ---------------------------------------------------------------------------
 
 /// A header or directory field of a row's input.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 enum Slot {
     /// A little-endian integer (or byte string) of this many bytes.
     Fixed { at: usize, width: usize },
@@ -161,6 +163,8 @@ struct Row {
     /// Whether strict prefixes must be rejected or decode to the full
     /// result (raw codec-layer rows are exempt).
     prefix_contract: bool,
+    /// Forged field values the decoder must reject with a typed error.
+    rejects: Vec<(Slot, u64)>,
     run: Box<Run>,
 }
 
@@ -179,6 +183,7 @@ fn row<T, E: Display>(
         input,
         slots,
         prefix_contract,
+        rejects: Vec::new(),
         run: Box::new(move |bytes| {
             let (out, peak) = measure(|| decode(bytes));
             (out.map(|v| image(&v)).map_err(|e| e.to_string()), peak)
@@ -386,6 +391,119 @@ fn codec_rows(out: &mut Vec<Row>) {
             |v: &Vec<f32>| values_image(v),
         ));
     }
+}
+
+/// The LZ77 payload of `field`'s `sz` stream, a row that range-decodes
+/// `window` from such a payload (wrapped in the stream's header and a
+/// literal-only LZ77 stream, so that every payload field is a slot), and
+/// a walk of the payload up to its entropy blocks' contents.
+fn sz_payload_row(
+    name: &str,
+    field: &Field,
+    window: std::ops::Range<usize>,
+) -> (Row, Vec<u8>, usize) {
+    use fxrz_compressors::header::{self, magic};
+    use fxrz_compressors::sz::Sz;
+    let stream = Sz
+        .compress(field, &ErrorConfig::Abs(1e-3))
+        .expect("compress");
+    let (field_name, dims, off) = header::read(&stream, magic::SZ, "sz").expect("header");
+    let input = lz77::decompress(&stream[off..]).expect("payload");
+    let mut head = Vec::new();
+    header::write(&mut head, magic::SZ, &field_name, dims);
+    let row = row(
+        name,
+        input.clone(),
+        Vec::new(),
+        true,
+        move |payload| {
+            let mut bytes = head.clone();
+            for _ in 0..2 {
+                write_varint(&mut bytes, payload.len() as u64);
+            }
+            bytes.extend_from_slice(payload);
+            write_varint(&mut bytes, 0);
+            Sz.decompress_range(&bytes, window.clone())
+        },
+        |v: &Vec<f32>| values_image(v),
+    );
+    (row, input, dims.axis(0).div_ceil(8))
+}
+
+/// Walks an `sz` payload with plane flags up to its first entropy block's
+/// contents: the bound, the flags mark, the flags, the section header and
+/// block 0's tag and length.
+fn sz_planes_head(w: &mut Walk<'_>, flag_bytes: usize) -> usize {
+    w.fixed(8); // error bound
+    w.fixed(1); // plane-flags mark
+    w.fixed(flag_bytes);
+    w.varint(); // tagged-block sentinel
+    w.varint(); // symbol count
+    let blocks = w.varint() as usize;
+    w.fixed(1);
+    blocks
+}
+
+/// `sz` payloads whose range decodes seek. The first has access-index
+/// entries; its decode starts at the last one, and each forged index
+/// field, and each entry forged out of order, must be rejected. The
+/// second is all zeros: its one entropy block codes one value, so its
+/// decode starts at a flagged plane with no entry.
+fn sz_seek_rows(out: &mut Vec<Row>) {
+    // Every 8th row is noise, the rest zero: the per-plane choice reads
+    // every 8th row, so it flags every plane, and at 2^11 elements a
+    // plane the index holds entries at planes 8 and 16.
+    let field = Field::from_fn("hostile/index", Dims::d3(18, 32, 64), |c| {
+        if c[1] % 8 != 0 {
+            return 0.0;
+        }
+        let mut h = (((c[0] * 32 + c[1]) * 64 + c[2]) as u64) ^ 0x9E37_79B9_7F4A_7C15;
+        h = h.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        h ^= h >> 31;
+        (h >> 40) as f32 / (1u64 << 24) as f32
+    });
+    let window = 17 * 2048 + 100..17 * 2048 + 300;
+    let (mut r, input, flag_bytes) = sz_payload_row("sz::decompress_range/indexed", &field, window);
+    let mut w = Walk::new(&input);
+    let blocks = sz_planes_head(&mut w, flag_bytes);
+    for b in 0..blocks {
+        if b > 0 {
+            w.fixed(1);
+        }
+        let len = w.varint() as usize;
+        w.skip(len);
+    }
+    let index = w.slots.len();
+    let entries = w.varint();
+    assert!(entries >= 2, "the index holds {entries} entries");
+    let mut planes = Vec::new();
+    for _ in 0..entries {
+        planes.push((w.slots.len(), w.varint()));
+        for _ in 0..4 {
+            w.varint();
+        }
+    }
+    r.rejects = w.slots[index..]
+        .iter()
+        .flat_map(|&slot| FORGED.map(|v| (slot, v)))
+        .collect();
+    r.rejects.push((w.slots[planes[0].0], 0));
+    r.rejects.push((w.slots[planes[1].0], planes[0].1));
+    r.slots = w.slots;
+    out.push(r);
+
+    let zeros = Field::new("hostile/zeros", Dims::d3(24, 32, 64), vec![0.0; 24 * 2048]);
+    let window = 9 * 2048 + 5..9 * 2048 + 100;
+    let (mut r, input, flag_bytes) = sz_payload_row("sz::decompress_range/uniform", &zeros, window);
+    let mut w = Walk::new(&input);
+    assert_eq!(sz_planes_head(&mut w, flag_bytes), 1, "one entropy block");
+    w.varint(); // block length
+    w.varint(); // FSE: symbol count
+    assert_eq!(w.varint(), 1, "one distinct code");
+    w.varint(); // the code
+    w.varint(); // index entry count
+    r.slots = w.slots;
+    out.push(r);
 }
 
 /// A small field for the serve frames.
@@ -803,6 +921,7 @@ fn rows(rng: &mut StdRng) -> Vec<Row> {
     stream_row(&mut out);
     entropy_rows(&mut out, rng);
     codec_rows(&mut out);
+    sz_seek_rows(&mut out);
     out
 }
 
@@ -872,6 +991,9 @@ fn schedule(row: &Row, rng: &mut StdRng) -> Vec<Mutation> {
             out.push(Mutation::Forge { slot, value });
         }
     }
+    for &(slot, value) in &row.rejects {
+        out.push(Mutation::Forge { slot, value });
+    }
     out
 }
 
@@ -912,6 +1034,11 @@ fn check(row: &Row, rng: &mut StdRng) -> Vec<String> {
                         row.input.len()
                     ));
                 }
+            }
+        }
+        if let Mutation::Forge { slot, value } = m {
+            if row.rejects.contains(&(slot, value)) && outcome.is_ok() {
+                failures.push(format!("{}: {m:?}: a forgery decoded as Ok", row.name));
             }
         }
         let bound = K * bytes.len() + C;
