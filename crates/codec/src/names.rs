@@ -35,6 +35,9 @@ pub const HUFFMAN_DECODE_ERRORS: Name = Name::new("codec.huffman.decode.errors")
 
 /// FSE state-table constructions (encode and decode sides).
 pub const FSE_TABLE_BUILDS: Name = Name::new("codec.fse.table_builds");
+/// States of every FSE table built, encode and decode sides: `2^log`
+/// per table.
+pub const FSE_TABLE_ENTRIES: Name = Name::new("codec.fse.table_entries");
 /// FSE encode invocations.
 pub const FSE_ENCODE_CALLS: Name = Name::new("codec.fse.encode.calls");
 /// Symbols fed to the FSE encoder.

@@ -274,6 +274,54 @@ fn a_decode_builds_the_fse_tables_of_the_blocks_it_reaches() {
     assert_eq!(builds(&full), 2, "a full decode");
 }
 
+/// FSE table builds, and the states they hold, of one range decode.
+fn tables(bytes: &[u8], range: std::ops::Range<usize>) -> (u64, u64) {
+    let (builds, entries) = (
+        counter(fxrz_codec::names::FSE_TABLE_BUILDS),
+        counter(fxrz_codec::names::FSE_TABLE_ENTRIES),
+    );
+    Sz.decompress_range(bytes, range).expect("range");
+    (
+        counter(fxrz_codec::names::FSE_TABLE_BUILDS) - builds,
+        counter(fxrz_codec::names::FSE_TABLE_ENTRIES) - entries,
+    )
+}
+
+#[test]
+fn a_block_of_few_codes_builds_a_small_table() {
+    let _serial = serial();
+    // Noise of a few bins' width: a few dozen distinct codes. One
+    // monolithic stream, its first block a full 2^18 codes, whose length
+    // alone asks for log 16: 2^16 states for every block a window
+    // reaches. The cost rule takes at most 2^12.
+    let dims = Dims::d3(17, 128, 128);
+    let field = Field::from_fn("t/few", dims, |c| {
+        0.05 * noise(c[0], c[1] % 32, c[2] % 64) + (c[2] as f32 * 0.01).sin()
+    });
+    let bytes =
+        sz::compress_with_budget(&field, &ErrorConfig::Abs(1e-2), usize::MAX).expect("compress");
+    assert!(slab::table(&bytes, magic::SZ, "sz")
+        .expect("header")
+        .is_none());
+    let (builds, entries) = tables(&bytes, 100..200);
+    assert_eq!(builds, 1, "a window in block 0");
+    assert!(entries <= 1 << 12, "{entries} states");
+    // A window in block 1 (of 2^14 codes) starts there or in block 0.
+    let (builds, entries) = tables(&bytes, BLOCK_SYMBOLS + 100..BLOCK_SYMBOLS + 200);
+    assert!((1..=2).contains(&builds), "{builds} builds");
+    assert!(entries <= builds << 12, "{entries} states");
+
+    // 4,096 codes ask for log 10 by length, and log 10 is what a block
+    // at or below log 11 keeps: 2^10 states, as before the cost rule.
+    let small = Field::from_fn("t/small", Dims::d3(4, 32, 32), |c| {
+        0.05 * noise(c[0], c[1], c[2])
+    });
+    let bytes = Sz
+        .compress(&small, &ErrorConfig::Abs(1e-2))
+        .expect("compress");
+    assert_eq!(tables(&bytes, 2_000..2_100), (1, 1 << 10));
+}
+
 #[test]
 fn per_codec_series_survive_a_registry_reset() {
     // `tablegen --metrics` resets the global registry between
