@@ -189,25 +189,8 @@ pub fn encode(symbols: &[u32]) -> Vec<u8> {
     with_scratch(|scratch| encode_with(scratch, symbols))
 }
 
-/// Encoded size in bytes for a block with the given histogram — the
-/// per-block entropy-backend selection cost model. `dict[i]` is the
-/// distinct symbol whose count is `freqs[i]`; `count` is the total symbol
-/// count. Exact up to equal-frequency tie-breaks in the length
-/// assignment, which never change the total.
-pub fn cost_bytes(dict: &[u32], freqs: &[u64], count: u64) -> u64 {
-    use crate::bitstream::varint_len;
-    let lens = code_lengths(freqs);
-    let mut header = varint_len(count) + varint_len(dict.len() as u64);
-    let mut payload_bits = 0u64;
-    for (i, &sym) in dict.iter().enumerate() {
-        header += varint_len(u64::from(sym)) + varint_len(u64::from(lens[i]));
-        payload_bits += freqs[i] * u64::from(lens[i]);
-    }
-    header + payload_bits.div_ceil(8)
-}
-
-/// [`encode`] against caller-provided scratch, so repeated calls (rate-curve
-/// probes, FRaZ search rounds) reuse the dense-index and table buffers.
+/// [`encode`] against caller-provided scratch, so repeated calls reuse
+/// the dense-index and table buffers.
 pub fn encode_with(scratch: &mut CodecScratch, symbols: &[u32]) -> Vec<u8> {
     scratch.note_use();
     let CodecScratch {

@@ -5,10 +5,11 @@
 //!
 //! * [`bitstream`] — LSB-first bit I/O plus LEB128 varints and zigzag.
 //! * [`fse`] — tabled asymmetric-numeral-system coder (tANS/FSE) with
-//!   interleaved dual states (the fast entropy backend the SZ pipeline
-//!   selects per block against [`huffman`] by estimated bit cost).
+//!   interleaved dual states (the entropy stage of the SZ-style
+//!   pipeline, which codes every block with it).
 //! * [`huffman`] — canonical, length-limited Huffman over `u32` alphabets
-//!   (the entropy stage of the SZ-style pipeline).
+//!   (the SZ pipeline's entropy stage before FSE; its decoder reads the
+//!   streams written then).
 //! * [`lz77`] — hash-chain LZ77 (the "Zstd stage" of SZ; collapses the
 //!   long repeats behind very high compression ratios).
 //! * [`range`] — adaptive binary range coder with bit-tree contexts (the

@@ -6,11 +6,11 @@
 //! *not* bit-compatible with the C libraries):
 //!
 //! * [`sz`] — prediction-based: Lorenzo predictor, linear-scaling
-//!   quantization, per-block Huffman/FSE entropy coding (see
-//!   [`entropy`]), LZ77 dictionary stage. It is the one SZ-family
-//!   pipeline: `sz-fse` ([`sz::SzFse`]) pins its entropy stage to FSE,
-//!   while [`sz2`] (SZ 2.x Lorenzo/regression hybrid) and [`szinterp`]
-//!   (SZ3-style cubic interpolation) supply only their prediction walks.
+//!   quantization, per-block FSE entropy coding (see [`entropy`]), LZ77
+//!   dictionary stage. It is the one SZ-family pipeline: `sz-fse`
+//!   ([`sz::SzFse`]) is a second name for it, while [`sz2`] (SZ 2.x
+//!   Lorenzo/regression hybrid) and [`szinterp`] (SZ3-style cubic
+//!   interpolation) supply only their prediction walks.
 //! * [`zfp`] — transform-based: 4^d block lifting transform, negabinary
 //!   bit-plane coding; fixed-accuracy **and** fixed-rate modes.
 //! * [`fpzip`] — predictive coding of the monotone integer mapping of
@@ -267,10 +267,9 @@ pub const CODECS: &[Codec] = &[
     }),
     // SZ 2.x hybrid predictor (Lorenzo + per-block regression)
     Codec::new("sz2", magic::SZ2, Some(magic::SZ2), || Box::new(sz2::Sz2)),
-    // SZ pipeline with the entropy stage pinned to tANS/FSE — the extra
-    // codec row for the feature→error-bound regression. Its streams are
-    // SZ streams, so its frames need a tag of their own to record which
-    // row produced them.
+    // The SZ pipeline under a second name — the extra codec row for the
+    // feature→error-bound regression. Its streams are SZ streams, so its
+    // frames need a tag of their own to record which row produced them.
     Codec::new("sz-fse", magic::SZ, Some(0xAE), || Box::new(sz::SzFse)),
 ];
 

@@ -1,5 +1,6 @@
 //! The SZ-family pipeline, shared by the `sz`, `sz-fse`, `sz2` and `szi`
-//! rows (SZ3's split of one predictor over one back end).
+//! rows (SZ3's split of one predictor over one back end; `sz-fse` is a
+//! second name for `sz`).
 //!
 //! 1. **Prediction walk** — the only piece a row supplies (a `Walk`):
 //!    every value is predicted from already-reconstructed values, in a
@@ -12,10 +13,9 @@
 //!    outside the `2^16`-bin capacity (or values whose `f32`
 //!    reconstruction would violate the bound) are flagged
 //!    *unpredictable* and stored verbatim.
-//! 3. **Entropy coding** of the code stream — per block, Huffman or
-//!    tANS/FSE by estimated bit cost (see [`crate::entropy`]); `sz-fse`
-//!    pins it to FSE — then an **LZ77 dictionary stage** (the role Zstd
-//!    plays in real SZ) over the whole payload
+//! 3. **Entropy coding** of the code stream — tANS/FSE per 2^18-code
+//!    block (see [`crate::entropy`]) — then an **LZ77 dictionary stage**
+//!    (the role Zstd plays in real SZ) over the whole payload
 //!    `eb (8 bytes) | walk side info | entropy section | unpredictables`.
 //!    A 3-D or 4-D `sz`/`sz-fse` stream with planes the per-plane Lorenzo
 //!    choice flagged adds the flags and an access index (the layout of
@@ -33,11 +33,12 @@
 //! overlap, and a range decode starts it at the last indexed plane at or
 //! before the range.
 //!
-//! [`SzFse`] shares the whole pipeline but pins the entropy stage to
-//! FSE — the extra codec row the feature→error-bound regression trains
-//! on (the paper's extensibility claim).
+//! [`SzFse`] is the same pipeline under a second registry name: its
+//! streams are byte for byte `sz`'s. It stays a row because the
+//! feature→error-bound regression trains it as one (the paper's
+//! extensibility claim) and its stream frames carry a tag of their own.
 
-use crate::entropy::{self, CodeStream, EntropyMode, Run};
+use crate::entropy::{self, CodeStream, Run};
 use crate::header::{self, magic};
 use crate::lorenzo::{self, PlaneFlags, Visit};
 use crate::{names, slab, CompressError, ConfigSpace, ErrorConfig};
@@ -53,6 +54,11 @@ pub(crate) const HALF: i64 = 1 << 15;
 /// Code reserved for unpredictable values.
 const UNPREDICTABLE: u32 = 0;
 
+// Every code a `Quantizer` writes lies in {0} ∪ [2, 2·HALF − 2], so no
+// entropy block holds more distinct codes than FSE can code, and the
+// entropy stage never has a block FSE refuses.
+const _: () = assert!((2 * HALF - 1) as usize <= fse::MAX_SYMBOLS);
+
 /// The configuration space every SZ-family row accepts.
 pub(crate) const SZ_SPACE: ConfigSpace = ConfigSpace::AbsRelRange {
     min_rel: 1e-7,
@@ -63,11 +69,11 @@ pub(crate) const SZ_SPACE: ConfigSpace = ConfigSpace::AbsRelRange {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Sz;
 
-/// The SZ pipeline with the entropy stage pinned to tANS/FSE.
+/// The SZ pipeline under a second name: its streams are [`Sz`]'s, byte
+/// for byte.
 ///
-/// Emits the same self-describing stream family as [`Sz`] (same magic,
-/// same container), so [`crate::detect`] resolves its archives to `sz`
-/// and either decompressor reads either stream. Registered as its own
+/// [`crate::detect`] resolves its archives to `sz`, and either
+/// decompressor reads either stream. Registered as its own
 /// [`crate::Compressor`] name so the feature→error-bound regression learns it
 /// as an additional codec row.
 #[derive(Clone, Copy, Debug, Default)]
@@ -343,9 +349,9 @@ pub(crate) trait Walk {
 }
 
 /// Implements [`crate::Compressor`] for an SZ-family row: its unit struct,
-/// registry name, prediction walk and entropy mode.
+/// registry name and prediction walk.
 macro_rules! sz_row {
-    ($row:ty, $name:literal, $walk:ty, $mode:expr) => {
+    ($row:ty, $name:literal, $walk:ty) => {
         impl $crate::Compressor for $row {
             fn name(&self) -> &'static str {
                 $name
@@ -357,7 +363,7 @@ macro_rules! sz_row {
                 cfg: &$crate::ErrorConfig,
             ) -> Result<Vec<u8>, $crate::CompressError> {
                 let budget = $crate::slab::SLAB_SYMBOLS;
-                $crate::sz::compress::<$walk>($name, $mode, field, cfg, budget)
+                $crate::sz::compress::<$walk>($name, field, cfg, budget)
             }
 
             fn decompress(
@@ -383,8 +389,8 @@ macro_rules! sz_row {
 }
 pub(crate) use sz_row;
 
-sz_row!(Sz, "sz", Sz, EntropyMode::Auto);
-sz_row!(SzFse, "sz-fse", Sz, EntropyMode::Fse);
+sz_row!(Sz, "sz", Sz);
+sz_row!(SzFse, "sz-fse", Sz);
 
 /// How many codes the `sz` decode pulls ahead of the point it
 /// reconstructs.
@@ -565,10 +571,10 @@ static RANGE_SEEKS: Resolved<fxrz_telemetry::Name, Arc<Counter>> =
     Resolved::counter(names::SLAB_RANGE_SEEKS);
 
 /// The entries a payload may index: each flagged plane (`planes`, with
-/// the cursor `cursors` holds before its first code, if its block is
-/// FSE-coded) at least [`INDEX_SPACING`] elements past the entry before
-/// it. `codes` gives the verbatim count: an unpredictable code stores one
-/// value.
+/// the cursor `cursors` holds before its first code, if its block holds
+/// more than one distinct code) at least [`INDEX_SPACING`] elements past
+/// the entry before it. `codes` gives the verbatim count: an
+/// unpredictable code stores one value.
 fn index_entries(
     planes: &[usize],
     plane: usize,
@@ -703,17 +709,16 @@ fn read_index(
 /// the field fills two slabs, else one monolithic stream.
 pub(crate) fn compress<W: Walk>(
     name: &'static str,
-    mode: EntropyMode,
     field: &Field,
     cfg: &ErrorConfig,
     budget: usize,
 ) -> Result<Vec<u8>, CompressError> {
     let slabbed = slab::compress_slabbed(W::MAGIC, field, budget, |sub| {
-        compress_mono::<W>(name, mode, sub, cfg)
+        compress_mono::<W>(name, sub, cfg)
     })?;
     match slabbed {
         Some(out) => Ok(out),
-        None => compress_mono::<W>(name, mode, field, cfg),
+        None => compress_mono::<W>(name, field, cfg),
     }
 }
 
@@ -728,14 +733,13 @@ pub fn compress_with_budget(
     cfg: &ErrorConfig,
     budget: usize,
 ) -> Result<Vec<u8>, CompressError> {
-    compress::<Sz>("sz", EntropyMode::Auto, field, cfg, budget)
+    compress::<Sz>("sz", field, cfg, budget)
 }
 
-/// One monolithic stream: walk and quantize, entropy-code under `mode`,
-/// LZ77. `name` feeds the per-codec telemetry series and error messages.
+/// One monolithic stream: walk and quantize, entropy-code, LZ77. `name`
+/// feeds the per-codec telemetry series and error messages.
 fn compress_mono<W: Walk>(
     name: &'static str,
-    mode: EntropyMode,
     field: &Field,
     cfg: &ErrorConfig,
 ) -> Result<Vec<u8>, CompressError> {
@@ -767,7 +771,7 @@ fn compress_mono<W: Walk>(
             payload.extend_from_slice(&eb.to_le_bytes());
             if flags.is_empty() {
                 payload.extend_from_slice(&side);
-                entropy::encode_codes(scratch, &q.codes, mode, &mut payload);
+                entropy::encode_codes(scratch, &q.codes, &mut payload);
             } else {
                 payload.push(PLANES_MARK);
                 payload.extend_from_slice(&flags);
@@ -775,7 +779,7 @@ fn compress_mono<W: Walk>(
                 let plane = dims.len() / dims.axis(0);
                 let planes: Vec<usize> = (1..dims.axis(0)).filter(|&p| flagged.get(p)).collect();
                 let marks: Vec<usize> = planes.iter().map(|&p| p * plane).collect();
-                let cursors = entropy::encode_marked(scratch, &q.codes, mode, &marks, &mut payload);
+                let cursors = entropy::encode_marked(scratch, &q.codes, &marks, &mut payload);
                 let entries = index_entries(&planes, plane, &cursors, &q.codes);
                 let budget = (payload.len() + q.unpred.len()) / INDEX_SHARE;
                 let written = write_index(&mut payload, &entries, budget);

@@ -13,8 +13,8 @@
 //! Lorenzo blocks predict from the shared reconstruction buffer, so block
 //! order (raster over blocks, raster within a block) keeps every Lorenzo
 //! neighbour causal. The walk is all this row adds: quantization, the
-//! entropy back end (per-block Huffman/FSE selection + LZ77) and the slab
-//! container are the shared [`crate::sz`] pipeline. Its side info —
+//! entropy back end (per-block FSE + LZ77) and the slab container are
+//! the shared [`crate::sz`] pipeline. Its side info —
 //! `varint(block count) | mode bytes | varint(coefficient bytes) |
 //! coefficient varints` — sits between the stored error bound and the
 //! entropy section.
@@ -26,7 +26,6 @@
 //! per point, in the per-point sum's order, so every prediction keeps
 //! its bits.
 
-use crate::entropy::EntropyMode;
 use crate::header::magic;
 use crate::lorenzo::{extent, row_stencils, rows, stencils, PlaneFlags, Stencil};
 use crate::sz::{sz_row, Dequantizer, Quantizer, Walk};
@@ -46,7 +45,7 @@ type Coefs = [f32; MAX_NDIM + 1];
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Sz2;
 
-sz_row!(Sz2, "sz2", Sz2, EntropyMode::Auto);
+sz_row!(Sz2, "sz2", Sz2);
 
 /// One block's geometry: origin and per-axis extent.
 #[derive(Clone, Copy)]
@@ -217,7 +216,7 @@ fn dequantize_coefs(ints: &[i64; MAX_NDIM + 1], eb: f64, ndim: usize) -> Coefs {
 }
 
 /// Estimated entropy cost (bits) of one residual after quantization:
-/// zero codes are nearly free under Huffman + LZ77; a nonzero code pays a
+/// zero codes are nearly free under FSE + LZ77; a nonzero code pays a
 /// symbol cost plus its magnitude bits.
 #[inline]
 fn residual_bits(res: f64, eb: f64) -> f64 {

@@ -14,11 +14,10 @@
 //! `±s, ±3s` using the paper's Eq. 3 weights `(-1/16, 9/16, 9/16, -1/16)`,
 //! falling back to linear/constant interpolation at the grid boundary.
 //! The walk is all this row adds: quantization (bin `2·eb`, verbatim
-//! fallback), the entropy back end (per-block Huffman/FSE selection +
-//! LZ77, see [`crate::entropy`]) and the slab container are the shared
+//! fallback), the entropy back end (per-block FSE + LZ77, see
+//! [`crate::entropy`]) and the slab container are the shared
 //! [`crate::sz`] pipeline.
 
-use crate::entropy::EntropyMode;
 use crate::header::magic;
 use crate::lorenzo::{extent, rows, PlaneFlags};
 use crate::mgard::{coarsest, num_levels};
@@ -31,7 +30,7 @@ use fxrz_datagen::Dims;
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SzInterp;
 
-sz_row!(SzInterp, "szi", SzInterp, EntropyMode::Auto);
+sz_row!(SzInterp, "szi", SzInterp);
 
 /// Which neighbours along the sweep axis a node interpolates from; it
 /// depends only on the node's coordinate along that axis. A sweep node

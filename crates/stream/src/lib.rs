@@ -181,7 +181,8 @@ fn preference(fv: &FeatureVector) -> [&'static str; 4] {
     } else if rho < RHO_ROUGH {
         ["sz", "sz2", "sz-fse", "szi"]
     } else {
-        // Noisy: quantizer output is entropy-dominated, pin FSE.
+        // Noisy: quantizer output is entropy-dominated. `sz-fse` writes
+        // `sz`'s bytes; its frames carry its own tag.
         ["sz-fse", "sz", "sz2", "szi"]
     }
 }

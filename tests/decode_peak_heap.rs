@@ -20,7 +20,7 @@ use fxrz_datagen::{Dims, Field};
 
 /// One FSE decode table at the largest table log: 8 B per state. No
 /// block is coded at a larger one; a full block of [`BLOCK_SYMBOLS`]
-/// codes takes it only when its codes need it ([`fse::sizing`] picks
+/// codes takes it only when its codes need it ([`fse::encode`] picks
 /// each block's log by cost).
 const TABLE: usize = 8 << fse::MAX_TABLE_LOG;
 

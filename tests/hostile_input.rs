@@ -35,7 +35,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use fxrz_archive::{Archive, ArchiveWriter};
 use fxrz_codec::bitstream::{read_varint, write_varint};
 use fxrz_codec::{huffman, lz77};
-use fxrz_compressors::entropy::{decode_codes, encode_codes, EntropyMode};
+use fxrz_compressors::entropy::{decode_codes, encode_codes};
 use fxrz_compressors::{slab, Codec, Compressor, ErrorConfig, CODECS};
 use fxrz_datagen::{Dims, Field};
 use fxrz_serve::protocol::{
@@ -868,11 +868,17 @@ fn sz_codes(rng: &mut StdRng, n: usize) -> Vec<u32> {
 
 fn entropy_rows(out: &mut Vec<Row>, rng: &mut StdRng) {
     let codes = sz_codes(rng, 600);
-    for mode in [EntropyMode::Fse, EntropyMode::Huffman] {
-        let mut input = Vec::new();
-        fxrz_codec::with_scratch(|s| encode_codes(s, &codes, mode, &mut input));
+    // The section the encoder writes, and a legacy single-Huffman
+    // section (`varint(len) | huffman stream`) as earlier encoders wrote.
+    let mut fse = Vec::new();
+    fxrz_codec::with_scratch(|s| encode_codes(s, &codes, &mut fse));
+    let stream = huffman::encode(&codes);
+    let mut legacy = Vec::new();
+    write_varint(&mut legacy, stream.len() as u64);
+    legacy.extend_from_slice(&stream);
+    for (layout, input) in [("Fse", fse), ("Huffman", legacy)] {
         let mut w = Walk::new(&input);
-        if mode == EntropyMode::Huffman {
+        if layout == "Huffman" {
             w.varint();
             huffman_header(&mut w);
         } else {
@@ -887,7 +893,7 @@ fn entropy_rows(out: &mut Vec<Row>, rng: &mut StdRng) {
         let slots = w.slots;
         let expected = codes.len();
         out.push(row(
-            format!("entropy::decode_codes/{mode:?}"),
+            format!("entropy::decode_codes/{layout}"),
             input,
             slots,
             true,
