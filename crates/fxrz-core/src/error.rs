@@ -25,6 +25,8 @@ pub enum FxrzError {
         /// Newest format version this build can read.
         supported: u32,
     },
+    /// A serialized model carries a value no estimate can run with.
+    InvalidModel(&'static str),
 }
 
 impl std::fmt::Display for FxrzError {
@@ -44,6 +46,7 @@ impl std::fmt::Display for FxrzError {
                 f,
                 "model format version {found} is newer than supported ({supported})"
             ),
+            FxrzError::InvalidModel(m) => write!(f, "invalid model: {m}"),
         }
     }
 }

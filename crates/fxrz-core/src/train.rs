@@ -152,18 +152,25 @@ pub struct TrainedModel {
 
 impl TrainedModel {
     /// Checks that this model's serialized format is one this build can
-    /// interpret. Call after deserializing a model from an untrusted or
-    /// out-of-tree source (the serve registry does).
+    /// interpret, and that its sampling stride and CA block width are
+    /// positive. [`FixedRatioCompressor::new`](crate::FixedRatioCompressor::new)
+    /// calls it, so every deserialized model is checked before it binds.
     ///
     /// # Errors
     /// Fails when the file declares a format newer than
-    /// [`MODEL_FORMAT_VERSION`].
+    /// [`MODEL_FORMAT_VERSION`], or a zero stride or CA block width.
     pub fn check_format(&self) -> Result<(), FxrzError> {
         if self.format_version > MODEL_FORMAT_VERSION {
             return Err(FxrzError::UnsupportedModelFormat {
                 found: self.format_version,
                 supported: MODEL_FORMAT_VERSION,
             });
+        }
+        if self.stride == 0 {
+            return Err(FxrzError::InvalidModel("sampling stride is 0"));
+        }
+        if self.ca.is_some_and(|ca| ca.block == 0) {
+            return Err(FxrzError::InvalidModel("CA block width is 0"));
         }
         Ok(())
     }

@@ -99,9 +99,6 @@ impl ModelRegistry {
 
     /// Validates and binds a deserialized model, without inserting it.
     fn bind(model: TrainedModel) -> Result<FixedRatioCompressor, RegistryError> {
-        model
-            .check_format()
-            .map_err(|e| RegistryError::Rejected(e.to_string()))?;
         let comp = fxrz_compressors::by_name(&model.compressor).ok_or_else(|| {
             RegistryError::Rejected(format!(
                 "model names unknown compressor `{}`",

@@ -287,7 +287,8 @@ impl StreamEncoder {
     /// online calibration takes over once it has observed the stream).
     ///
     /// # Errors
-    /// As [`StreamEncoder::new`], plus a model naming a compressor
+    /// As [`StreamEncoder::new`], plus a model that
+    /// [`TrainedModel::check_format`] refuses or that names a compressor
     /// outside the roster.
     pub fn with_models(
         config: StreamConfig,
@@ -295,6 +296,9 @@ impl StreamEncoder {
     ) -> Result<Self, StreamError> {
         let mut enc = Self::new(config)?;
         for model in models {
+            model.check_format().map_err(|e| {
+                StreamError::BadConfig(format!("model for {:?}: {e}", model.compressor))
+            })?;
             let row = enc
                 .rows
                 .iter_mut()

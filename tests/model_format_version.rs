@@ -1,11 +1,14 @@
-//! Integration: serialized-model format versioning.
+//! Integration: serialized-model format versioning and validation.
 //!
 //! `fxrz train` stamps `format_version` into every model JSON. Files that
 //! predate the field (the committed `model_legacy_v0.json` fixture) must
 //! still load — they decode as version 0 — while files from a future,
-//! newer format must be refused instead of misread.
+//! newer format must be refused instead of misread. So must a model whose
+//! sampling stride or CA block width is 0, wherever a model is loaded.
 
 use fxrz::prelude::*;
+use fxrz::stream::{StreamConfig, StreamEncoder};
+use fxrz_core::ca::CompressibilityAdjuster;
 use fxrz_core::sampling::StridedSampler;
 use fxrz_core::train::{TrainedModel, TrainerConfig, MODEL_FORMAT_VERSION};
 use fxrz_datagen::grf::{gaussian_random_field, GrfConfig};
@@ -84,6 +87,65 @@ fn future_versions_are_refused_by_registry_and_check() {
         reg.load_json("future", 0, &json).is_err(),
         "registry accepted a model from the future"
     );
+}
+
+/// A trained model edited three ways, each a model no estimate can run.
+fn bad_models() -> Vec<(&'static str, TrainedModel)> {
+    let good = train_tiny();
+    let mut future = good.clone();
+    future.format_version = 99;
+    let mut no_stride = good.clone();
+    no_stride.stride = 0;
+    let mut no_block = good;
+    no_block.ca = Some(CompressibilityAdjuster {
+        block: 0,
+        ..CompressibilityAdjuster::default()
+    });
+    vec![
+        ("format 99", future),
+        ("stride 0", no_stride),
+        ("CA block 0", no_block),
+    ]
+}
+
+#[test]
+fn every_load_path_refuses_a_bad_model() {
+    for (what, model) in bad_models() {
+        assert!(model.check_format().is_err(), "{what}: check_format");
+        assert!(
+            FixedRatioCompressor::new(model.clone(), Box::new(Sz)).is_err(),
+            "{what}: bind"
+        );
+        let json = serde_json::to_string(&model).expect("serialize");
+        assert!(
+            ModelRegistry::new().load_json("bad", 0, &json).is_err(),
+            "{what}: registry"
+        );
+        assert!(
+            StreamEncoder::with_models(StreamConfig::new(8.0), vec![model]).is_err(),
+            "{what}: stream encoder"
+        );
+    }
+}
+
+#[test]
+fn a_served_bad_model_is_refused_without_a_panic() {
+    let server = Server::new(ServerConfig::default());
+    let handle = server.serve_tcp("127.0.0.1:0").expect("bind tcp");
+    let mut client =
+        Client::connect_tcp(&handle.local_addr().expect("addr").to_string()).expect("connect");
+    let field = gaussian_random_field(Dims::d3(16, 16, 16), GrfConfig::default().with_seed(9));
+    for (what, model) in bad_models() {
+        let json = serde_json::to_string(&model).expect("serialize");
+        assert!(client.load_model("bad", 0, &json).is_err(), "{what}: load");
+        assert!(
+            client.predict("bad", 8.0, &field).is_err(),
+            "{what}: predict"
+        );
+    }
+    let panics = server.metrics().counter(fxrz::serve::names::SCHED_PANICS);
+    assert_eq!(panics.get(), 0, "the daemon panicked on a request");
+    assert!(handle.shutdown().drained);
 }
 
 /// Regenerates `tests/fixtures/model_legacy_v0.json`: a tiny SVR model
