@@ -16,7 +16,16 @@
 
 use crate::sampling::StridedSampler;
 use fxrz_datagen::{Dims, Field};
+use fxrz_telemetry::{Counter, Name, Resolved};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
+
+/// Extractions run, resolved once.
+static EXTRACTIONS: Resolved<Name, Arc<Counter>> =
+    Resolved::counter(crate::names::FEATURES_EXTRACTIONS);
+/// Points sampled for features, resolved once.
+static SAMPLED_POINTS: Resolved<Name, Arc<Counter>> =
+    Resolved::counter(crate::names::FEATURES_SAMPLED_POINTS);
 
 /// All eight candidate features of one field.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -302,14 +311,8 @@ pub fn extract(field: &Field, sampler: StridedSampler) -> FeatureVector {
     let data = field.data();
 
     let sample_coords = sampler.coords(field);
-    {
-        let registry = fxrz_telemetry::global();
-        registry.incr(crate::names::FEATURES_EXTRACTIONS);
-        registry.add(
-            crate::names::FEATURES_SAMPLED_POINTS,
-            sample_coords.len() as u64,
-        );
-    }
+    EXTRACTIONS.get().incr();
+    SAMPLED_POINTS.get().add(sample_coords.len() as u64);
     let acc = fxrz_parallel::par_reduce(
         sample_coords.len(),
         POINTS_PER_CHUNK,

@@ -8,6 +8,12 @@
 //! cutting analysis time ~20× at almost no accuracy loss (§V-F).
 
 use fxrz_datagen::{Dims, Field};
+use fxrz_telemetry::{HdrHistogram, Name, Resolved};
+use std::sync::Arc;
+
+/// Points drawn per call, resolved once.
+static POINTS: Resolved<Name, Arc<HdrHistogram>> =
+    Resolved::histogram(crate::names::SAMPLING_POINTS);
 
 /// Stride-K uniform sampler.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -49,7 +55,7 @@ impl StridedSampler {
         // per-axis sampled counts
         let counts: Vec<usize> = (0..ndim).map(|a| dims.axis(a).div_ceil(stride)).collect();
         let total: usize = counts.iter().product();
-        fxrz_telemetry::global().observe(crate::names::SAMPLING_POINTS, total as u64);
+        POINTS.get().record(total as u64);
         let mut out = Vec::with_capacity(total);
         let mut it = vec![0usize; ndim];
         let strides = dims.strides();

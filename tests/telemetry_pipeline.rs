@@ -110,7 +110,7 @@ fn snapshot_json_matches_schema() {
 
 /// Name-map lookups one warm compress of the 32³ Nyx field makes: each
 /// emit by name, handle resolve and span record is one.
-const LOOKUPS_PER_COMPRESS: u64 = 22;
+const LOOKUPS_PER_COMPRESS: u64 = 15;
 
 #[test]
 fn telemetry_costs_a_fixed_count_of_lookups_per_compress() {
