@@ -95,11 +95,14 @@ impl Latch {
         }
     }
 
+    /// Notifies while still holding the lock: the latch lives on the
+    /// waiter's stack, and a waiter that saw zero before a notify sent
+    /// after unlocking would return, and the notify would then write
+    /// into whatever frame took the latch's place.
     fn count_down(&self) {
         let mut left = self.remaining.lock().expect("latch lock");
         *left -= 1;
         if *left == 0 {
-            drop(left);
             self.zero.notify_all();
         }
     }
