@@ -216,15 +216,10 @@ impl ArchiveWriter {
     }
 }
 
-/// Mirrors the slab directory of an SZ-family blob (a row with a frame
-/// tag in the codec table) into archive index rows (empty for monolithic
-/// streams and non-slab codecs).
+/// Mirrors the slab directory of a blob of any registry row into
+/// archive index rows (empty for monolithic streams and unknown magics).
 fn slab_rows(blob: &[u8]) -> Vec<SlabRow> {
-    let Some(row) = blob
-        .first()
-        .and_then(|&m| codec_for_magic(m))
-        .filter(|row| row.frame_tag.is_some())
-    else {
+    let Some(row) = blob.first().and_then(|&m| codec_for_magic(m)) else {
         return Vec::new();
     };
     match slab::table(blob, row.magic, row.name) {
@@ -402,9 +397,9 @@ impl<'a> Archive<'a> {
     }
 
     /// Decompresses only `range` (row-major element indices) of one
-    /// field through its codec's `decompress_range`: SZ-family blobs
-    /// touch just the slabs that cover it, and stop decoding where the
-    /// range ends.
+    /// field through its codec's `decompress_range`: a slabbed blob of any
+    /// row touches just the slabs that cover it, and `sz`/`sz-fse` stop
+    /// decoding where the range ends.
     ///
     /// # Errors
     /// Fails on missing names, corrupt blobs, or an out-of-bounds range.

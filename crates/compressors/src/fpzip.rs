@@ -17,11 +17,14 @@
 //! ([`crate::ConfigSpace::Precision`]).
 
 use crate::header::{self, magic};
+use crate::slab::{self, Window};
 use crate::{lorenzo, CompressError, Compressor, ConfigSpace, ErrorConfig};
 use fxrz_codec::range::{BitModel, BitTree, RangeDecoder, RangeEncoder, MAX_DECISIONS_PER_BYTE};
 use fxrz_datagen::Field;
 
-/// Minimum accepted precision.
+/// Minimum accepted precision. Its stored byte equals
+/// [`slab::SLAB_TAG`]; the range-coded body after it tells the two apart
+/// (see [`slab::table`]).
 pub const MIN_PRECISION: u32 = 2;
 /// Maximum precision (full 32-bit mapping; near-lossless).
 pub const MAX_PRECISION: u32 = 32;
@@ -128,6 +131,36 @@ impl Compressor for Fpzip {
     }
 
     fn compress(&self, field: &Field, cfg: &ErrorConfig) -> Result<Vec<u8>, CompressError> {
+        slab::compress(magic::FPZIP, field, slab::SLAB_SYMBOLS, |sub| {
+            self.compress_mono(sub, cfg)
+        })
+    }
+
+    fn decompress(&self, bytes: &[u8]) -> Result<Field, CompressError> {
+        slab::decompress(bytes, magic::FPZIP, self.name(), |sub, _| {
+            self.decode_whole(sub)
+        })
+    }
+
+    fn decompress_range(
+        &self,
+        bytes: &[u8],
+        range: core::ops::Range<usize>,
+    ) -> Result<Vec<f32>, CompressError> {
+        slab::decompress_range_impl(bytes, magic::FPZIP, self.name(), range, |sub, _| {
+            self.decode_whole(sub)
+        })
+    }
+
+    fn config_space(&self) -> ConfigSpace {
+        ConfigSpace::Precision { min: 4, max: 28 }
+    }
+}
+
+impl Fpzip {
+    /// One monolithic stream: header, precision byte, range-coded
+    /// residuals.
+    fn compress_mono(&self, field: &Field, cfg: &ErrorConfig) -> Result<Vec<u8>, CompressError> {
         crate::instrument::compress(self.name(), field.nbytes(), || {
             let prec = match cfg {
                 ErrorConfig::Precision(p) if (MIN_PRECISION..=MAX_PRECISION).contains(p) => *p,
@@ -172,8 +205,11 @@ impl Compressor for Fpzip {
         })
     }
 
-    fn decompress(&self, bytes: &[u8]) -> Result<Field, CompressError> {
-        crate::instrument::decompress(self.name(), bytes.len(), Field::nbytes, || {
+    /// Decodes one monolithic stream whole: its residuals share one range
+    /// coder, so a window is the whole stream. A decoded value outside the
+    /// stored precision's range, which no encoder writes, is an error.
+    fn decode_whole(&self, bytes: &[u8]) -> Result<Window, CompressError> {
+        crate::instrument::decompress(self.name(), bytes.len(), Window::nbytes, || {
             let (name, dims, off) = header::read(bytes, magic::FPZIP, "fpzip")?;
             let rest = &bytes[off..];
             let &prec_byte = rest
@@ -202,20 +238,18 @@ impl Compressor for Fpzip {
                 &mut |_, pred: i64| pred.wrapping_add(coder.decode(&mut dec)),
             );
             dec.finish().map_err(CompressError::Decode)?;
-            let max_t = (1u64 << prec) - 1;
-            let data: Vec<f32> = trunc
+            let max_t = (1i64 << prec) - 1;
+            if trunc.iter().any(|t| !(0..=max_t).contains(t)) {
+                return Err(CompressError::Header(
+                    "decoded value outside the stored precision",
+                ));
+            }
+            let data = trunc
                 .iter()
-                .map(|&t| {
-                    let t = t.clamp(0, max_t as i64) as u32;
-                    monotone_to_f32(reconstruct(t, prec))
-                })
+                .map(|&t| monotone_to_f32(reconstruct(t as u32, prec)))
                 .collect();
-            Ok(Field::new(name, dims, data))
+            Ok(Window::whole(name, dims, data))
         })
-    }
-
-    fn config_space(&self) -> ConfigSpace {
-        ConfigSpace::Precision { min: 4, max: 28 }
     }
 }
 
@@ -323,6 +357,23 @@ mod tests {
         for cut in 0..buf.len() {
             assert!(Fpzip.decompress(&buf[..cut]).is_err(), "cut {cut} decoded");
         }
+    }
+
+    #[test]
+    fn values_outside_the_stored_precision_are_an_error() {
+        // A precision-16 stream relabelled as precision 2 (the slab tag's
+        // byte; the range coder's leading 0 keeps it monolithic) decodes
+        // to values no 2-bit encoder writes.
+        let f = smooth_field();
+        let mut buf = Fpzip.compress(&f, &ErrorConfig::Precision(16)).expect("c");
+        let (_, _, off) = header::read(&buf, magic::FPZIP, "fpzip").expect("header");
+        buf[off] = 2;
+        assert!(matches!(
+            Fpzip.decompress(&buf),
+            Err(CompressError::Header(
+                "decoded value outside the stored precision"
+            ))
+        ));
     }
 
     #[test]

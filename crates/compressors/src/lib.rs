@@ -21,7 +21,9 @@
 //!
 //! All seven registry rows implement [`Compressor`], take an
 //! [`ErrorConfig`], emit self-describing buffers, and guarantee their
-//! respective error controls (property-tested in each module).
+//! respective error controls (property-tested in each module). Every row
+//! writes a field that fills two slabs as a [`slab`] container of its
+//! own monolithic streams, and decodes through the same container code.
 //! [`CODECS`] names each row once — name, stream magic, stream frame tag
 //! and constructor — and [`by_name`], [`detect`], the stream frame
 //! directory and the archive's slab index all look rows up there.
@@ -189,25 +191,17 @@ pub trait Compressor: Send + Sync {
     /// Reconstructs the field from a buffer produced by [`Self::compress`].
     fn decompress(&self, bytes: &[u8]) -> Result<Field, CompressError>;
 
-    /// Reconstructs only the elements in `range` (row-major indices).
-    ///
-    /// The default decodes the whole field and slices — correct for any
-    /// stream. The SZ-family rows override it: they decode only the
-    /// slabs of the [`slab`] container that cover the range, and `sz`
-    /// and `sz-fse` stop each stream's decode at the row holding the
-    /// range's last element.
+    /// Reconstructs only the elements in `range` (row-major indices),
+    /// equal to the same slice of [`Self::decompress`]'s field. Every
+    /// registry row decodes only the slabs of the [`slab`] container that
+    /// cover the range (zfp, fpzip, mgard, `sz2` and `szi` each of them
+    /// whole), and `sz` and `sz-fse` stop each stream's decode at the row
+    /// holding the range's last element.
     fn decompress_range(
         &self,
         bytes: &[u8],
         range: std::ops::Range<usize>,
-    ) -> Result<Vec<f32>, CompressError> {
-        let field = self.decompress(bytes)?;
-        field
-            .data()
-            .get(range)
-            .map(<[f32]>::to_vec)
-            .ok_or(CompressError::Header("range exceeds field extent"))
-    }
+    ) -> Result<Vec<f32>, CompressError>;
 
     /// The valid configuration space for this compressor.
     fn config_space(&self) -> ConfigSpace;
@@ -228,8 +222,8 @@ pub struct Codec {
     /// Header magic of the row's streams (see [`header::magic`]).
     pub magic: u8,
     /// Codec tag of the row's `FXRZS1` stream frames: `Some` exactly for
-    /// the SZ-family rows, which run the [`sz`] pipeline and write its
-    /// [`slab`] container.
+    /// the SZ-family rows, which the stream encoder may pick per frame.
+    /// Every row, tagged or not, writes the [`slab`] container.
     pub frame_tag: Option<u8>,
     /// Builds the compressor.
     pub make: fn() -> Box<dyn Compressor>,

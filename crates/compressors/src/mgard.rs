@@ -14,6 +14,7 @@
 
 use crate::header::{self, magic};
 use crate::lorenzo::{extent, rows};
+use crate::slab::{self, Window};
 use crate::sz::{abs_eb, open_payload, HALF};
 use crate::{CompressError, Compressor, ConfigSpace, ErrorConfig};
 use fxrz_codec::bitstream::{read_varint, unzigzag, write_varint, zigzag};
@@ -162,6 +163,39 @@ impl Compressor for Mgard {
     }
 
     fn compress(&self, field: &Field, cfg: &ErrorConfig) -> Result<Vec<u8>, CompressError> {
+        slab::compress(magic::MGARD, field, slab::SLAB_SYMBOLS, |sub| {
+            self.compress_mono(sub, cfg)
+        })
+    }
+
+    fn decompress(&self, bytes: &[u8]) -> Result<Field, CompressError> {
+        slab::decompress(bytes, magic::MGARD, self.name(), |sub, _| {
+            self.decode_whole(sub)
+        })
+    }
+
+    fn decompress_range(
+        &self,
+        bytes: &[u8],
+        range: core::ops::Range<usize>,
+    ) -> Result<Vec<f32>, CompressError> {
+        slab::decompress_range_impl(bytes, magic::MGARD, self.name(), range, |sub, _| {
+            self.decode_whole(sub)
+        })
+    }
+
+    fn config_space(&self) -> ConfigSpace {
+        ConfigSpace::AbsRelRange {
+            min_rel: 1e-7,
+            max_rel: 2e-1,
+        }
+    }
+}
+
+impl Mgard {
+    /// One monolithic stream: the level hierarchy's quantized residuals,
+    /// zero-run coded, then LZ77.
+    fn compress_mono(&self, field: &Field, cfg: &ErrorConfig) -> Result<Vec<u8>, CompressError> {
         crate::instrument::compress(self.name(), field.nbytes(), || {
             let eb = abs_eb(self.name(), cfg)?;
 
@@ -219,8 +253,10 @@ impl Compressor for Mgard {
         })
     }
 
-    fn decompress(&self, bytes: &[u8]) -> Result<Field, CompressError> {
-        crate::instrument::decompress(self.name(), bytes.len(), Field::nbytes, || {
+    /// Decodes one monolithic stream whole: every level predicts from the
+    /// coarser ones, so a window is the whole stream.
+    fn decode_whole(&self, bytes: &[u8]) -> Result<Window, CompressError> {
+        crate::instrument::decompress(self.name(), bytes.len(), Window::nbytes, || {
             let (name, dims, payload, eb) = open_payload(bytes, magic::MGARD, self.name())?;
             let bin = 2.0 * eb;
             let mut pos = 8usize;
@@ -276,15 +312,8 @@ impl Compressor for Mgard {
             if short {
                 return Err(CompressError::Header("missing unpredictable value"));
             }
-            Ok(Field::new(name, dims, recon))
+            Ok(Window::whole(name, dims, recon))
         })
-    }
-
-    fn config_space(&self) -> ConfigSpace {
-        ConfigSpace::AbsRelRange {
-            min_rel: 1e-7,
-            max_rel: 2e-1,
-        }
     }
 }
 

@@ -33,7 +33,7 @@ pub const SLAB_RANGE_CALLS: Name = Name::new("archive.slab.range_calls");
 /// (or the one monolithic stream). `sz`/`sz-fse` rebuild each from the
 /// last indexed plane at or before the range's start in it (the slab or
 /// stream start without one) to the end of the row holding the range's
-/// last point in it; `sz2`/`szi` rebuild each whole.
+/// last point in it; the other rows rebuild each whole.
 pub const SLAB_RANGE_DECODED_ELEMS: Name = Name::new("archive.slab.range_decoded_elems");
 /// Slab or monolithic `sz`/`sz-fse` streams a `decompress_range` started
 /// at an access-index entry instead of at the stream start.

@@ -1,17 +1,14 @@
-//! Seekable slab container for SZ-family streams (format v2).
+//! Seekable slab container, written by every registry row (format v2).
 //!
-//! A monolithic (v1) stream is one LZ77 payload after the common
-//! [`crate::header`]; decode is inherently sequential. The slab
-//! container splits a field along its leading axis into
-//! independently-decodable *slabs*, each a complete self-describing
-//! compressor stream over a contiguous run of leading-axis planes:
+//! A monolithic (v1) stream is one row's payload after the common
+//! [`crate::header`]; its decode is sequential. The slab container
+//! splits a field along its leading axis into independently-decodable
+//! *slabs*, each a complete self-describing monolithic stream of the same
+//! row over a contiguous run of leading-axis planes:
 //!
 //! ```text
 //! common header (magic | name | dims)           <- same as v1, detect() unchanged
-//! 0x02                                          <- container tag (v1 LZ77 streams
-//!                                                  never start with 0x02: the
-//!                                                  leading varint of an >=8-byte
-//!                                                  payload is >= 8 or >= 0x80)
+//! 0x02                                          <- container tag
 //! varint n_slabs                                <- always >= 2
 //! n_slabs x { varint raw_elems                  <- directory
 //!             varint comp_len
@@ -19,6 +16,13 @@
 //!             u8   codec tag }                  <- header magic of the slab stream
 //! slab streams, concatenated                    <- each begins with its own header
 //! ```
+//!
+//! No monolithic stream reads as a container. The SZ rows' and mgard's
+//! LZ77 payloads never start with `0x02` (the leading varint of an
+//! 8-byte-or-longer payload is >= 8 or >= 0x80), and zfp's mode byte is
+//! 0 or 1. fpzip's precision byte is `0x02` at precision 2, but its
+//! range-coded body always starts with 0, the first byte of no slab
+//! count: [`table`] reads a tag followed by 0 as a monolithic stream.
 //!
 //! Slab boundaries are a pure function of the dims and the symbol
 //! budget — never of thread count — so encode output and decode output
@@ -71,8 +75,9 @@ use fxrz_datagen::{Dims, Field};
 /// Container tag byte that follows the common header in a v2 stream.
 pub const SLAB_TAG: u8 = 0x02;
 
-/// Symbols per slab: aligned to the entropy coder's block size so one
-/// slab is one entropy block (plus the plane-alignment remainder).
+/// Symbols per slab, at least: the entropy coder's block size, so a slab
+/// is one entropy block plus its share of the planes left over when the
+/// field's planes do not divide evenly into slabs.
 pub const SLAB_SYMBOLS: usize = crate::entropy::BLOCK_SYMBOLS;
 
 /// One directory row of a parsed slab container.
@@ -108,6 +113,22 @@ pub struct Window {
 }
 
 impl Window {
+    /// The window of a decoder that rebuilds the whole field.
+    pub fn whole(name: String, dims: Dims, data: Vec<f32>) -> Self {
+        Self {
+            name,
+            dims,
+            first: 0,
+            data,
+        }
+    }
+
+    /// Bytes of the rebuilt points, the size a decode's telemetry
+    /// records.
+    pub fn nbytes(&self) -> usize {
+        std::mem::size_of_val(self.data.as_slice())
+    }
+
     /// The points of `range` (stream indices), or a typed error when the
     /// window does not hold them all.
     fn slice(&self, range: core::ops::Range<usize>) -> Result<&[f32], CompressError> {
@@ -136,8 +157,9 @@ pub fn checksum(bytes: &[u8]) -> u32 {
 /// Plans the slab split for `dims` under a per-slab symbol `budget`:
 /// returns the leading-axis plane count of each slab, or `None` when
 /// the field is too small to be worth slabbing (fewer than two full
-/// slabs). The remainder planes are merged into the last slab so every
-/// slab holds at least `budget` symbols.
+/// slabs). The field takes as many slabs as it fills, and its planes
+/// spread evenly over them: slab sizes differ by at most one plane, the
+/// larger ones first, so slabs decoded side by side finish together.
 pub fn plan(dims: Dims, budget: usize) -> Option<Vec<usize>> {
     let shape = dims.shape();
     let axis0 = *shape.first()?;
@@ -153,11 +175,8 @@ pub fn plan(dims: Dims, budget: usize) -> Option<Vec<usize>> {
     if full < 2 {
         return None;
     }
-    let mut planes = vec![per_slab; full];
-    if let Some(last) = planes.last_mut() {
-        *last += axis0 - full * per_slab;
-    }
-    Some(planes)
+    let (base, extra) = (axis0 / full, axis0 % full);
+    Some((0..full).map(|i| base + usize::from(i < extra)).collect())
 }
 
 /// Extracts the sub-field of `field` covering `n_planes` leading-axis
@@ -173,6 +192,24 @@ fn sub_field(field: &Field, start_plane: usize, n_planes: usize) -> Option<Field
     let end = start.checked_add(n_planes.checked_mul(plane)?)?;
     let data = field.data().get(start..end)?.to_vec();
     Some(Field::new(field.name(), Dims::new(&sub_shape), data))
+}
+
+/// Compresses `field` the way every registry row does: a slab container
+/// of [`compress_slabbed`] when the field fills two slabs of `budget`
+/// symbols, else `compress_one`'s monolithic stream.
+pub fn compress<F>(
+    expect_magic: u8,
+    field: &Field,
+    budget: usize,
+    compress_one: F,
+) -> Result<Vec<u8>, CompressError>
+where
+    F: Fn(&Field) -> Result<Vec<u8>, CompressError> + Sync,
+{
+    match compress_slabbed(expect_magic, field, budget, &compress_one)? {
+        Some(out) => Ok(out),
+        None => compress_one(field),
+    }
 }
 
 /// Compresses `field` as a slab container, or returns `Ok(None)` when
@@ -235,8 +272,10 @@ where
 
 /// Parses the slab directory of a stream, if it is a v2 container.
 ///
-/// Returns `Ok(None)` for a monolithic v1 stream (no `0x02` tag after
-/// the common header). Every directory field is validated before use:
+/// Returns `Ok(None)` for a monolithic v1 stream: no `0x02` tag after
+/// the common header, or the tag followed by 0 (an fpzip stream at
+/// precision 2; no slab count starts with 0). Every directory field is
+/// validated before use:
 /// slab count against the remaining byte budget and the leading axis,
 /// element counts as whole-plane multiples summing exactly to the
 /// field, byte extents against the stream length.
@@ -246,7 +285,7 @@ pub fn table(
     compressor: &'static str,
 ) -> Result<Option<(String, Dims, Vec<SlabEntry>)>, CompressError> {
     let (name, dims, off) = header::read(bytes, expect_magic, compressor)?;
-    if bytes.get(off) != Some(&SLAB_TAG) {
+    if bytes.get(off) != Some(&SLAB_TAG) || bytes.get(off + 1) == Some(&0) {
         return Ok(None);
     }
     let mut pos = off + 1;
@@ -366,22 +405,25 @@ where
     Ok((rebuilt, sub.slice(range)?.to_vec()))
 }
 
-/// Decompresses a slab container in parallel, or returns `Ok(None)` for
-/// a monolithic v1 stream. `decode(stream, range)` is the compressor's
-/// monolithic window decoder; every slab decodes whole. Output is
-/// bit-identical at any thread count: slab boundaries come from the
-/// directory and each slab writes a disjoint range of the output.
-pub fn decompress_slabbed<G>(
+/// Decompresses a stream the way every registry row does: a slab
+/// container's slabs in parallel, a monolithic v1 stream (every stream
+/// of a field below two slabs, and every pre-container archive's) as
+/// one. `decode(stream, range)` is the row's monolithic window decoder;
+/// every stream decodes whole. Output is bit-identical at any thread
+/// count: slab boundaries come from the directory and each slab writes
+/// a disjoint range of the output.
+pub fn decompress<G>(
     bytes: &[u8],
     expect_magic: u8,
     compressor: &'static str,
     decode: G,
-) -> Result<Option<Field>, CompressError>
+) -> Result<Field, CompressError>
 where
     G: Fn(&[u8], core::ops::Range<usize>) -> Result<Window, CompressError> + Sync,
 {
     let Some((name, dims, entries)) = table(bytes, expect_magic, compressor)? else {
-        return Ok(None);
+        let whole = decode(bytes, 0..usize::MAX)?;
+        return Ok(Field::new(whole.name, whole.dims, whole.data));
     };
     let decoded: Vec<Result<Vec<f32>, CompressError>> =
         fxrz_parallel::par_map(entries.len(), 1, |r| {
@@ -399,7 +441,7 @@ where
     if data.len() != dims.len() {
         return Err(CompressError::Header("slab stream does not tile field"));
     }
-    Ok(Some(Field::new(name, dims, data)))
+    Ok(Field::new(name, dims, data))
 }
 
 /// Decodes `range` (element indices) from a stream, rebuilding only the
@@ -482,12 +524,18 @@ mod tests {
     }
 
     #[test]
-    fn plan_merges_remainder_into_last_slab() {
+    fn plan_spreads_planes_evenly() {
         // 10 planes of 4 elems, budget 8 symbols -> 2 planes per slab,
         // 5 full slabs, no remainder.
         assert_eq!(plan(Dims::d2(10, 4), 8), Some(vec![2, 2, 2, 2, 2]));
-        // 11 planes -> remainder plane rides with the last slab.
-        assert_eq!(plan(Dims::d2(11, 4), 8), Some(vec![2, 2, 2, 2, 3]));
+        // 11 planes -> the remainder plane goes to the first slab.
+        assert_eq!(plan(Dims::d2(11, 4), 8), Some(vec![3, 2, 2, 2, 2]));
+        // 14 planes over 4 slabs of at least 3 -> 4, 4, 3, 3.
+        assert_eq!(plan(Dims::d2(14, 4), 12), Some(vec![4, 4, 3, 3]));
+        // QMCPack Medium: 34 planes of 20,102 fill two slabs of 2^18
+        // symbols, 17 planes each (the whole remainder made 13 + 21).
+        let qmcpack = Dims::d4(34, 38, 23, 23);
+        assert_eq!(plan(qmcpack, SLAB_SYMBOLS), Some(vec![17, 17]));
     }
 
     #[test]

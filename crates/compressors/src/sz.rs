@@ -713,13 +713,9 @@ pub(crate) fn compress<W: Walk>(
     cfg: &ErrorConfig,
     budget: usize,
 ) -> Result<Vec<u8>, CompressError> {
-    let slabbed = slab::compress_slabbed(W::MAGIC, field, budget, |sub| {
+    slab::compress(W::MAGIC, field, budget, |sub| {
         compress_mono::<W>(name, sub, cfg)
-    })?;
-    match slabbed {
-        Some(out) => Ok(out),
-        None => compress_mono::<W>(name, field, cfg),
-    }
+    })
 }
 
 /// Compresses with an explicit slab symbol budget instead of the
@@ -796,21 +792,14 @@ fn compress_mono<W: Walk>(
     })
 }
 
-/// Decompresses either container: v2 slab containers fan out over the
-/// worker pool (bit-identical at any thread count), v1 monolithic
-/// streams — including every pre-container archive — decode as one.
+/// Decompresses either container (see [`slab::decompress`]).
 pub(crate) fn decompress<W: Walk>(
     name: &'static str,
     bytes: &[u8],
 ) -> Result<Field, CompressError> {
-    let decode = |sub: &[u8], range| decode_window::<W>(name, sub, range);
-    match slab::decompress_slabbed(bytes, W::MAGIC, name, decode)? {
-        Some(field) => Ok(field),
-        None => {
-            let whole = decode(bytes, 0..usize::MAX)?;
-            Ok(Field::new(whole.name, whole.dims, whole.data))
-        }
-    }
+    slab::decompress(bytes, W::MAGIC, name, |sub, range| {
+        decode_window::<W>(name, sub, range)
+    })
 }
 
 /// Random-access decode: rebuilds only the window of the field that
@@ -839,8 +828,7 @@ fn decode_window<W: Walk>(
     bytes: &[u8],
     range: Range<usize>,
 ) -> Result<slab::Window, CompressError> {
-    let nbytes = |w: &slab::Window| std::mem::size_of_val(w.data.as_slice());
-    crate::instrument::decompress(name, bytes.len(), nbytes, || {
+    crate::instrument::decompress(name, bytes.len(), slab::Window::nbytes, || {
         let (field_name, dims, payload, eb) = open_payload(bytes, W::MAGIC, name)?;
         let mut pos = 8usize;
         let flags = if W::PLANES {

@@ -18,6 +18,7 @@
 //! paper highlights (Fig 2) emerges directly from the per-plane cut-off.
 
 use crate::header::{self, magic};
+use crate::slab::{self, Window};
 use crate::{CompressError, Compressor, ConfigSpace, ErrorConfig};
 use fxrz_codec::bitstream::{BitReader, BitWriter};
 use fxrz_datagen::{Dims, Field};
@@ -545,17 +546,10 @@ impl Zfp {
         }
         Ok(())
     }
-}
 
-impl Compressor for Zfp {
-    fn name(&self) -> &'static str {
-        match self.mode {
-            Mode::Accuracy => "zfp",
-            Mode::Rate => "zfp-rate",
-        }
-    }
-
-    fn compress(&self, field: &Field, cfg: &ErrorConfig) -> Result<Vec<u8>, CompressError> {
+    /// One monolithic stream: header, mode byte and knob, then every
+    /// block's bit planes.
+    fn compress_mono(&self, field: &Field, cfg: &ErrorConfig) -> Result<Vec<u8>, CompressError> {
         crate::instrument::compress(self.name(), field.nbytes(), || {
             enum Knob {
                 Acc(f64),
@@ -631,8 +625,10 @@ impl Compressor for Zfp {
         })
     }
 
-    fn decompress(&self, bytes: &[u8]) -> Result<Field, CompressError> {
-        crate::instrument::decompress(self.name(), bytes.len(), Field::nbytes, || {
+    /// Decodes one monolithic stream whole: zfp's blocks have no access
+    /// points, so a window is the whole stream.
+    fn decode_whole(&self, bytes: &[u8]) -> Result<Window, CompressError> {
+        crate::instrument::decompress(self.name(), bytes.len(), Window::nbytes, || {
             let (name, dims, off) = header::read(bytes, magic::ZFP, "zfp")?;
             let rest = &bytes[off..];
             if rest.len() < 9 {
@@ -697,7 +693,38 @@ impl Compressor for Zfp {
                 }
                 _ => return Err(CompressError::Header("unknown zfp mode byte")),
             }
-            Ok(Field::new(name, dims, data))
+            Ok(Window::whole(name, dims, data))
+        })
+    }
+}
+
+impl Compressor for Zfp {
+    fn name(&self) -> &'static str {
+        match self.mode {
+            Mode::Accuracy => "zfp",
+            Mode::Rate => "zfp-rate",
+        }
+    }
+
+    fn compress(&self, field: &Field, cfg: &ErrorConfig) -> Result<Vec<u8>, CompressError> {
+        slab::compress(magic::ZFP, field, slab::SLAB_SYMBOLS, |sub| {
+            self.compress_mono(sub, cfg)
+        })
+    }
+
+    fn decompress(&self, bytes: &[u8]) -> Result<Field, CompressError> {
+        slab::decompress(bytes, magic::ZFP, self.name(), |sub, _| {
+            self.decode_whole(sub)
+        })
+    }
+
+    fn decompress_range(
+        &self,
+        bytes: &[u8],
+        range: core::ops::Range<usize>,
+    ) -> Result<Vec<f32>, CompressError> {
+        slab::decompress_range_impl(bytes, magic::ZFP, self.name(), range, |sub, _| {
+            self.decode_whole(sub)
         })
     }
 

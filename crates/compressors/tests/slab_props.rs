@@ -4,16 +4,17 @@
 //!    decodes within the error bound, and the directory reports exactly
 //!    the planned slab count.
 //! 2. **Directory pins**: forged slab counts are typed header errors.
-//! 3. **Determinism**: encode and decode are bit-identical at any
-//!    thread count, and `decompress_range` equals full-decode slicing
-//!    for seeded random ranges.
+//! 3. **Determinism**: every registry row's encode, decode and range
+//!    decode are bit-identical at any thread count, and
+//!    `decompress_range` equals full-decode slicing for seeded random
+//!    ranges.
 //!
 //! Hostile input (truncations, bit flips, forged directory fields) is
 //! `tests/hostile_input.rs`'s job.
 
 use fxrz_compressors::header::magic;
 use fxrz_compressors::sz::Sz;
-use fxrz_compressors::{slab, CompressError, Compressor, ErrorConfig};
+use fxrz_compressors::{slab, CompressError, Compressor, ErrorConfig, CODECS};
 use fxrz_datagen::{Dims, Field};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -99,22 +100,38 @@ fn implausible_slab_counts_are_header_errors() {
 #[test]
 fn decode_is_bit_identical_at_any_thread_count() {
     let field = sample_field(64, 1234);
-    let (b1, d1, r1) = fxrz_parallel::with_threads(1, || {
-        let b = compress_small_slabs(&field, 64).expect("slabbed");
-        let d = Sz.decompress(&b).expect("decode");
-        let r = Sz.decompress_range(&b, 100..900).expect("range");
-        (b, d, r)
-    });
-    for threads in [2, 4, 8] {
-        let (bn, dn, rn) = fxrz_parallel::with_threads(threads, || {
-            let b = compress_small_slabs(&field, 64).expect("slabbed");
-            let d = Sz.decompress(&b).expect("decode");
-            let r = Sz.decompress_range(&b, 100..900).expect("range");
-            (b, d, r)
-        });
-        assert_eq!(b1, bn, "compressed bytes differ at {threads} threads");
-        assert_eq!(d1.data(), dn.data(), "decode differs at {threads} threads");
-        assert_eq!(r1, rn, "range decode differs at {threads} threads");
+    for codec in CODECS {
+        let comp = (codec.make)();
+        let cfg = match codec.name {
+            "fpzip" => ErrorConfig::Precision(16),
+            _ => EB,
+        };
+        let run = |threads| {
+            fxrz_parallel::with_threads(threads, || {
+                let b =
+                    slab::compress_slabbed(codec.magic, &field, 64, |sub| comp.compress(sub, &cfg))
+                        .expect("slab compress")
+                        .expect("slabbed");
+                let d = comp.decompress(&b).expect("decode");
+                let r = comp.decompress_range(&b, 100..900).expect("range");
+                (b, d, r)
+            })
+        };
+        let (b1, d1, r1) = run(1);
+        for threads in [2, 4, 8] {
+            let (bn, dn, rn) = run(threads);
+            let name = codec.name;
+            assert_eq!(
+                b1, bn,
+                "{name}: compressed bytes differ at {threads} threads"
+            );
+            assert_eq!(
+                d1.data(),
+                dn.data(),
+                "{name}: decode differs at {threads} threads"
+            );
+            assert_eq!(r1, rn, "{name}: range decode differs at {threads} threads");
+        }
     }
 }
 

@@ -244,6 +244,14 @@ mod tests {
             Err(CompressError::Header("flat mock cannot decompress"))
         }
 
+        fn decompress_range(
+            &self,
+            _bytes: &[u8],
+            _range: std::ops::Range<usize>,
+        ) -> Result<Vec<f32>, CompressError> {
+            Err(CompressError::Header("flat mock cannot decompress"))
+        }
+
         fn config_space(&self) -> fxrz_compressors::ConfigSpace {
             fxrz_compressors::ConfigSpace::AbsRelRange {
                 min_rel: 1e-6,

@@ -39,8 +39,19 @@ use fxrz_core::features::{self, FeatureVector};
 use fxrz_core::sampling::StridedSampler;
 use fxrz_core::train::TrainedModel;
 use fxrz_datagen::{Dims, Field};
-use fxrz_telemetry::{Counter, Name, Resolved};
+use fxrz_telemetry::{Counter, HdrHistogram, Name, Resolved};
 use std::sync::Arc;
+
+// The encoder's per-frame series, resolved once instead of looked up by
+// name on every push.
+static SCRATCH_REUSE: Resolved<Name, Arc<Counter>> = Resolved::counter(names::SCRATCH_REUSE);
+static SCRATCH_CREATE: Resolved<Name, Arc<Counter>> = Resolved::counter(names::SCRATCH_CREATE);
+static FRAMES_ENCODED: Resolved<Name, Arc<Counter>> = Resolved::counter(names::FRAMES_ENCODED);
+static FRAMES_RETRIED: Resolved<Name, Arc<Counter>> = Resolved::counter(names::FRAMES_RETRIED);
+static BYTES_RAW: Resolved<Name, Arc<Counter>> = Resolved::counter(names::BYTES_RAW);
+static BYTES_COMP: Resolved<Name, Arc<Counter>> = Resolved::counter(names::BYTES_COMP);
+static CONTROLLER_ERR_BP: Resolved<Name, Arc<HdrHistogram>> =
+    Resolved::histogram(names::CONTROLLER_ERR_BP);
 
 // A trailer tag equal to a codec magic or frame tag fails every build.
 const _: () = assert!(
@@ -452,12 +463,11 @@ impl StreamEncoder {
                 frame::MAX_FRAME_SAMPLES
             )));
         }
-        let telemetry = fxrz_telemetry::global();
         let mut buf = std::mem::take(&mut self.scratch.field_buf);
         if buf.capacity() >= n {
-            telemetry.incr(names::SCRATCH_REUSE);
+            SCRATCH_REUSE.get().incr();
         } else {
-            telemetry.incr(names::SCRATCH_CREATE);
+            SCRATCH_CREATE.get().incr();
         }
         buf.clear();
         buf.extend_from_slice(samples);
@@ -506,14 +516,14 @@ impl StreamEncoder {
         self.samples += n as u64;
         if retried {
             self.retries += 1;
-            telemetry.incr(names::FRAMES_RETRIED);
+            FRAMES_RETRIED.get().incr();
         }
-        telemetry.incr(names::FRAMES_ENCODED);
-        telemetry.add(names::BYTES_RAW, raw_bytes);
-        telemetry.add(names::BYTES_COMP, record.len() as u64);
+        FRAMES_ENCODED.get().incr();
+        BYTES_RAW.get().add(raw_bytes);
+        BYTES_COMP.get().add(record.len() as u64);
         let cumulative = self.controller.cumulative_ratio();
         let err_bp = ((cumulative - self.target_ratio) / self.target_ratio).abs() * 1e4;
-        telemetry.observe(names::CONTROLLER_ERR_BP, err_bp as u64);
+        CONTROLLER_ERR_BP.get().record(err_bp as u64);
 
         self.scratch.field_buf = field.into_data();
         Ok(FrameOutcome {

@@ -370,9 +370,6 @@ fn range_decode_equals_full_decode_slice() {
                 &range_windows(field.dims(), &[]),
                 &format!("monolithic {what}"),
             );
-            if codec.frame_tag.is_none() {
-                continue; // only SZ-family streams have a slab container
-            }
             let slabbed = slab::compress_slabbed(codec.magic, &field, SLAB_BUDGET, |sub| {
                 comp.compress(sub, &cfg)
             })
@@ -585,4 +582,103 @@ fn damage_to_block_0s_final_state_fails_only_decodes_that_finish_it() {
     }
     let got = Sz.decompress(&bad);
     assert!(matches!(got, Err(CompressError::Decode(_))), "{got:?}");
+}
+
+/// fpzip's decode of one value at `prec` bits: the order-preserving
+/// sign-magnitude map, its top `prec` bits, the midpoint of what they
+/// leave out, and the map back.
+fn fpzip_reference(v: f32, prec: u32) -> f32 {
+    let b = v.to_bits();
+    let m = if b & 0x8000_0000 != 0 {
+        !b
+    } else {
+        b | 0x8000_0000
+    };
+    let t = (m >> (32 - prec)) << (32 - prec) | 1 << (31 - prec);
+    f32::from_bits(if t & 0x8000_0000 != 0 {
+        t & 0x7FFF_FFFF
+    } else {
+        !t
+    })
+}
+
+/// At precision 2 fpzip's precision byte equals the slab tag, and its
+/// range-coded body starts with 0, which no slab count does. Such a
+/// monolithic stream decodes as one on every read path: the codec's
+/// full and range decodes, and an archive's.
+#[test]
+fn fpzip_precision_2_streams_are_not_slab_containers() {
+    use fxrz::archive::{Archive, ArchiveWriter};
+    use fxrz_compressors::fpzip::Fpzip;
+    let field = Field::from_fn("fpzip/low", Dims::d3(5, 6, 7), |c| {
+        ((c[0] * 42 + c[1] * 7 + c[2]) as f32 * 0.3).sin() * 50.0
+    });
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+    let mut writer = ArchiveWriter::new();
+    for prec in [2u32, 3] {
+        let bytes = Fpzip
+            .compress(&field, &ErrorConfig::Precision(prec))
+            .expect("compress");
+        let (_, _, off) = header::read(&bytes, magic::FPZIP, "fpzip").expect("header");
+        assert_eq!(bytes[off..off + 2], [prec as u8, 0]);
+        assert!(slab::table(&bytes, magic::FPZIP, "fpzip")
+            .expect("header")
+            .is_none());
+        let back = Fpzip.decompress(&bytes).expect("decompress");
+        let want: Vec<f32> = field
+            .data()
+            .iter()
+            .map(|&v| fpzip_reference(v, prec))
+            .collect();
+        assert_eq!(bits(back.data()), bits(&want), "precision {prec}");
+        let part = Fpzip.decompress_range(&bytes, 20..90).expect("range");
+        assert_eq!(bits(&part), bits(&want[20..90]));
+        writer.add_raw(&format!("p{prec}"), bytes).expect("add");
+    }
+    let archive_bytes = writer.finish();
+    let archive = Archive::open(&archive_bytes).expect("open");
+    for prec in [2u32, 3] {
+        let name = format!("p{prec}");
+        assert!(archive.entry(&name).expect("entry").slabs.is_empty());
+        let back = archive.get(&name).expect("get");
+        let want: Vec<f32> = field
+            .data()
+            .iter()
+            .map(|&v| fpzip_reference(v, prec))
+            .collect();
+        assert_eq!(bits(back.data()), bits(&want), "archive, precision {prec}");
+        let part = archive.decompress_range(&name, 20..90).expect("range");
+        assert_eq!(bits(&part), bits(&want[20..90]));
+    }
+}
+
+/// A container of any row whose slab count is forged to 0 (which reads
+/// as a monolithic stream) or 1 fails both decodes with a typed error.
+#[test]
+fn slab_counts_forged_to_0_or_1_are_typed_errors() {
+    let field = Field::from_fn("forged", Dims::d2(16, 16), |c| {
+        ((c[0] * 16 + c[1]) as f32 * 0.05).sin()
+    });
+    for codec in CODECS {
+        let comp = (codec.make)();
+        let cfg = range_config(codec);
+        let bytes = slab::compress_slabbed(codec.magic, &field, 64, |sub| comp.compress(sub, &cfg))
+            .expect("slab compress")
+            .expect("four slabs");
+        let (_, _, off) = header::read(&bytes, codec.magic, codec.name).expect("header");
+        assert_eq!(bytes[off..off + 2], [slab::SLAB_TAG, 4]);
+        for count in [0u8, 1] {
+            let mut forged = bytes.clone();
+            forged[off + 1] = count;
+            let name = codec.name;
+            assert!(
+                comp.decompress(&forged).is_err(),
+                "{name}: count {count} decoded"
+            );
+            assert!(
+                comp.decompress_range(&forged, 0..10).is_err(),
+                "{name}: count {count} range-decoded"
+            );
+        }
+    }
 }

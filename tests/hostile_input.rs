@@ -263,7 +263,7 @@ impl<'a> Walk<'a> {
         let magic = self.bytes[self.pos];
         self.codec_header();
         let row = fxrz_compressors::codec_for_magic(magic).expect("known magic");
-        if row.frame_tag.is_some() && self.bytes[self.pos] == slab::SLAB_TAG {
+        if self.bytes[self.pos] == slab::SLAB_TAG && self.bytes[self.pos + 1] != 0 {
             self.fixed(1);
             let n = self.varint();
             let mut lens = Vec::new();
@@ -331,20 +331,15 @@ fn config(codec: &Codec) -> ErrorConfig {
     }
 }
 
-/// A valid stream of `codec`; SZ-family rows are slabbed so the slab
-/// directory is reached.
+/// A valid stream of `codec`, slabbed so the slab directory is reached.
 fn codec_stream(codec: &Codec, field: &Field) -> Vec<u8> {
     let comp = (codec.make)();
     let cfg = config(codec);
-    if codec.frame_tag.is_some() {
-        slab::compress_slabbed(codec.magic, field, SLAB_BUDGET, |sub| {
-            comp.compress(sub, &cfg)
-        })
-        .expect("slab compress")
-        .expect("field fills four slabs")
-    } else {
-        comp.compress(field, &cfg).expect("compress")
-    }
+    slab::compress_slabbed(codec.magic, field, SLAB_BUDGET, |sub| {
+        comp.compress(sub, &cfg)
+    })
+    .expect("slab compress")
+    .expect("field fills four slabs")
 }
 
 fn codec_rows(out: &mut Vec<Row>) {
@@ -372,11 +367,8 @@ fn codec_rows(out: &mut Vec<Row>) {
             move |b| comp.decompress_range(b, 100..300),
             |v: &Vec<f32>| values_image(v),
         ));
-        if codec.frame_tag.is_none() {
-            continue;
-        }
-        // The SZ-family range decode of a v1 stream, which stops at the
-        // window's last row instead of decoding a slab whole.
+        // The range decode of a v1 stream, which for `sz` and `sz-fse`
+        // stops at the window's last row.
         let comp: Box<dyn Compressor> = (codec.make)();
         let input = comp.compress(&field, &config(codec)).expect("compress");
         let mut w = Walk::new(&input);

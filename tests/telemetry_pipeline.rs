@@ -1,7 +1,7 @@
 //! Telemetry integration: the whole pipeline must leave a coherent trace
 //! in the global registry — nested span paths, codec byte counters, a
 //! serializable snapshot — at a fixed count of name-map lookups per
-//! compress.
+//! compress and per stream-encoder push.
 //!
 //! The registry is process-global and tests run concurrently, so every
 //! assertion on its contents is monotone (presence / ≥) rather than
@@ -130,6 +130,35 @@ fn telemetry_costs_a_fixed_count_of_lookups_per_compress() {
     let (first, second) = (lookups(), lookups());
     assert_eq!(first, second, "two warm compresses made different lookups");
     assert_eq!(first, LOOKUPS_PER_COMPRESS);
+}
+
+/// Name-map lookups one warm push of a 4,096-sample frame makes: the
+/// spans and codec-layer series its features and compress record. The
+/// encoder's own series are resolved handles and cost none (they cost
+/// five more when each was emitted by name).
+const LOOKUPS_PER_PUSH: u64 = 10;
+
+#[test]
+fn stream_push_costs_a_fixed_count_of_lookups() {
+    use fxrz::stream::{StreamConfig, StreamEncoder};
+    let frame: Vec<f32> = (0..4096)
+        .map(|i| (i as f32 * 0.01).sin() + 0.1 * (i as f32 * 0.37).cos())
+        .collect();
+    fxrz::parallel::with_threads(1, || {
+        let mut enc = StreamEncoder::new(StreamConfig::new(8.0)).expect("encoder");
+        let mut push = || {
+            let before = MetricsRegistry::thread_lookups();
+            let out = enc.push(&frame).expect("push");
+            (MetricsRegistry::thread_lookups() - before, out.retried)
+        };
+        // The first pushes resolve the handles and warm the controller.
+        for _ in 0..4 {
+            push();
+        }
+        for _ in 0..4 {
+            assert_eq!(push(), (LOOKUPS_PER_PUSH, false), "lookups, retried");
+        }
+    });
 }
 
 #[test]
