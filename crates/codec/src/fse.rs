@@ -104,10 +104,23 @@ pub fn encode_with(
     symbols: &[u32],
     marks: &[usize],
 ) -> Option<(Vec<u8>, Vec<Cursor>)> {
+    encode_capped(scratch, symbols, marks, MAX_TABLE_LOG)
+}
+
+/// [`encode_with`], its table log at most `max_log` (or the least log
+/// that gives every symbol a slot, when that is larger): for a decoder
+/// that keeps many streams' tables in use at once, where small tables
+/// stay in cache.
+pub fn encode_capped(
+    scratch: &mut CodecScratch,
+    symbols: &[u32],
+    marks: &[usize],
+    max_log: u32,
+) -> Option<(Vec<u8>, Vec<Cursor>)> {
     debug_assert!(marks.windows(2).all(|w| w[0] < w[1]));
     debug_assert!(marks.last().is_none_or(|&m| m < symbols.len()));
     scratch.note_use();
-    let out = encode_unmetered(scratch, symbols, None, marks)?;
+    let out = encode_unmetered(scratch, symbols, None, max_log, marks)?;
     let registry = fxrz_telemetry::global();
     registry.incr(names::FSE_ENCODE_CALLS);
     registry.add(names::FSE_ENCODE_SYMBOLS_IN, symbols.len() as u64);
@@ -443,13 +456,14 @@ fn encode_marked_runs(
     (s0, s1, cursors)
 }
 
-/// [`encode_with`] without its counters. The table log is
-/// [`choose_log`]'s unless `log` forces one (tests compare the chosen
-/// log's bytes with another log's).
+/// [`encode_capped`] without its counters. The table log is
+/// [`choose_log`]'s at most `max_log` unless `log` forces one (tests
+/// compare the chosen log's bytes with another log's).
 fn encode_unmetered(
     scratch: &mut CodecScratch,
     symbols: &[u32],
     log: Option<u32>,
+    max_log: u32,
     marks: &[usize],
 ) -> Option<(Vec<u8>, Vec<Cursor>)> {
     let mut out = Vec::with_capacity(symbols.len() / 2 + 64);
@@ -474,6 +488,7 @@ fn encode_unmetered(
             &scratch.fse_dict,
             &scratch.fse_freqs,
             symbols.len() as u64,
+            max_log,
             &mut scratch.fse_norm,
         )
     });
@@ -594,17 +609,19 @@ fn encode_unmetered(
 
 /// The table log the encoder codes a stream of at least two distinct
 /// symbols at (ascending `dict`, per-symbol `freqs` summing to
-/// `count`). `norm` is scratch.
+/// `count`), at most `max_log` unless the alphabet needs more. `norm` is
+/// scratch.
 ///
 /// The log is chosen by cost. Each candidate from `max(⌈log2 n_dict⌉,
 /// min(top, 11))` up to `top`, the log the stream's length suggests
-/// (`⌊log2 count⌋ − 2`, at most 16), is priced by [`cost_at`], and the
+/// (`⌊log2 count⌋ − 2`, at most 16, and at most `max_log`), is priced by
+/// [`cost_at`], and the
 /// smallest log within 1/256 of the cheapest wins: a decode builds a
 /// table of `2^log` states for every stream it reaches, and a stream of
 /// few distinct symbols gains next to nothing from a large one. A
 /// stream whose `top` is at most 11 has that one candidate.
-fn choose_log(dict: &[u32], freqs: &[u64], count: u64, norm: &mut Vec<u32>) -> u32 {
-    let top = table_log_for(dict.len(), count as usize);
+fn choose_log(dict: &[u32], freqs: &[u64], count: u64, max_log: u32, norm: &mut Vec<u32>) -> u32 {
+    let top = table_log_for(dict.len(), count as usize).min(max_log.max(need_log(dict.len())));
     let lowest = need_log(dict.len()).max(top.min(FLOOR_LOG));
     let mut costs = [0u64; (MAX_TABLE_LOG + 1) as usize];
     for log in lowest..=top {
@@ -1410,7 +1427,13 @@ mod tests {
     /// [`choose_log`] of the histogram of `syms` (see [`histogram_of`]).
     fn chosen_log(syms: &[u32], n_dict: usize) -> u32 {
         let (dict, freqs) = histogram_of(syms, n_dict);
-        choose_log(&dict, &freqs, syms.len() as u64, &mut Vec::new())
+        choose_log(
+            &dict,
+            &freqs,
+            syms.len() as u64,
+            MAX_TABLE_LOG,
+            &mut Vec::new(),
+        )
     }
 
     #[test]
@@ -1445,7 +1468,7 @@ mod tests {
         // Within 1/256 of the cheapest candidate, at the smallest log:
         // the bytes coded at the length's log 16 are not much fewer.
         let mut scratch = CodecScratch::default();
-        let at_top = encode_unmetered(&mut scratch, &syms, Some(16), &[])
+        let at_top = encode_unmetered(&mut scratch, &syms, Some(16), MAX_TABLE_LOG, &[])
             .expect("encode")
             .0;
         assert_eq!(recorded_log(&at_top), 16);
@@ -1483,6 +1506,26 @@ mod tests {
             decode(&encode(&syms).expect("encode")).expect("decode"),
             syms
         );
+    }
+
+    #[test]
+    fn a_capped_encode_keeps_its_cap_unless_the_alphabet_needs_more() {
+        // One dominant symbol and 40 rare ones, as a context stream of
+        // nearly all zero residuals is: cost alone picks a large table,
+        // where the rare symbols' one-slot floors steal little.
+        let syms: Vec<u32> = (0..1u32 << 18)
+            .map(|i| if i % 6_000 < 40 { 1 + i % 6_000 } else { 0 })
+            .collect();
+        assert!(chosen_log(&syms, 41) > 12, "log {}", chosen_log(&syms, 41));
+        let mut scratch = CodecScratch::default();
+        let (capped, _) = encode_capped(&mut scratch, &syms, &[], 12).expect("encode");
+        assert_eq!(recorded_log(&capped), 12);
+        assert_eq!(decode(&capped).expect("decode"), syms);
+        // 3,000 distinct symbols need log 12 whatever the cap.
+        let wide: Vec<u32> = (0..20_000u32).map(|i| i % 3_000).collect();
+        let (capped, _) = encode_capped(&mut scratch, &wide, &[], 8).expect("encode");
+        assert_eq!(recorded_log(&capped), need_log(3_000));
+        assert_eq!(decode(&capped).expect("decode"), wide);
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //! * [`lz77`] — hash-chain LZ77 (the "Zstd stage" of SZ; collapses the
 //!   long repeats behind very high compression ratios).
 //! * [`range`] — adaptive binary range coder with bit-tree contexts (the
-//!   residual coder of the FPZIP-style pipeline).
+//!   residual coder of the FPZIP-style pipeline's legacy v1 streams,
+//!   which it still decodes).
 //! * [`rle`] — zero-run-length pre-pass (the MGARD-style pipeline).
 //! * [`scratch`] — reusable per-thread working memory ([`CodecScratch`])
 //!   shared by the huffman/lz77 encode hot paths.

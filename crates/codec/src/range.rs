@@ -1,6 +1,7 @@
 //! Adaptive binary range (arithmetic) coder, LZMA-style.
 //!
-//! The FPZIP-style compressor encodes prediction residuals with this coder:
+//! The FPZIP-style compressor decodes the residuals of its v1 streams with
+//! this coder (its encoder writes the v2 layout, on FSE):
 //! an 11-bit adaptive probability per binary context, a carry-propagating
 //! 32-bit range encoder, and a bit-tree helper for small n-bit values.
 

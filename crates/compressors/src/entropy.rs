@@ -53,6 +53,17 @@ pub fn encode_codes(scratch: &mut CodecScratch, codes: &[u32], out: &mut Vec<u8>
     encode_marked(scratch, codes, &[], out);
 }
 
+/// [`encode_codes`], every block's FSE table log at most `max_log`
+/// ([`fse::encode_capped`]).
+pub fn encode_codes_capped(
+    scratch: &mut CodecScratch,
+    codes: &[u32],
+    max_log: u32,
+    out: &mut Vec<u8>,
+) {
+    encode_blocks(scratch, codes, &[], max_log, out);
+}
+
 /// [`encode_codes`], also returning, for each of the ascending code
 /// indices `marks`, the FSE cursor before that code relative to its
 /// block ([`CodeStream::seek`] starts there): `None` where the block
@@ -61,6 +72,17 @@ pub fn encode_marked(
     scratch: &mut CodecScratch,
     codes: &[u32],
     marks: &[usize],
+    out: &mut Vec<u8>,
+) -> Vec<Option<fse::Cursor>> {
+    encode_blocks(scratch, codes, marks, fse::MAX_TABLE_LOG, out)
+}
+
+/// [`encode_marked`] with every block's table log at most `max_log`.
+fn encode_blocks(
+    scratch: &mut CodecScratch,
+    codes: &[u32],
+    marks: &[usize],
+    max_log: u32,
     out: &mut Vec<u8>,
 ) -> Vec<Option<fse::Cursor>> {
     write_varint(out, 0); // v2 sentinel: huffman streams are never empty
@@ -74,7 +96,7 @@ pub fn encode_marked(
         let here = rest.partition_point(|&m| m < first + block.len());
         local.clear();
         local.extend(rest[..here].iter().map(|&m| m - first));
-        let (stream, at) = fse::encode_with(scratch, block, &local)
+        let (stream, at) = fse::encode_capped(scratch, block, &local, max_log)
             .expect("a block of at most fse::MAX_SYMBOLS distinct codes");
         out.push(TAG_FSE);
         write_varint(out, stream.len() as u64);

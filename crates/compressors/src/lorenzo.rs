@@ -1,6 +1,6 @@
-//! Row plans: the Lorenzo row kernel of `sz`, `sz-fse` and `fpzip`, the
-//! per-point stencils of `sz2`'s Lorenzo blocks, and the strided-row
-//! iterator every plan walks with.
+//! Row plans: the Lorenzo row kernel of `sz` and `sz-fse`, `fpzip`'s
+//! row differences and prefix sums, the per-point stencils of `sz2`'s
+//! Lorenzo blocks, and the strided-row iterator every plan walks with.
 //!
 //! The Lorenzo corner stencil predicts a point from the `2^d − 1`
 //! already-visited corners of its unit cube (inclusion–exclusion over the
@@ -34,7 +34,16 @@
 //! kernel, not the 7-term one). No point of a flagged plane or after it
 //! reads a point before it, so a decode can start there: the walk of
 //! the sub-field from a flagged plane (its flags skipped to it) predicts
-//! every point as the whole walk does. `fpzip` passes no flags.
+//! every point as the whole walk does.
+//!
+//! **Integer rows.** `fpzip` predicts its truncated integers with the
+//! same terms, no plane flagged, in wrapping `i64`. The encoder has
+//! every integer before it starts, so [`residuals`] takes each row's
+//! residuals as differences, and the decoder's [`rebuild`] turns them
+//! back into values as a prefix sum: the in-row neighbour is the only
+//! term from the row itself, and wrapping adds are exact in any order,
+//! so both agree with [`walk`] over `i64`, which the tests keep as the
+//! reference.
 //!
 //! [`Stencil`] keeps the `(offset, sign)` terms of one point for `sz2`,
 //! whose Lorenzo block rows start anywhere along the fastest axis;
@@ -42,9 +51,9 @@
 //! nonzero-coordinate masks, and [`row_stencils`] picks two per row.
 //!
 //! [`rows`] is the one odometer of the row plans (`mgard`'s levels,
-//! `sz2`'s blocks, `szi`'s sweeps and [`walk`]): it hands out the rows
-//! of a strided sub-grid, and each plan derives whatever depends only on
-//! the slower axes once per row.
+//! `sz2`'s blocks, `szi`'s sweeps, [`walk`] and the integer rows): it
+//! hands out the rows of a strided sub-grid, and each plan derives
+//! whatever depends only on the slower axes once per row.
 
 use fxrz_datagen::dims::MAX_NDIM;
 use fxrz_datagen::Dims;
@@ -330,6 +339,133 @@ pub(crate) fn walk<V: Lane>(
     // A 1-D field is one row, which the loop above never reaches.
     if left > 0 {
         rows(dims, starts, [1; MAX_NDIM], counts, &mut row);
+    }
+}
+
+/// Rebuilds every integer of `dims` from its residual, row by row in
+/// raster order, no plane flagged: `fill(start, row)` writes the
+/// residuals of the row that starts at point `start` into `row`, which
+/// then becomes each residual plus its point's prediction from the
+/// values stored so far, and `store(row, out)` checks it and stores it
+/// into `vals`. The in-row neighbour is the only term from the row
+/// itself, so a row is a prefix sum of its residuals plus the earlier
+/// rows' corner differences; wrapping adds are exact in any order, so
+/// every value is [`walk`]'s with `pred.wrapping_add(residual)` while
+/// the stored values are. Stops at the first error `fill` or `store`
+/// returns.
+pub(crate) fn rebuild<E>(
+    dims: Dims,
+    vals: &mut [u32],
+    mut fill: impl FnMut(usize, &mut [i64]) -> Result<(), E>,
+    mut store: impl FnMut(&[i64], &mut [u32]) -> Result<(), E>,
+) -> Result<(), E> {
+    let fast = dims.ndim() - 1;
+    let row_len = dims.axis(fast);
+    let strides = dims.strides();
+    let mut row = vec![0i64; row_len];
+    let mut result = Ok(());
+    rows(
+        dims,
+        [0; MAX_NDIM],
+        [1; MAX_NDIM],
+        extent(dims),
+        |start, coords| {
+            if result.is_err() {
+                return;
+            }
+            result = fill(start, &mut row);
+            if result.is_ok() {
+                let (done, rest) = vals.split_at_mut(start);
+                let (near, k) = near_strides(&strides, coords, 0..fast);
+                match k {
+                    0 => prefix_row::<0>(done, &mut row, []),
+                    1 => prefix_row::<1>(done, &mut row, offsets(&near)),
+                    2 => prefix_row::<3>(done, &mut row, offsets(&near)),
+                    _ => prefix_row::<7>(done, &mut row, offsets(&near)),
+                }
+                result = store(&row, &mut rest[..row_len]);
+            }
+        },
+    );
+    result
+}
+
+/// The residuals of every integer of `dims` against [`walk`]'s
+/// prediction of it from `vals`, row by row in raster order, no plane
+/// flagged: `visit(start, row)` gets the residuals of the row that
+/// starts at point `start`. [`rebuild`]'s inverse: each residual is the
+/// difference of its point and the one before it, less the difference
+/// of their earlier-row corner sums, so no residual waits on another.
+pub(crate) fn residuals(dims: Dims, vals: &[u32], mut visit: impl FnMut(usize, &[i64])) {
+    let fast = dims.ndim() - 1;
+    let row_len = dims.axis(fast);
+    let strides = dims.strides();
+    let mut row = vec![0i64; row_len];
+    rows(
+        dims,
+        [0; MAX_NDIM],
+        [1; MAX_NDIM],
+        extent(dims),
+        |start, coords| {
+            let (near, k) = near_strides(&strides, coords, 0..fast);
+            let here = &vals[start..start + row_len];
+            match k {
+                0 => difference_row::<0>(vals, start, here, &mut row, []),
+                1 => difference_row::<1>(vals, start, here, &mut row, offsets(&near)),
+                2 => difference_row::<3>(vals, start, here, &mut row, offsets(&near)),
+                _ => difference_row::<7>(vals, start, here, &mut row, offsets(&near)),
+            }
+            visit(start, &row);
+        },
+    );
+}
+
+/// The signed sum of the `B = 2^k − 1` earlier-row corners of point `j`
+/// of a row, whose corners' rows are `above`.
+#[inline(always)]
+fn corner_sum<const B: usize>(above: &[&[u32]; B], j: usize) -> i64 {
+    corners::<i64, B>(0, &std::array::from_fn(|i| i64::from(above[i][j])), false)
+}
+
+/// The residuals of `here`, the row that starts at point `start` of
+/// `vals`, into `row`: point `j` less point `j − 1` less the difference
+/// of their corner sums (`offs` back).
+#[inline(always)]
+fn difference_row<const B: usize>(
+    vals: &[u32],
+    start: usize,
+    here: &[u32],
+    row: &mut [i64],
+    offs: [usize; B],
+) {
+    let len = row.len();
+    let above: [&[u32]; B] = std::array::from_fn(|i| &vals[start - offs[i]..][..len]);
+    let mut behind = corner_sum(&above, 0);
+    row[0] = i64::from(here[0]).wrapping_sub(behind);
+    for j in 1..len {
+        let corner = corner_sum(&above, j);
+        let step = i64::from(here[j]).wrapping_sub(i64::from(here[j - 1]));
+        row[j] = step.wrapping_sub(corner.wrapping_sub(behind));
+        behind = corner;
+    }
+}
+
+/// Turns the residuals in `row`, which starts at point `done.len()`
+/// after the earlier rows `done`, into values: point `j` adds the
+/// signed sum of its `B = 2^k − 1` corners in earlier rows (`offs`
+/// back), less point `j − 1`'s, to value `j − 1`.
+#[inline(always)]
+fn prefix_row<const B: usize>(done: &[u32], row: &mut [i64], offs: [usize; B]) {
+    let (start, len) = (done.len(), row.len());
+    let above: [&[u32]; B] = std::array::from_fn(|i| &done[start - offs[i]..][..len]);
+    let mut behind = corner_sum(&above, 0);
+    let mut value = row[0].wrapping_add(behind);
+    row[0] = value;
+    for (j, r) in row.iter_mut().enumerate().skip(1) {
+        let here = corner_sum(&above, j);
+        value = value.wrapping_add(r.wrapping_add(here.wrapping_sub(behind)));
+        *r = value;
+        behind = here;
     }
 }
 
@@ -669,6 +805,55 @@ pub(crate) mod tests {
                     ints[idx]
                 },
             );
+        }
+    }
+
+    #[test]
+    fn row_differences_and_prefix_sums_match_the_walks_residuals() {
+        let mut rng = StdRng::seed_from_u64(0x5052_4546);
+        for case in 0..400 {
+            let dims = random_dims(&mut rng, 9);
+            let want: Vec<u32> = (0..dims.len()).map(|_| rng.gen()).collect();
+            let mut res = vec![0i64; dims.len()];
+            let mut walked = vec![0i64; dims.len()];
+            walk(
+                dims,
+                PlaneFlags::NONE,
+                dims.len(),
+                &mut walked,
+                &mut |idx, pred: i64| {
+                    let t = i64::from(want[idx]);
+                    res[idx] = t.wrapping_sub(pred);
+                    t
+                },
+            );
+            let mut next = 0;
+            residuals(dims, &want, |start, row| {
+                assert_eq!(start, next, "case {case} {dims}: rows left raster order");
+                next += row.len();
+                assert_eq!(row, &res[start..next], "case {case} {dims}");
+            });
+            assert_eq!(next, dims.len(), "case {case} {dims}");
+            let mut got = vec![0u32; dims.len()];
+            let mut next = 0;
+            rebuild(
+                dims,
+                &mut got,
+                |start, row| {
+                    assert_eq!(start, next, "case {case} {dims}: rows left raster order");
+                    next += row.len();
+                    row.copy_from_slice(&res[start..start + row.len()]);
+                    Ok::<(), ()>(())
+                },
+                |row, out| {
+                    for (o, &t) in out.iter_mut().zip(row) {
+                        *o = u32::try_from(t).map_err(|_| ())?;
+                    }
+                    Ok(())
+                },
+            )
+            .unwrap_or_else(|()| panic!("case {case} {dims}: a value left u32"));
+            assert_eq!(got, want, "case {case} {dims}");
         }
     }
 

@@ -41,6 +41,12 @@ const BLOCK: usize = 6;
 /// stays 0.
 type Coefs = [f32; MAX_NDIM + 1];
 
+/// The quantized integers of [`Coefs`], as the stream stores them.
+type CoefInts = [i64; MAX_NDIM + 1];
+
+/// Blocks one pool chunk of the predictor selection chooses for.
+const CHOICE_BLOCKS: usize = 256;
+
 /// The SZ2-style hybrid compressor.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Sz2;
@@ -187,7 +193,7 @@ fn coef_steps(eb: f64, ndim: usize) -> impl Iterator<Item = f64> {
 /// coded coefficients rather than raw floats). Returns `(ints,
 /// dequantized)` over the first `ndim + 1` entries — prediction must use
 /// the dequantized values on both sides.
-fn quantize_coefs(coefs: &Coefs, eb: f64, ndim: usize) -> ([i64; MAX_NDIM + 1], Coefs) {
+fn quantize_coefs(coefs: &Coefs, eb: f64, ndim: usize) -> (CoefInts, Coefs) {
     let mut ints = [0i64; MAX_NDIM + 1];
     let mut deq = [0.0f32; MAX_NDIM + 1];
     for (a, s) in coef_steps(eb, ndim).enumerate() {
@@ -207,7 +213,7 @@ fn quantize_coefs(coefs: &Coefs, eb: f64, ndim: usize) -> ([i64; MAX_NDIM + 1], 
 
 /// Dequantizes the first `ndim + 1` coefficient ints read from the
 /// stream.
-fn dequantize_coefs(ints: &[i64; MAX_NDIM + 1], eb: f64, ndim: usize) -> Coefs {
+fn dequantize_coefs(ints: &CoefInts, eb: f64, ndim: usize) -> Coefs {
     let mut coefs = [0.0f32; MAX_NDIM + 1];
     for (a, s) in coef_steps(eb, ndim).enumerate() {
         coefs[a] = (ints[a] as f64 * s) as f32;
@@ -328,28 +334,53 @@ impl Walk for Sz2 {
         let eb = q.eb();
         let ndim = dims.ndim();
         let stencils = stencils(dims);
-        let mut modes: Vec<u8> = Vec::new();
-        let mut coef_bytes: Vec<u8> = Vec::new();
-        let choose = |block: &Block| {
-            let fitted = fit_regression(data, dims, block);
-            let (ints, coefs) = quantize_coefs(&fitted, eb, ndim);
-            let ints = &ints[..=ndim];
-            let (reg_cost, lor_cost) =
-                predictor_costs(data, dims, &stencils, block, &coefs, ints, eb);
-            // SZ2's per-block predictor selection on estimated coded bits
-            // (the regression cost already carries its coefficient bytes)
-            let use_reg = reg_cost < lor_cost;
-            modes.push(u8::from(use_reg));
-            if use_reg {
-                for &q in ints {
-                    write_varint(&mut coef_bytes, zigzag(q));
-                }
-            }
-            Ok(use_reg.then_some(coefs))
-        };
-        walk(dims, &stencils, choose, |idx, pred| {
-            q.quantize(data[idx], pred)
+        let mut blocks = Vec::new();
+        for_blocks(dims, |b| {
+            blocks.push(*b);
+            Ok(())
         })?;
+        // SZ2's per-block predictor selection on estimated coded bits
+        // (the regression cost already carries its coefficient bytes).
+        // It reads the input only, so the blocks choose over the pool,
+        // in chunks of a fixed block count, and the walk takes the
+        // choices in block order.
+        let choices: Vec<Option<(CoefInts, Coefs)>> =
+            fxrz_parallel::par_map(blocks.len(), CHOICE_BLOCKS, |chunk| {
+                blocks[chunk]
+                    .iter()
+                    .map(|block| {
+                        let fitted = fit_regression(data, dims, block);
+                        let (ints, coefs) = quantize_coefs(&fitted, eb, ndim);
+                        let (reg_cost, lor_cost) = predictor_costs(
+                            data,
+                            dims,
+                            &stencils,
+                            block,
+                            &coefs,
+                            &ints[..=ndim],
+                            eb,
+                        );
+                        (reg_cost < lor_cost).then_some((ints, coefs))
+                    })
+                    .collect::<Vec<_>>()
+            })
+            .into_iter()
+            .flatten()
+            .collect();
+        let modes: Vec<u8> = choices.iter().map(|c| u8::from(c.is_some())).collect();
+        let mut coef_bytes: Vec<u8> = Vec::new();
+        for (ints, _) in choices.iter().flatten() {
+            for &q in &ints[..=ndim] {
+                write_varint(&mut coef_bytes, zigzag(q));
+            }
+        }
+        let mut chosen = choices.into_iter().map(|c| c.map(|(_, coefs)| coefs));
+        walk(
+            dims,
+            &stencils,
+            |_| Ok(chosen.next().flatten()),
+            |idx, pred| q.quantize(data[idx], pred),
+        )?;
 
         let mut side = Vec::with_capacity(modes.len() + coef_bytes.len() + 16);
         write_varint(&mut side, modes.len() as u64);

@@ -33,7 +33,8 @@
 //!
 //! ## Nesting
 //!
-//! A `par_map` issued from inside a pool worker runs inline and
+//! A `par_map` issued from inside a pool worker, or from the issuing
+//! thread while it drains an outer `par_map`'s chunks, runs inline and
 //! sequentially (same chunk order, hence same results). This keeps nested
 //! parallelism deadlock-free without a work-stealing scheduler: the outer
 //! level already saturates the pool.
@@ -73,7 +74,8 @@ pub mod names {
 }
 
 thread_local! {
-    /// True on pool worker threads; nested `par_map`s run inline.
+    /// True on pool worker threads, and on an issuing thread while it
+    /// drains chunks; nested `par_map`s run inline.
     static IN_WORKER: Cell<bool> = const { Cell::new(false) };
     /// Scoped thread-count override installed by [`with_threads`].
     static THREAD_OVERRIDE: Cell<Option<usize>> = const { Cell::new(None) };
@@ -292,7 +294,13 @@ impl Pool {
             let job: Job = unsafe { std::mem::transmute(job) };
             assert!(self.injector.send(job).is_ok(), "pool queue closed");
         }
-        state.drain(); // the issuing thread works too
+        // The issuing thread works too, and like a worker runs the nested
+        // `par_map`s of its chunks inline: a helper queued behind the
+        // workers' busy chunks would leave it asleep on the latch until
+        // they end. `drain` catches panics, so the flag is restored.
+        IN_WORKER.with(|flag| flag.set(true));
+        state.drain();
+        IN_WORKER.with(|flag| flag.set(false));
         latch.wait();
         if let Some(payload) = panic_slot.into_inner().expect("panic lock") {
             resume_unwind(payload);

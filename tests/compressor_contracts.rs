@@ -602,10 +602,12 @@ fn fpzip_reference(v: f32, prec: u32) -> f32 {
     })
 }
 
-/// At precision 2 fpzip's precision byte equals the slab tag, and its
-/// range-coded body starts with 0, which no slab count does. Such a
-/// monolithic stream decodes as one on every read path: the codec's
-/// full and range decodes, and an archive's.
+/// At precision 2 a v1 fpzip stream's precision byte is `0x02`, the slab
+/// tag, and its range-coded body starts with 0, which no slab count does
+/// (fpzip's unit tests read such streams). The v2 layout writes
+/// `0x80 | precision`, which no slab tag is. Streams at precisions 2 and
+/// 3 decode as monolithic streams on every read path: the codec's full
+/// and range decodes, and an archive's.
 #[test]
 fn fpzip_precision_2_streams_are_not_slab_containers() {
     use fxrz::archive::{Archive, ArchiveWriter};
@@ -620,7 +622,7 @@ fn fpzip_precision_2_streams_are_not_slab_containers() {
             .compress(&field, &ErrorConfig::Precision(prec))
             .expect("compress");
         let (_, _, off) = header::read(&bytes, magic::FPZIP, "fpzip").expect("header");
-        assert_eq!(bytes[off..off + 2], [prec as u8, 0]);
+        assert_eq!(bytes[off], 0x80 | prec as u8);
         assert!(slab::table(&bytes, magic::FPZIP, "fpzip")
             .expect("header")
             .is_none());

@@ -413,23 +413,18 @@ fn le_bytes(data: &[f32]) -> Vec<u8> {
 
 /// Stream-bytes and decoded-bytes pins of registry row `name` on the
 /// `sz_nyx12` field (16³ Nyx baryon density, seed 4242) and bound.
-/// fpzip, which takes a precision instead of a bound, keeps 16 bits.
 fn pin_nyx12(name: &str) {
     use fxrz::prelude::*;
     let comp = fxrz::compressors::by_name(name).expect("registered");
     let field = nyx::baryon_density(Dims::d3(16, 16, 16), NyxConfig::default().with_seed(4242));
     let eb = field.stats().range * 1e-3;
-    let cfg = match name {
-        "fpzip" => ErrorConfig::Precision(16),
-        _ => ErrorConfig::Abs(eb),
-    };
-    let stream = comp.compress(&field, &cfg).expect("compress");
+    let stream = comp
+        .compress(&field, &ErrorConfig::Abs(eb))
+        .expect("compress");
     let fixture = load_or_bless(&format!("{name}_nyx12.fxrz"), &stream);
     assert_eq!(stream, fixture, "{name} stream bytes drifted");
     let back = comp.decompress(&fixture).expect("decompress");
-    if name != "fpzip" {
-        assert!(field.max_abs_diff(&back) <= eb);
-    }
+    assert!(field.max_abs_diff(&back) <= eb);
     let got = le_bytes(back.data());
     let expected = load_or_bless(&format!("{name}_nyx12_decoded.f32"), &got);
     assert_eq!(got, expected, "{name} reconstruction drifted");
@@ -450,9 +445,34 @@ fn mgard_nyx12_golden() {
     pin_nyx12("mgard");
 }
 
+/// fpzip's pins on the `sz_nyx12` field at 16 bits. `fpzip_nyx12` was
+/// written in the v1 layout (one adaptive range coder) and is a decode
+/// pin; `fpzip2_nyx12` pins the v2 bytes (classes in context-selected FSE
+/// streams, raw bits). Both decode to the values `fpzip_nyx12_decoded`
+/// pins.
 #[test]
 fn fpzip_nyx12_golden() {
-    pin_nyx12("fpzip");
+    use fxrz::compressors::fpzip::Fpzip;
+    use fxrz::compressors::header::{self, magic};
+    use fxrz::prelude::*;
+    let field = nyx::baryon_density(Dims::d3(16, 16, 16), NyxConfig::default().with_seed(4242));
+    let stream = Fpzip
+        .compress(&field, &ErrorConfig::Precision(16))
+        .expect("compress");
+    let legacy = load_or_bless_keep("fpzip_nyx12.fxrz", &stream);
+    let fixture = load_or_bless("fpzip2_nyx12.fxrz", &stream);
+    assert_eq!(stream, fixture, "fpzip stream bytes drifted");
+    let (_, _, off) = header::read(&legacy, magic::FPZIP, "fpzip").expect("header");
+    assert_eq!(legacy[off], 16, "the v1 precision byte");
+    assert_eq!(fixture[off], 0x80 | 16, "the v2 precision byte");
+    let decode = |bytes: &[u8]| le_bytes(Fpzip.decompress(bytes).expect("decompress").data());
+    let expected = load_or_bless_keep("fpzip_nyx12_decoded.f32", &decode(&legacy));
+    assert_eq!(decode(&legacy), expected, "fpzip v1 reconstruction drifted");
+    assert_eq!(
+        decode(&fixture),
+        expected,
+        "fpzip v2 reconstruction drifted"
+    );
 }
 
 #[test]

@@ -21,7 +21,8 @@
 //!    one `K` and one `C` for every row (see their derivations), as
 //!    measured by the counting global allocator below;
 //! 4. a forgery a row lists as one it must reject (the `sz` access
-//!    index's fields) is rejected with a typed error.
+//!    index's fields, fpzip's context counts, lengths and classes) is
+//!    rejected with a typed error.
 //!
 //! The harness is one `#[test]` in its own binary, so the allocator counts
 //! nothing but this test, and it runs every decode on the calling thread
@@ -46,13 +47,17 @@ use fxrz_stream::{StreamConfig, StreamDecoder, StreamEncoder};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Output bytes one input byte may justify. Only zfp and fpzip size
-/// their output from a header count before decoding it, each after
-/// checking that count against what the payload can encode. The densest
-/// valid stream is zfp's: an all-zero `4³` block costs one flag bit, so
-/// one byte carries 8 blocks × 64 values × 4 bytes = 2048 output bytes.
-/// fpzip stays below it: at most 61 values per payload byte, each
-/// needing an `i64` residual and an `f32` output, is 732 bytes.
+/// Output bytes one input byte may justify. zfp and the legacy fpzip
+/// layout (v1) size their output from a header count after checking it
+/// against what the payload can encode. The densest valid stream is
+/// zfp's: an all-zero `4³` block costs one flag bit, so one byte carries
+/// 8 blocks × 64 values × 4 bytes = 2048 output bytes. A v1 fpzip stream
+/// stays below it: at most 61 values per payload byte, each needing an
+/// `i64` residual and an `f32` output, is 732 bytes. Like the SZ rows, a
+/// v2 fpzip stream is capped only by the header's element count, which
+/// its context sections' counts must add up to, until the decoders take
+/// limits of their own: a one-class FSE block codes any count in a few
+/// bytes. No valid input here, and no mutation of one, comes near `K`.
 const K: usize = 8 * 64 * 4;
 
 /// The largest fixed capacity a decoder reserves before its input vouches
@@ -283,7 +288,9 @@ impl<'a> Walk<'a> {
                     self.fixed(8);
                 }
                 "fpzip" => {
-                    self.fixed(1);
+                    if self.fixed(1) & 0x80 != 0 {
+                        self.fpzip_sections();
+                    }
                 }
                 // The SZ family and mgard lead with their LZ77 length.
                 _ => {
@@ -293,6 +300,50 @@ impl<'a> Walk<'a> {
         }
         self.pos = end;
     }
+}
+
+impl Walk<'_> {
+    /// The 16 context sections of an fpzip v2 payload: each one's
+    /// length, and inside a nonempty one its sentinel, symbol count and
+    /// block count, each block's tag and length, and the block's own
+    /// symbol count and dictionary size, and its class when it codes one.
+    /// The raw bits follow.
+    fn fpzip_sections(&mut self) -> FpzipSlots {
+        let mut found = FpzipSlots::default();
+        for _ in 0..16 {
+            found.lens.push(self.slots.len());
+            let len = self.varint() as usize;
+            let end = self.pos + len;
+            if len > 0 {
+                self.varint();
+                found.counts.push((self.slots.len(), self.varint()));
+                for _ in 0..self.varint() {
+                    self.fixed(1);
+                    let block = self.varint() as usize;
+                    let block_end = self.pos + block;
+                    self.varint();
+                    if self.varint() == 1 {
+                        found.classes.push(self.slots.len());
+                        self.varint();
+                    }
+                    self.pos = block_end;
+                }
+            }
+            self.pos = end;
+        }
+        found
+    }
+}
+
+/// Where [`Walk::fpzip_sections`] found the fields an fpzip v2 forgery
+/// targets, as indices into the walk's slots: the section lengths, the
+/// section counts (with their values), and the classes of one-class
+/// blocks.
+#[derive(Default)]
+struct FpzipSlots {
+    lens: Vec<usize>,
+    counts: Vec<(usize, u64)>,
+    classes: Vec<usize>,
 }
 
 /// The bytes of a field, its name and shape, bit-exact.
@@ -496,6 +547,67 @@ fn sz_seek_rows(out: &mut Vec<Row>) {
     w.varint(); // index entry count
     r.slots = w.slots;
     out.push(r);
+}
+
+/// fpzip streams outside the codec rows. A v2 stream of a field whose
+/// context streams include one-class blocks, whose forgeries must be
+/// typed errors: a section count off by one (the counts no longer add up
+/// to the header's), a section length past the payload, a class above 36,
+/// and a class of 36, whose raw bits run out. And the committed v1
+/// `fpzip_nyx12` stream, which keeps the legacy decoder under the same
+/// schedule.
+fn fpzip_rows(out: &mut Vec<Row>) {
+    use fxrz_compressors::fpzip::Fpzip;
+    // Constant planes with one ramped row: runs of zero residuals
+    // between a few nonzero ones.
+    let field = Field::from_fn("hostile/fpzip", Dims::d3(3, 8, 16), |c| {
+        if c[1] == 3 {
+            c[2] as f32 * 0.75
+        } else {
+            c[0] as f32 + 2.0
+        }
+    });
+    let input = Fpzip
+        .compress(&field, &ErrorConfig::Precision(16))
+        .expect("compress");
+    let mut w = Walk::new(&input);
+    w.codec_header();
+    assert!(w.fixed(1) & 0x80 != 0, "a v2 stream");
+    let found = w.fpzip_sections();
+    assert!(!found.classes.is_empty(), "a one-class block");
+    let mut r = row(
+        "fpzip::decompress/v2",
+        input.clone(),
+        w.slots.clone(),
+        true,
+        |b| Fpzip.decompress(b),
+        field_image,
+    );
+    let (count, value) = found.counts[0];
+    r.rejects.push((w.slots[count], value + 1));
+    r.rejects.push((w.slots[found.lens[0]], input.len() as u64));
+    for &class in &found.classes {
+        r.rejects.push((w.slots[class], 37));
+        r.rejects.push((w.slots[class], 36));
+    }
+    out.push(r);
+
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/fpzip_nyx12.fxrz"
+    );
+    let input = std::fs::read(path).expect("the committed v1 stream");
+    let mut w = Walk::new(&input);
+    w.codec_stream(input.len());
+    let slots = w.slots;
+    out.push(row(
+        "fpzip::decompress/v1",
+        input,
+        slots,
+        true,
+        |b| Fpzip.decompress(b),
+        field_image,
+    ));
 }
 
 /// `sz` streams of long rows (4,097 points) and of many short rows.
@@ -950,6 +1062,7 @@ fn rows(rng: &mut StdRng) -> Vec<Row> {
     codec_rows(&mut out);
     sz_seek_rows(&mut out);
     sz_row_claim_rows(&mut out);
+    fpzip_rows(&mut out);
     out
 }
 
